@@ -1,19 +1,17 @@
-"""Low-level numeric kernels, JIT-compiled when numba is available.
+"""Low-level numeric kernels in plain Python and numpy.
 
 The hot inner loops of the package live here: modified-Bessel evaluation for
 complex arguments (ascending series plus Miller downward recurrence), the real
 Bessel-J evaluation used by the root oracle, and the per-mode dispersion
-kernel.  Every kernel is written in a numba-compatible subset of Python; when
-numba is importable and ``CELLWAVE_NO_NUMBA`` is unset the functions are
-compiled with ``@njit``, otherwise the same code runs as plain Python/numpy.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+kernel.  Single-point kernels are scalar Python, which is what the Newton
+polish and the ``bessel_I``/``bessel_J`` references call.  The seed screen,
+``phi_mode_grid``, evaluates the whole grid at once: one ascending series or
+one shared Miller chain per point yields every Bessel order it needs.
 """
 
 from __future__ import annotations
 
 import cmath
-import os
 
 import numpy as np
 
@@ -23,38 +21,15 @@ SERIES_RADIUS = 4.0
 #: Radius (in u = R0^2 * z) below which the even series is used for psi_tilde.
 PSI_SERIES_RADIUS = 16.0
 
-
-def numba_requested() -> bool:
-    """True unless the environment selects the pure-numpy fallback."""
-    flag = os.environ.get("CELLWAVE_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-def _load_numba():
-    if not numba_requested():
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
-
-
-_NUMBA = _load_numba()
-NUMBA_ENABLED = _NUMBA is not None
-
-
-def _jit(fn):
-    if _NUMBA is not None:
-        return _NUMBA.njit(cache=True)(fn)
-    return fn
+#: The kernels are never compiled; recorded by tools that report the path.
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # Modified Bessel functions I_m for complex argument.
 # ---------------------------------------------------------------------------
 
-def _iv_series_impl(m, z):
+def iv_series(m, z):
     """Ascending series for I_m(z); accurate for |z| <= SERIES_RADIUS."""
     half = 0.5 * z
     term = 1.0 + 0.0j
@@ -72,10 +47,7 @@ def _iv_series_impl(m, z):
     return total
 
 
-iv_series = _jit(_iv_series_impl)
-
-
-def _iv_chain_impl(mmax, z):
+def iv_chain(mmax, z):
     """I_0(z)..I_mmax(z) by Miller's downward recurrence; requires Re z >= 0.
 
     The recurrence I_{k-1} = I_{k+1} + (2k/z) I_k is run down from a start
@@ -111,10 +83,7 @@ def _iv_chain_impl(mmax, z):
     return out
 
 
-iv_chain = _jit(_iv_chain_impl)
-
-
-def _bessel_i_impl(m, z):
+def bessel_i_kernel(m, z):
     """I_m(z) for integer m >= 0 and complex z (parity-reduced dispatch)."""
     sign = 1.0
     if z.real < 0.0:
@@ -126,10 +95,7 @@ def _bessel_i_impl(m, z):
     return sign * iv_chain(m, z)[m]
 
 
-bessel_i_kernel = _jit(_bessel_i_impl)
-
-
-def _psi_tilde_impl(k, u):
+def psi_tilde(k, u):
     """Entire even part of I_k: psi_k(u) = I_k(w)/w^k with u = w^2.
 
     Branch-free in u, which is what makes the dispersion kernel single
@@ -153,10 +119,88 @@ def _psi_tilde_impl(k, u):
     return iv_chain(k, w)[k] / w ** k
 
 
-psi_tilde = _jit(_psi_tilde_impl)
+def _psi_series_grid(ks, u):
+    """Ascending series of psi_k(u), one row per order in ks.
+
+    Accurate for |u| <= PSI_SERIES_RADIUS; summed until every point's last
+    term is below 1e-18 of its total.
+    """
+    term = np.empty((ks.size, u.size), dtype=np.complex128)
+    for i, k in enumerate(ks):
+        t0 = 0.5 ** k
+        for j in range(1, k + 1):
+            t0 /= j
+        term[i] = t0
+    total = term.copy()
+    q = 0.25 * u
+    for j in range(1, 301):
+        term *= q / (j * (j + ks[:, None]))
+        total += term
+        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
+            break
+    return total
 
 
-def _phi_mode_impl(m, z, r0, coef_c, b_m, d_m):
+def _psi_chain_grid(ks, u):
+    """psi_k(u) for the consecutive orders ks by one Miller chain per point.
+
+    The array form of ``iv_chain`` at w = sqrt(u): each point starts its
+    downward recurrence at its own order, is normalised with e^w, and is
+    rescaled on its own when it grows past 1e250.
+    """
+    w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
+    start = ks[-1] + 40 + (2.0 * np.abs(w)).astype(np.int64)
+    two_over_w = 2.0 / w
+    ip = np.zeros(u.size, dtype=np.complex128)
+    ic = np.zeros(u.size, dtype=np.complex128)
+    ssum = np.zeros(u.size, dtype=np.complex128)
+    out = np.zeros((ks.size, u.size), dtype=np.complex128)
+    for k in range(int(start.max()), 0, -1):
+        seed = start == k
+        ic[seed] = 1e-250
+        ssum[seed] = 2e-250
+        im1 = ip + k * two_over_w * ic
+        ip = ic
+        ic = im1
+        ssum += 2.0 * im1 if k > 1 else im1
+        if ks[0] <= k - 1 <= ks[-1]:
+            out[k - 1 - ks[0]] = im1
+        huge = (np.abs(im1.real) > 1e250) | (np.abs(im1.imag) > 1e250)
+        if huge.any():
+            ip[huge] *= 1e-250
+            ic[huge] *= 1e-250
+            ssum[huge] *= 1e-250
+            out[:, huge] *= 1e-250
+    return out * (np.exp(w) / ssum) / w ** ks[:, None]
+
+
+def _psi_orders(m):
+    """Orders of psi_tilde read by the mode-m kernel."""
+    return range(max(m - 1, 0), m + 2)
+
+
+def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
+    """(value, scale) of the mode-m kernel from psi at ``_psi_orders(m)``.
+
+    The one transcription of the kernel, shared by ``phi_mode`` (scalars,
+    ``maximum=max``) and ``phi_mode_grid`` (arrays, ``maximum=np.maximum``).
+    """
+    if m == 0:
+        val = -r0 * psi[1]
+        return val, maximum(r0 * abs(psi[0]), abs(val))
+    pm1, pm, pp1 = psi
+    if m == 1:
+        t1 = -r0 * coef_c * pm
+        bracket = 0.5 * b_m
+    else:
+        t1 = m * coef_c * (-r0) ** m * z * pm
+        bracket = 0.5 * (-r0) ** (m - 1) * (z * b_m + d_m)
+    t2 = bracket * (pm1 + u * pp1)
+    sc = abs(bracket) * (abs(pm1) + abs(u * pp1))
+    return t1 + t2, maximum(sc, abs(t1))
+
+
+def phi_mode(m, z, r0, coef_c, b_m, d_m):
     """Dispersion kernel for mode m with the structural zero factored out.
 
     Returns (value, scale).  The scale is the magnitude of the largest
@@ -167,51 +211,33 @@ def _phi_mode_impl(m, z, r0, coef_c, b_m, d_m):
     of this kernel.
     """
     u = r0 * r0 * z
-    if m == 0:
-        val = -r0 * psi_tilde(1, u)
-        sc = r0 * abs(psi_tilde(0, u))
-        if abs(val) > sc:
-            sc = abs(val)
-        return val, sc
-    pm1 = psi_tilde(m - 1, u)
-    pm = psi_tilde(m, u)
-    pp1 = psi_tilde(m + 1, u)
-    if m == 1:
-        t1 = -r0 * coef_c * pm
-        bracket = 0.5 * b_m
-    else:
-        t1 = m * coef_c * (-r0) ** m * z * pm
-        bracket = 0.5 * (-r0) ** (m - 1) * (z * b_m + d_m)
-    t2 = bracket * (pm1 + u * pp1)
-    sc = abs(bracket) * (abs(pm1) + abs(u * pp1))
-    if abs(t1) > sc:
-        sc = abs(t1)
-    return t1 + t2, sc
+    psi = [psi_tilde(k, u) for k in _psi_orders(m)]
+    return _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, max)
 
 
-phi_mode = _jit(_phi_mode_impl)
+def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
+    """phi_mode over a flat complex array at once (seed screening).
 
-
-def _phi_mode_grid_impl(m, zs, r0, coef_c, b_m, d_m):
-    """Vectorised phi_mode over a flat complex array (seed screening)."""
-    n = zs.shape[0]
-    vals = np.empty(n, dtype=np.complex128)
-    scales = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        v, s = phi_mode(m, zs[i], r0, coef_c, b_m, d_m)
-        vals[i] = v
-        scales[i] = s
-    return vals, scales
-
-
-phi_mode_grid = _jit(_phi_mode_grid_impl)
+    Returns (values, scales) as arrays.  Points with |u| <= PSI_SERIES_RADIUS
+    take the ascending series, the others one shared Miller chain; either
+    way every order of psi the kernel reads comes from one pass.
+    """
+    zs = np.asarray(zs, dtype=np.complex128)
+    u = r0 * r0 * zs
+    ks = np.array(_psi_orders(m))
+    psi = np.empty((ks.size, u.size), dtype=np.complex128)
+    small = np.abs(u) <= PSI_SERIES_RADIUS
+    psi[:, small] = _psi_series_grid(ks, u[small])
+    if not small.all():
+        psi[:, ~small] = _psi_chain_grid(ks, u[~small])
+    return _phi_from_psi(m, zs, u, r0, coef_c, b_m, d_m, psi, np.maximum)
 
 
 # ---------------------------------------------------------------------------
 # Real Bessel J for the root oracle.
 # ---------------------------------------------------------------------------
 
-def _jv_series_impl(m, x):
+def jv_series(m, x):
     """Alternating ascending series for J_m(x); accurate for |x| <= 4."""
     half = 0.5 * x
     term = 1.0
@@ -229,10 +255,7 @@ def _jv_series_impl(m, x):
     return total
 
 
-jv_series = _jit(_jv_series_impl)
-
-
-def _jv_chain_impl(mmax, x):
+def jv_chain(mmax, x):
     """J_0(x)..J_mmax(x) by Miller's recurrence; requires x > 0.
 
     Normalised with 1 = J_0 + 2 * sum_{k>=1} J_{2k}.
@@ -266,10 +289,7 @@ def _jv_chain_impl(mmax, x):
     return out
 
 
-jv_chain = _jit(_jv_chain_impl)
-
-
-def _bessel_j_impl(m, x):
+def bessel_j_kernel(m, x):
     """J_m(x) for integer m >= 0 and real x."""
     sign = 1.0
     if x < 0.0:
@@ -281,6 +301,3 @@ def _bessel_j_impl(m, x):
     if x <= SERIES_RADIUS:
         return sign * jv_series(m, x)
     return sign * jv_chain(m, x)[m]
-
-
-bessel_j_kernel = _jit(_bessel_j_impl)

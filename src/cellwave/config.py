@@ -10,6 +10,7 @@ monotone.  Individual keys can be overridden from the command line with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +64,13 @@ class RunConfig:
 def _require_number(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _check_unknown(section: str, block: dict, allowed) -> None:
@@ -133,6 +140,9 @@ def validate_config(data: dict) -> RunConfig:
                 f"{sorted(_FORCE_KEYS_BY_FAMILY)}, got {family!r}"
             )
         _check_unknown(f"force_laws.{kind}", block, allowed | {"family"})
+        for key, value in block.items():
+            if key != "family":
+                _require_number(f"force_laws.{kind}", key, value)
         try:
             built[kind] = force_law_from_config(kind, block)
         except ForceLawError as exc:

@@ -1,9 +1,12 @@
 """Bessel evaluation, Bessel-J roots and quadrature rules.
 
-``bessel_I`` and ``bessel_J`` are built on the kernels in ``_kernels``:
-an ascending power series close to the origin and Miller's downward
-recurrence elsewhere, with parity used to fold arguments into the half
-plane where the recurrence normalisation is cancellation-free.
+``bessel_I`` and ``bessel_J`` are built on the scalar kernels in
+``_kernels``: an ascending power series close to the origin and Miller's
+downward recurrence elsewhere, with parity used to fold arguments into the
+half plane where the recurrence normalisation is cancellation-free.  These
+chains are their own, separate from the array seed screen of the dispersion
+kernel, so the two functions stay references that the kernel is tested
+against.
 """
 
 from __future__ import annotations

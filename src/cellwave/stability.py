@@ -107,7 +107,6 @@ def _kernel_closures(m, params, f_act, f_und):
         return _kernels.phi_mode(m, complex(z), r0, coef_c, b_m, d_m)[0]
 
     def fun_grid(zs):
-        zs = np.ascontiguousarray(zs, dtype=np.complex128)
         return _kernels.phi_mode_grid(m, zs, r0, coef_c, b_m, d_m)[0]
 
     def fun_scaled(z):

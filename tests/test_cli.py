@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from cellwave import Shape, bessel_J_roots, chi_c_star
 from cellwave.cli import main
@@ -59,6 +60,20 @@ class TestConfig:
         cfg["analysis"]["chi_c_grid"] = [1.0, 0.5]
         path = write_config(tmp_path, cfg)
         assert main(["dispersion", "-c", path]) == 2
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("dispersion", "analysis.root_region=[NaN,1,-1,1]",
+         "analysis.root_region.0"),
+        ("branch", "analysis.ds=NaN", "analysis.ds"),
+        ("branch", "analysis.V_max=Infinity", "analysis.V_max"),
+        ("resting-state", "force_laws.active.l_max=NaN",
+         "force_laws.active.l_max"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command,
+                                        override, key):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main([command, "-c", path, "--set", override]) == 2
+        assert key in capsys.readouterr().err
 
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")

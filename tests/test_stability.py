@@ -25,7 +25,14 @@ from cellwave import (
     zero_eigenspace_dimension,
     zero_mode_basis,
 )
-from cellwave.stability import eigenmode_residual, structural_exponent
+from cellwave import _kernels
+from cellwave.stability import (
+    DEFAULT_SEEDS,
+    _mode_constants,
+    default_root_region,
+    eigenmode_residual,
+    structural_exponent,
+)
 
 
 def _random_params(rng, f_act, chi_factor=None):
@@ -107,6 +114,33 @@ class TestDispersionFunction:
                 a = dispersion_H(m, z, params, f_act, f_und)
                 b = dispersion_H(m, z.conjugate(), params, f_act, f_und)
                 assert abs(b - a.conjugate()) <= 1e-12 * (1.0 + abs(a))
+
+    @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+    def test_grid_matches_scalar_kernel(self, params, f_act, f_und, r0):
+        # The array seed screen against a loop of scalar kernel calls: the
+        # default seed grid, both sides of the series/chain switch, and the
+        # negative real axis where u = R0^2 z has no square-root branch.
+        base = ModelParams(params.a, params.gamma, params.chi_c, params.chi_u,
+                           r0, params.M)
+        re_min, re_max, im_min, im_max = default_root_region(base)
+        zx, zy = np.meshgrid(np.linspace(re_min, re_max, DEFAULT_SEEDS[0]),
+                             np.linspace(im_min, im_max, DEFAULT_SEEDS[1]),
+                             indexing="ij")
+        edge = _kernels.PSI_SERIES_RADIUS / r0 ** 2 * np.exp(
+            2j * np.pi * np.arange(16) / 16)
+        zs = np.concatenate([(zx + 1j * zy).ravel(),
+                             edge * (1 - 1e-9), edge * (1 + 1e-9),
+                             np.linspace(-90.0, -0.1, 40) / r0 ** 2 + 0j])
+        for chi_c in (0.5, 2.5):
+            p = base.with_chi_c(chi_c)
+            for m in range(9):
+                consts = _mode_constants(m, p, f_act, f_und)
+                vals, scales = _kernels.phi_mode_grid(m, zs, r0, *consts)
+                ref = [_kernels.phi_mode(m, z, r0, *consts) for z in zs]
+                ref_vals = np.array([v for v, _ in ref])
+                ref_scales = np.array([s for _, s in ref])
+                assert np.all(np.abs(vals - ref_vals) <= 1e-13 * ref_scales)
+                assert np.all(np.abs(scales - ref_scales) <= 1e-13 * ref_scales)
 
 
 class TestModeSpectrum:
