@@ -30,7 +30,6 @@ from .waves import (
     continue_branch,
     kernel_alignment,
     linearized_residual,
-    state_diagnostics,
     transversality_product,
     _residual_vector,
 )
@@ -173,7 +172,7 @@ def criterion_branch_invariants(config) -> CriterionResult:
     worst = {"residual_sup": 0.0, "area_error": 0.0, "centering_error": 0.0,
              "mass_rel_error": 0.0}
     for state in branch.states[1:]:
-        diag = state_diagnostics(state, params, config.f_act, config.f_und)
+        diag = state.diagnostics
         for key in worst:
             worst[key] = max(worst[key], diag[key])
     ok = (worst["residual_sup"] <= 1e-9

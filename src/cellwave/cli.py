@@ -35,7 +35,6 @@ from .waves import (
     continue_branch,
     mean_curvature,
     normal_x,
-    state_diagnostics,
 )
 
 EXIT_OK = 0
@@ -149,8 +148,7 @@ def _branch_rows(branch, config: RunConfig):
               + ["residual", "area_error"])
     rows = []
     for state in branch.states:
-        diag = state_diagnostics(state, config.params, config.f_act,
-                                 config.f_und)
+        diag = state.diagnostics
         rows.append([state.V, state.chi_c, state.p1]
                     + list(state.shape.rho_cos[:width])
                     + [diag["residual_sup"], diag["area_error"]])

@@ -229,6 +229,7 @@ def arclength_continue(
     *,
     newton_tol: float = 1e-10,
     max_iter: int = 50,
+    jac=None,
 ) -> list[np.ndarray]:
     """Pseudo-arclength predictor-corrector for fun: R^{n+1} -> R^n.
 
@@ -247,6 +248,9 @@ def arclength_continue(
         Number of points to append beyond the start.
     ds : float
         Arclength step.
+    jac : callable, optional
+        Analytic n x (n+1) Jacobian of fun; the corrector appends the
+        tangent row.  Forward differences are used when omitted.
 
     Returns
     -------
@@ -280,9 +284,13 @@ def arclength_continue(
                     [np.asarray(fun(v), dtype=float), [_t @ (v - _pred)]]
                 )
 
+            def extended_jac(v, _t=t):
+                return np.vstack([jac(v), _t])
+
             try:
                 sol = newton_solve(
-                    extended, pred, tol=newton_tol, max_iter=max_iter
+                    extended, pred, None if jac is None else extended_jac,
+                    tol=newton_tol, max_iter=max_iter
                 )
                 break
             except NewtonConvergenceError:

@@ -18,7 +18,7 @@ what makes (chi_c_star, disk, 0, 0) the bifurcation point of the branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .forces import ForceLaw
 from .model import ModelParams, chi_c_star, tw_concentration, tw_pressure
-from .solvers import arclength_continue, fd_jacobian, newton_solve
+from .solvers import arclength_continue, newton_solve
 from .special import gauss_legendre
 
 #: Default truncation order of the cosine series.
@@ -51,10 +51,15 @@ def _grid(n: int):
     """Collocation tables for truncation order n (2n equispaced angles)."""
     nc = 2 * n
     thetas = 2.0 * np.pi * np.arange(nc) / nc
+    return _trig_tables(n, thetas)
+
+
+def _trig_tables(n: int, theta):
+    """(theta, k, cos(k theta), sin(k theta)) for k = 0..n at the angles."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     k = np.arange(n + 1)
-    cos_t = np.cos(np.outer(k, thetas))
-    sin_t = np.sin(np.outer(k, thetas))
-    return thetas, k, cos_t, sin_t
+    ang = np.outer(k, theta)
+    return theta, k, np.cos(ang), np.sin(ang)
 
 
 def collocation_nodes(n: int) -> np.ndarray:
@@ -63,13 +68,75 @@ def collocation_nodes(n: int) -> np.ndarray:
 
 
 def project_cosine(values: np.ndarray) -> np.ndarray:
-    """Cosine-series coefficients 0..n of samples at the 2n collocation nodes."""
-    nc = values.size
-    spec = np.fft.rfft(values)
+    """Cosine-series coefficients 0..n of samples at the 2n collocation nodes.
+
+    Projects along the first axis, so each column of a 2-D array of samples
+    is projected separately.
+    """
+    nc = values.shape[0]
+    spec = np.fft.rfft(values, axis=0)
     coeffs = 2.0 * spec.real / nc
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5          # Nyquist mode carries half weight
     return coeffs
+
+
+def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
+    """R0 + rho at the m >= 2N equispaced angles 2 pi i / m.
+
+    A zero-padded inverse real FFT of the cosine series; on the 2N grid
+    mode N is the Nyquist mode, which the inverse transform weights twice.
+    """
+    spec = 0.5 * m * rho_cos
+    spec[0] *= 2.0
+    if m == 2 * (rho_cos.size - 1):
+        spec[-1] *= 2.0
+    return R0 + np.fft.irfft(spec, n=m)
+
+
+@dataclass(frozen=True)
+class _Boundary:
+    """Polar boundary r = R0 + rho sampled at a set of angles.
+
+    ``q = r^2 + r'^2``; ``cos``/``sin`` are those of the angles.  The
+    curvature is kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the outward
+    unit normal is (r cos + r' sin, r sin - r' cos) / sqrt(q).
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    r: np.ndarray
+    rp: np.ndarray
+    rpp: np.ndarray
+    q: np.ndarray
+    kappa: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+
+
+def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
+    """Boundary fields on the cached collocation tables (``theta`` None) or
+    at the given angles; the derivatives are spectral (exact for the
+    stored cosine series)."""
+    n = rho_cos.size - 1
+    _, k, cos_t, sin_t = _grid(n) if theta is None else _trig_tables(n, theta)
+    cos_th, sin_th = cos_t[1], sin_t[1]
+    r = R0 + rho_cos @ cos_t
+    rp = -(rho_cos * k) @ sin_t
+    rpp = -(rho_cos * k * k) @ cos_t
+    q = r * r + rp * rp
+    root_q = np.sqrt(q)
+    return _Boundary(
+        cos=cos_th, sin=sin_th, r=r, rp=rp, rpp=rpp, q=q,
+        kappa=(r * r + 2.0 * rp * rp - r * rpp) / q ** 1.5,
+        n1=(r * cos_th + rp * sin_th) / root_q,
+        n2=(r * sin_th - rp * cos_th) / root_q,
+    )
+
+
+def _like_theta(values, theta):
+    """Array samples for array angles, a float for a scalar angle."""
+    return values if np.ndim(theta) else float(values[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,34 +155,24 @@ class Shape:
         object.__setattr__(self, "rho_cos", arr)
         if arr.ndim != 1 or arr.size < 2:
             raise GeometryError("rho_cos must be a 1-D array with >= 2 modes")
-        thetas = np.linspace(0.0, 2.0 * np.pi, 4 * (arr.size - 1), endpoint=False)
-        if np.min(self.radius(thetas)) <= 0.0:
+        if np.min(_radius_on_grid(arr, self.R0, 4 * (arr.size - 1))) <= 0.0:
             raise GeometryError("R0 + rho(theta) must stay positive")
 
     @property
     def N(self) -> int:
         return self.rho_cos.size - 1
 
-    def _tables(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = np.arange(self.N + 1)
-        ang = np.outer(k, theta)
-        return theta, k, np.cos(ang), np.sin(ang)
-
     def rho(self, theta):
-        _, _, cos_t, _ = self._tables(theta)
-        out = self.rho_cos @ cos_t
-        return out if np.ndim(theta) else float(out[0])
+        _, _, cos_t, _ = _trig_tables(self.N, theta)
+        return _like_theta(self.rho_cos @ cos_t, theta)
 
     def drho(self, theta):
-        _, k, _, sin_t = self._tables(theta)
-        out = -(self.rho_cos * k) @ sin_t
-        return out if np.ndim(theta) else float(out[0])
+        _, k, _, sin_t = _trig_tables(self.N, theta)
+        return _like_theta(-(self.rho_cos * k) @ sin_t, theta)
 
     def d2rho(self, theta):
-        _, k, cos_t, _ = self._tables(theta)
-        out = -(self.rho_cos * k * k) @ cos_t
-        return out if np.ndim(theta) else float(out[0])
+        _, k, cos_t, _ = _trig_tables(self.N, theta)
+        return _like_theta(-(self.rho_cos * k * k) @ cos_t, theta)
 
     def radius(self, theta):
         return self.R0 + self.rho(theta)
@@ -126,16 +183,18 @@ def disk_shape(R0: float, n: int = DEFAULT_N) -> Shape:
     return Shape(np.zeros(n + 1), R0)
 
 
+def _checked_boundary(shape: Shape, theta) -> _Boundary:
+    """Boundary fields at the angles; a non-positive radius is an error."""
+    b = _boundary(shape.rho_cos, shape.R0, theta)
+    if np.min(b.r) <= 0.0:
+        raise GeometryError("degenerate radius")
+    return b
+
+
 def normal_vector(shape: Shape, theta):
     """Outward unit normal (n_1, n_2) of the boundary at angle theta."""
-    r = shape.radius(theta)
-    rp = shape.drho(theta)
-    if np.min(np.atleast_1d(r)) <= 0.0:
-        raise GeometryError("degenerate radius")
-    den = np.sqrt(r * r + rp * rp)
-    n1 = (r * np.cos(theta) + rp * np.sin(theta)) / den
-    n2 = (r * np.sin(theta) - rp * np.cos(theta)) / den
-    return n1, n2
+    b = _checked_boundary(shape, theta)
+    return _like_theta(b.n1, theta), _like_theta(b.n2, theta)
 
 
 def normal_x(shape: Shape, theta):
@@ -149,12 +208,7 @@ def mean_curvature(shape: Shape, theta):
     kappa = (r^2 + 2 r'^2 - r r'') / (r^2 + r'^2)^(3/2) with r = R0 + rho;
     the derivatives are spectral (exact for the stored cosine series).
     """
-    r = shape.radius(theta)
-    if np.min(np.atleast_1d(r)) <= 0.0:
-        raise GeometryError("degenerate radius")
-    rp = shape.drho(theta)
-    rpp = shape.d2rho(theta)
-    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+    return _like_theta(_checked_boundary(shape, theta).kappa, theta)
 
 
 def _radial_weight(s, radii):
@@ -191,7 +245,9 @@ def marker_normalization(shape: Shape, V: float, params: ModelParams,
     """
     if thetas is None:
         thetas = _grid(shape.N)[0]
-    radii = shape.radius(thetas)
+        radii = _radius_on_grid(shape.rho_cos, shape.R0, thetas.size)
+    else:
+        radii = shape.radius(thetas)
     s = -params.a * V * np.cos(thetas)
     weights = _radial_weight(s, radii)
     denom = 2.0 * np.pi * float(np.mean(weights))
@@ -203,7 +259,9 @@ class TravelingWaveState:
     """One point on the traveling-wave branch.
 
     ``p1`` is the pressure constant relative to the resting pressure; the
-    physical constant is recovered by ``p1_physical``.
+    physical constant is recovered by ``p1_physical``.  ``diagnostics`` is
+    the ``state_diagnostics`` dict, computed once when the branch code
+    builds the state (None for states built by hand).
     """
 
     shape: Shape
@@ -211,6 +269,7 @@ class TravelingWaveState:
     p1: float
     chi_c: float
     c1: float
+    diagnostics: dict | None = field(default=None, compare=False, repr=False)
 
     def p1_physical(self, params: ModelParams, f_act: ForceLaw) -> float:
         return (self.p1 + params.gamma / params.R0
@@ -220,13 +279,15 @@ class TravelingWaveState:
 def rest_state(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                n: int = DEFAULT_N) -> TravelingWaveState:
     """The branch root: disk at the bifurcation point, V = 0."""
-    return TravelingWaveState(
+    root = TravelingWaveState(
         shape=disk_shape(params.R0, n),
         V=0.0,
         p1=0.0,
         chi_c=chi_c_star(params, f_act, f_und),
         c1=params.c0,
     )
+    return replace(root, diagnostics=state_diagnostics(root, params, f_act,
+                                                       f_und))
 
 
 def _area_centering(rho_cos: np.ndarray, R0: float) -> tuple[float, float]:
@@ -242,37 +303,79 @@ def _area_centering(rho_cos: np.ndarray, R0: float) -> tuple[float, float]:
     return area, centering
 
 
+def _boundary_concentration(b: _Boundary, V: float, params: ModelParams):
+    """Exponent rates s = -a V cos(theta), exp(s r), mean radial weight and
+    the boundary concentration c1 exp(s r) with its mass normalisation c1."""
+    s = -params.a * V * b.cos
+    growth = np.exp(s * b.r)
+    mean_weight = float(np.mean(_radial_weight(s, b.r)))
+    c1 = params.M / (2.0 * np.pi * mean_weight)
+    return s, growth, mean_weight, c1 * growth
+
+
 def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und):
     """Discretised boundary residual: cosine modes 0..N, then area, centering."""
     n = rho_cos.size - 1
-    thetas, k, cos_t, sin_t = _grid(n)
-    r = params.R0 + rho_cos @ cos_t
-    if np.min(r) <= 1e-9 * params.R0:
+    b = _boundary(rho_cos, params.R0)
+    if np.min(b.r) <= 1e-9 * params.R0:
         # Degenerate trial shape inside a Newton line search: hand back a
         # large residual so the step is rejected instead of raising.
         return np.full(n + 3, 1e6)
-    rp = -(rho_cos * k) @ sin_t
-    rpp = -(rho_cos * k * k) @ cos_t
-    r2p2 = r * r + rp * rp
-    kappa = (r * r + 2.0 * rp * rp - r * rpp) / r2p2 ** 1.5
-    n1 = (r * np.cos(thetas) + rp * np.sin(thetas)) / np.sqrt(r2p2)
-
-    s = -params.a * V * np.cos(thetas)
-    weights = _radial_weight(s, r)
-    c1 = params.M / (2.0 * np.pi * float(np.mean(weights)))
-    c_bnd = c1 * np.exp(s * r)
-    c_bnd = np.maximum(c_bnd, 0.0)
+    c_bnd = _boundary_concentration(b, V, params)[3]
 
     c0 = params.c0
-    block = (params.gamma * kappa
+    block = (params.gamma * b.kappa
              + chi_c * (np.asarray(f_act.eval(c_bnd)) - float(f_act.eval(c0)))
-             + params.chi_u * np.asarray(f_und.eval(V * n1))
-             + V * r * np.cos(thetas)
+             + params.chi_u * np.asarray(f_und.eval(V * b.n1))
+             + V * b.r * b.cos
              - p1
              - params.gamma / params.R0)
     modes = project_cosine(block)
     area, centering = _area_centering(rho_cos, params.R0)
     return np.concatenate([modes, [area, centering]])
+
+
+def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und):
+    """Analytic Jacobian of ``_residual_vector`` in (rho_0..rho_N, p1, chi_c).
+
+    Before projection, column j of the rho block samples
+        A cos(j theta) - B j sin(j theta) - C j^2 cos(j theta) + D g_j,
+    where A, B, C are the partials of the pointwise residual in r, r', r''
+    (through kappa, n_1, the boundary concentration and V r cos(theta)),
+    and D g_j is the rank-one term of the mass normalisation c1, with
+    g_j = d log(c1)/d rho_j = -mean(exp(s r) r cos(j theta)) / mean(W).
+    The p1 column is -e_0 and the area and centering rows are exact.
+    """
+    n = rho_cos.size - 1
+    _, k, cos_t, sin_t = _grid(n)
+    b = _boundary(rho_cos, params.R0)
+    s, growth, mean_weight, c_bnd = _boundary_concentration(b, V, params)
+    q15 = b.q ** 1.5
+    root_q = np.sqrt(b.q)
+    dkappa_r = (2.0 * b.r - b.rpp) / q15 - 3.0 * b.r * b.kappa / b.q
+    dkappa_rp = 4.0 * b.rp / q15 - 3.0 * b.rp * b.kappa / b.q
+    dkappa_rpp = -b.r / q15
+    dn1_r = b.cos / root_q - b.n1 * b.r / b.q
+    dn1_rp = b.sin / root_q - b.n1 * b.rp / b.q
+
+    act = chi_c * np.asarray(f_act.d1(c_bnd)) * c_bnd          # D
+    und = params.chi_u * V * np.asarray(f_und.d1(V * b.n1))
+    coef_a = params.gamma * dkappa_r + act * s + und * dn1_r + V * b.cos
+    coef_b = params.gamma * dkappa_rp + und * dn1_rp
+    coef_c = params.gamma * dkappa_rpp
+    g = -(cos_t @ (growth * b.r)) / (cos_t.shape[1] * mean_weight)
+    samples = ((coef_a - coef_c * (k * k)[:, None]) * cos_t
+               - coef_b * k[:, None] * sin_t).T + np.outer(act, g)
+
+    jac = np.zeros((n + 3, n + 3))
+    jac[: n + 1, : n + 1] = project_cosine(samples)
+    jac[0, n + 1] = -1.0
+    jac[: n + 1, n + 2] = project_cosine(
+        np.asarray(f_act.eval(c_bnd)) - float(f_act.eval(params.c0)))
+    jac[n + 1, 0] = 4.0 * np.pi * (params.R0 + rho_cos[0])
+    jac[n + 1, 1: n + 1] = 2.0 * np.pi * rho_cos[1:]
+    jac[n + 2, 1] = np.pi
+    return jac
 
 
 def residual_F(state: TravelingWaveState, params: ModelParams,
@@ -335,6 +438,15 @@ def _unpack(u: np.ndarray, V: float, params: ModelParams) -> TravelingWaveState:
                               chi_c=float(u[-1]), c1=c1)
 
 
+@lru_cache(maxsize=4)
+def _unit_radial_rule(points: int):
+    """Read-only Gauss-Legendre nodes and weights on [0, 1]."""
+    rule = gauss_legendre(points, 0.0, 1.0)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule.nodes, rule.weights
+
+
 def state_diagnostics(state: TravelingWaveState, params: ModelParams,
                       f_act: ForceLaw, f_und: ForceLaw,
                       radial_points: int = 32) -> dict:
@@ -347,31 +459,26 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
     """
     shape = state.shape
     n = shape.N
-    thetas = _grid(n)[0]
-    r = shape.radius(thetas)
-    kappa = mean_curvature(shape, thetas)
-    n1 = normal_x(shape, thetas)
-    x = r * np.cos(thetas)
+    b = _boundary(shape.rho_cos, shape.R0)
+    x = b.r * b.cos
     p1_phys = state.p1_physical(params, f_act)
     pressure = np.array([tw_pressure(state.V, p1_phys, (xi,)) for xi in x])
     conc = np.array(
         [tw_concentration(params, state.V, state.c1, (xi,)) for xi in x]
     )
-    defect = (params.gamma * kappa
+    defect = (params.gamma * b.kappa
               - (pressure
                  - state.chi_c * np.asarray(f_act.eval(conc))
-                 - params.chi_u * np.asarray(f_und.eval(state.V * n1))))
+                 - params.chi_u * np.asarray(f_und.eval(state.V * b.n1))))
     area, centering = _area_centering(shape.rho_cos, params.R0)
 
     fine = np.linspace(0.0, 2.0 * np.pi, 4 * n, endpoint=False)
-    radii = shape.radius(fine)
-    mass = 0.0
-    rule = gauss_legendre(radial_points, 0.0, 1.0)
-    for th, rad in zip(fine, radii):
-        rr = rule.nodes * rad
-        vals = np.exp(-params.a * state.V * rr * np.cos(th)) * rr
-        mass += float(np.dot(rule.weights * rad, vals))
-    mass *= state.c1 * 2.0 * np.pi / fine.size
+    radii = _radius_on_grid(shape.rho_cos, shape.R0, fine.size)
+    nodes, weights = _unit_radial_rule(radial_points)
+    rr = np.outer(radii, nodes)
+    vals = np.exp(-params.a * state.V * np.cos(fine)[:, None] * rr) * rr
+    mass = (state.c1 * 2.0 * np.pi / fine.size
+            * float(np.dot(radii, vals @ weights)))
 
     return {
         "residual_sup": float(np.max(np.abs(defect))),
@@ -384,6 +491,25 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
     }
 
 
+def _checked_state(u: np.ndarray, V: float, params: ModelParams,
+                   f_act: ForceLaw, f_und: ForceLaw) -> TravelingWaveState:
+    """The state of a converged solution, carrying its diagnostics.
+
+    Raises
+    ------
+    SolverError
+        If the area or centering constraint is off by more than 1e-10 or
+        the boundary concentration is not positive.
+    """
+    state = _unpack(u, V, params)
+    diag = state_diagnostics(state, params, f_act, f_und)
+    if diag["area_error"] > 1e-10 or diag["centering_error"] > 1e-10:
+        raise SolverError(f"constraint violation at V={V:g}: {diag}")
+    if diag["min_boundary_concentration"] <= 0.0:
+        raise SolverError(f"non-positive boundary concentration at V={V:g}")
+    return replace(state, diagnostics=diag)
+
+
 def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
                       f_act: ForceLaw, f_und: ForceLaw, *,
                       tol: float = SOLVE_TOL) -> TravelingWaveState:
@@ -391,6 +517,7 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
 
     Unknowns are the cosine modes rho_0..rho_N, the pressure constant p1 and
     the active strength chi_c; the centering row pins the cos(theta) mode.
+    Newton uses the analytic Jacobian ``_residual_jacobian``.
 
     Parameters
     ----------
@@ -415,20 +542,18 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
     def fun(u):
         return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und)
 
+    def jac(u):
+        return _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
+                                  f_und)
+
     try:
-        sol = newton_solve(fun, _pack(guess), tol=tol)
+        sol = newton_solve(fun, _pack(guess), jac, tol=tol)
     except NewtonConvergenceError as exc:
         raise SolverError(
             f"traveling-wave solve failed at V={V:g}: {exc} "
             f"(best residual {exc.best_residual:.3e})"
         ) from exc
-    state = _unpack(sol, V, params)
-    diag = state_diagnostics(state, params, f_act, f_und)
-    if diag["area_error"] > 1e-10 or diag["centering_error"] > 1e-10:
-        raise SolverError(f"constraint violation at V={V:g}: {diag}")
-    if diag["min_boundary_concentration"] <= 0.0:
-        raise SolverError(f"non-positive boundary concentration at V={V:g}")
-    return state
+    return _checked_state(sol, V, params, f_act, f_und)
 
 
 @dataclass(frozen=True)
@@ -461,9 +586,10 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
     Steps the speed directly (the branch is a graph over V near onset since
     the kernel direction at the bifurcation point is the pure-V direction);
-    if the fixed-V Jacobian condition number exceeds ``cond_switch`` the
-    remaining stretch is traced by pseudo-arclength continuation in
-    (rho, p1, chi_c, V) instead, which is robust through folds.
+    if the condition number of the analytic fixed-V Jacobian at an accepted
+    state exceeds ``cond_switch`` the remaining stretch is traced by
+    pseudo-arclength continuation in (rho, p1, chi_c, V) instead, which is
+    robust through folds.
 
     Failed steps are retried with halved substeps down to ds/64.
 
@@ -477,9 +603,6 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     states = [rest_state(params, f_act, f_und, n)]
     n_steps = max(1, int(round(V_max / ds)))
     targets = list(np.linspace(V_max / n_steps, V_max, n_steps))
-
-    def fixed_v_fun(u, V):
-        return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und)
 
     def advance(prev, V_to, depth=0):
         try:
@@ -500,19 +623,33 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                 Branch(states=tuple(states)),
             ) from exc
         states.append(state)
-        u = _pack(state)
-        jac = fd_jacobian(lambda v: fixed_v_fun(v, state.V), u)
+        jac = _residual_jacobian(state.shape.rho_cos, state.V, state.p1,
+                                 state.chi_c, params, f_act, f_und)
         if np.linalg.cond(jac) > cond_switch:
             return _arclength_tail(states, params, f_act, f_und, V_max, ds, tol)
     return Branch(states=tuple(states))
 
 
 def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
-    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max."""
+    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max.
+
+    The Jacobian is the analytic (rho, p1, chi_c) block plus a central
+    difference in V; every accepted point passes the same invariant checks
+    as a fixed-speed solve.
+    """
 
     def fun(u_ext):
         return _residual_vector(u_ext[:-3], u_ext[-1], u_ext[-3], u_ext[-2],
                                 params, f_act, f_und)
+
+    def jac(u_ext):
+        V = u_ext[-1]
+        block = _residual_jacobian(u_ext[:-3], V, u_ext[-3], u_ext[-2],
+                                   params, f_act, f_und)
+        step = np.zeros_like(u_ext)
+        step[-1] = 1e-6 * (1.0 + abs(V))
+        v_col = (fun(u_ext + step) - fun(u_ext - step)) / (2.0 * step[-1])
+        return np.column_stack([block, v_col])
 
     last = states[-1]
     u_last = np.concatenate([_pack(last), [last.V]])
@@ -526,7 +663,7 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
     while states[-1].V < V_max - 1e-12:
         try:
             points = arclength_continue(fun, u_last, tangent, 1, ds,
-                                        newton_tol=tol)
+                                        newton_tol=tol, jac=jac)
         except ContinuationStalledError as exc:
             raise ContinuationStalledError(
                 str(exc), Branch(states=tuple(states), used_arclength=True)
@@ -541,7 +678,8 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
             states.append(solve_at_velocity(V_max, guess, params, f_act,
                                             f_und, tol=tol))
             break
-        states.append(_unpack(new[:-1], float(new[-1]), params))
+        states.append(_checked_state(new[:-1], float(new[-1]), params,
+                                     f_act, f_und))
     return Branch(states=tuple(states), used_arclength=True)
 
 

@@ -95,6 +95,25 @@ class TestArclength:
         angles = np.unwrap([math.atan2(p[1], p[0]) for p in pts])
         assert angles[-1] - angles[0] > 2.0 * math.pi
 
+    def test_analytic_jacobian(self):
+        # With jac given the corrector uses it (plus the tangent row) and
+        # evaluates fun only for residuals, never for difference quotients.
+        calls = []
+
+        def fun(u):
+            calls.append(1)
+            return np.array([u[0] ** 2 + u[1] ** 2 - 1.0])
+
+        jac = lambda u: np.array([[2.0 * u[0], 2.0 * u[1]]])
+        pts = arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 10, 0.2,
+                                 jac=jac)
+        with_jac = len(calls)
+        calls.clear()
+        fd_pts = arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 10, 0.2)
+        assert with_jac < len(calls)
+        assert max(abs(p[0] ** 2 + p[1] ** 2 - 1.0) for p in pts) <= 1e-8
+        assert np.max(np.abs(np.array(pts) - np.array(fd_pts))) <= 1e-8
+
     def test_fold(self):
         fun = lambda u: np.array([u[0] ** 2 - u[1]])
         pts = arclength_continue(fun, [1.0, 1.0], [-1.0, -2.0], 30, 0.15)

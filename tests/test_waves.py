@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellwave import (
+    ContinuationStalledError,
     GeometryError,
     ModelParams,
     Shape,
@@ -15,13 +16,19 @@ from cellwave import (
     chi_c_star,
     continue_branch,
     disk_shape,
+    linear_undercooling,
     marker_normalization,
     mean_curvature,
     normal_x,
     residual_F,
     solve_at_velocity,
+    tanh_undercooling,
 )
+from cellwave import waves
 from cellwave.waves import (
+    _boundary,
+    _radius_on_grid,
+    _residual_jacobian,
     _residual_vector,
     kernel_alignment,
     linearized_residual,
@@ -77,6 +84,35 @@ class TestGeometry:
         total = float(np.mean(kappa * arc)) * 2.0 * np.pi
         assert abs(total - 2.0 * np.pi) <= 1e-8
 
+    def test_boundary_fields_match_shape(self):
+        # The one geometry helper, on the collocation tables and at
+        # arbitrary angles, against Shape's series and the polar formulas.
+        rng = np.random.default_rng(53)
+        rho = _smooth_shape(rng, N_TEST, 0.1)
+        sh = Shape(rho, 1.3)
+        nodes = waves.collocation_nodes(N_TEST)
+        angles = rng.uniform(-7.0, 7.0, 25)
+        for theta, fields in ((nodes, _boundary(rho, 1.3)),
+                              (angles, _boundary(rho, 1.3, angles))):
+            r, rp, rpp = sh.radius(theta), sh.drho(theta), sh.d2rho(theta)
+            kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+            n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
+            for got, ref in ((fields.r, r), (fields.rp, rp),
+                             (fields.rpp, rpp), (fields.kappa, kappa),
+                             (fields.n1, n1),
+                             (mean_curvature(sh, theta), kappa),
+                             (normal_x(sh, theta), n1)):
+                assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [5, 64, 128])
+    def test_fft_radius_matches_cosine_sum(self, n):
+        rng = np.random.default_rng(54 + n)
+        rho = 0.2 * rng.standard_normal(n + 1) / (1 + np.arange(n + 1))
+        for m in (2 * n, 4 * n):
+            theta = 2.0 * np.pi * np.arange(m) / m
+            ref = 1.0 + rho @ np.cos(np.outer(np.arange(n + 1), theta))
+            assert np.max(np.abs(_radius_on_grid(rho, 1.0, m) - ref)) <= 1e-13
+
     def test_degenerate_radius_rejected(self):
         rho = np.zeros(N_TEST + 1)
         rho[0] = -2.0
@@ -131,6 +167,70 @@ class TestResidual:
             rems.append(np.max(np.abs(full - lin)))
         orders = [math.log10(rems[i] / rems[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
+
+
+def _smooth_shape(rng, n, amplitude=0.05):
+    return amplitude * rng.standard_normal(n + 1) / (1 + np.arange(n + 1)) ** 2
+
+
+class TestJacobian:
+    """The analytic Jacobian of the residual in (rho, p1, chi_c)."""
+
+    LAWS = {"linear": linear_undercooling(), "tanh": tanh_undercooling(0.5)}
+
+    @staticmethod
+    def _system(params, f_act, f_und, V):
+        def fun(u):
+            return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act,
+                                    f_und)
+
+        def jac(u):
+            return _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
+                                      f_und)
+
+        return fun, jac
+
+    @pytest.mark.parametrize("law", ["linear", "tanh"])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("V", [0.05, 0.2])
+    def test_matches_central_differences(self, params, f_act, law, n, V):
+        rng = np.random.default_rng(60 + n)
+        u = np.concatenate([_smooth_shape(rng, n), [0.1, 1.4]])
+        fun, jac = self._system(params, f_act, self.LAWS[law], V)
+        h = 1e-6
+        fd = np.column_stack([(fun(u + h * e) - fun(u - h * e)) / (2.0 * h)
+                              for e in np.eye(u.size)])
+        exact = jac(u)
+        assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("law", ["linear", "tanh"])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("V", [0.05, 0.2])
+    def test_taylor_remainder_second_order(self, params, f_act, law, n, V):
+        rng = np.random.default_rng(70 + n)
+        u = np.concatenate([_smooth_shape(rng, n), [0.1, 1.4]])
+        d = np.concatenate([_smooth_shape(rng, n, 1.0), [0.3, -0.7]])
+        fun, jac = self._system(params, f_act, self.LAWS[law], V)
+        f0, jd = fun(u), jac(u) @ d
+        rems = [np.max(np.abs(fun(u + eps * d) - f0 - eps * jd))
+                for eps in (1e-2, 1e-3, 1e-4)]
+        orders = [math.log10(rems[i] / rems[i + 1]) for i in range(2)]
+        assert min(orders) >= 1.9
+
+    def test_disk_at_threshold_matches_linearization(self, params, f_act,
+                                                     f_und):
+        star = chi_c_star(params, f_act, f_und)
+        jac = _residual_jacobian(np.zeros(N_TEST + 1), 0.0, 0.0, star,
+                                 params, f_act, f_und)
+        rng = np.random.default_rng(55)
+        for _ in range(5):
+            d_rho, d_p = rng.standard_normal(N_TEST + 1), rng.standard_normal()
+            lin = linearized_residual(d_rho, 0.0, d_p, star, params, f_act,
+                                      f_und)
+            got = jac @ np.concatenate([d_rho, [d_p, 0.0]])
+            assert np.max(np.abs(got - lin)) <= 1e-12 * np.max(np.abs(lin))
+        # f_act(c) = f_act(c0) on the resting disk: no chi_c column.
+        assert np.max(np.abs(jac[:, -1])) == 0.0
 
 
 class TestSolve:
@@ -219,6 +319,38 @@ class TestBranch:
             diag = state_diagnostics(state, params, f_act, f_und)
             assert diag["area_error"] <= 1e-9
             assert diag["residual_sup"] <= 1e-8
+
+
+    def test_arclength_states_carry_checked_diagnostics(self, params, f_act,
+                                                         f_und):
+        branch = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                                 n=N_TEST, cond_switch=0.0)
+        assert branch.used_arclength
+        assert len(branch.states) > 3       # tail points besides V_max
+        for state in branch.states:
+            diag = state.diagnostics
+            assert diag["area_error"] <= 1e-10
+            assert diag["centering_error"] <= 1e-10
+            assert diag["min_boundary_concentration"] > 0
+            assert diag["residual_sup"] <= 1e-8
+
+    def test_arclength_violation_raises(self, params, f_act, f_und,
+                                        monkeypatch):
+        # Report a constraint violation for the tail points only (the
+        # fixed-speed solves land on V = 0.02 and V = 0.06 exactly).
+        honest = waves.state_diagnostics
+
+        def fake(state, *args, **kwargs):
+            diag = honest(state, *args, **kwargs)
+            if state.V not in (0.0, 0.02, 0.06):
+                diag["area_error"] = 1.0
+            return diag
+
+        monkeypatch.setattr(waves, "state_diagnostics", fake)
+        with pytest.raises(SolverError, match="constraint violation") as info:
+            continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                            n=N_TEST, cond_switch=0.0)
+        assert not isinstance(info.value, ContinuationStalledError)
 
 
 class TestBifurcationStructure:
