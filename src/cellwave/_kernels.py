@@ -4,14 +4,17 @@ The hot inner loops of the package live here: modified-Bessel evaluation for
 complex arguments (ascending series plus Miller downward recurrence), the real
 Bessel-J evaluation used by the root oracle, and the per-mode dispersion
 kernel.  Single-point kernels are scalar Python, which is what the Newton
-polish and the ``bessel_I``/``bessel_J`` references call.  The seed screen,
-``phi_mode_grid``, evaluates the whole grid at once: one ascending series or
-one shared Miller chain per point yields every Bessel order it needs.
+polish and the ``bessel_I``/``bessel_J`` references call; the scalar mode
+kernel takes every Bessel order it reads, and its analytic slope, from one
+pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once:
+one ascending series or one shared Miller chain per point yields every
+Bessel order it needs.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -101,22 +104,38 @@ def psi_tilde(k, u):
     Branch-free in u, which is what makes the dispersion kernel single
     valued across the negative real axis.
     """
+    return _psi_scalar(range(k, k + 1), u)[0]
+
+
+def _psi_series(k, u):
+    """Ascending series of psi_k(u); accurate for |u| <= PSI_SERIES_RADIUS."""
+    term = (0.5 ** k) + 0.0j
+    for j in range(1, k + 1):
+        term /= j
+    total = term
+    q = 0.25 * u
+    j = 0
+    while j < 300:
+        j += 1
+        term *= q / (j * (j + k))
+        total += term
+        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
+            break
+    return total
+
+
+def _psi_scalar(ks, u):
+    """psi_k(u) at one point for the consecutive orders ks, from one pass.
+
+    The scalar form of the grid's rule: where |u| <= PSI_SERIES_RADIUS each
+    order sums its series, elsewhere one Miller chain up to ks[-1] yields
+    every order, divided by w^k.
+    """
     if abs(u) <= PSI_SERIES_RADIUS:
-        term = (0.5 ** k) + 0.0j
-        for j in range(1, k + 1):
-            term /= j
-        total = term
-        q = 0.25 * u
-        j = 0
-        while j < 300:
-            j += 1
-            term *= q / (j * (j + k))
-            total += term
-            if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-                break
-        return total
+        return [_psi_series(k, u) for k in ks]
     w = cmath.sqrt(u)        # principal root: Re w >= 0, as the chain needs
-    return iv_chain(k, w)[k] / w ** k
+    chain = iv_chain(ks[-1], w)
+    return [chain[k] / w ** k for k in ks]
 
 
 def _psi_series_grid(ks, u):
@@ -182,8 +201,9 @@ def _psi_orders(m):
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
     """(value, scale) of the mode-m kernel from psi at ``_psi_orders(m)``.
 
-    The one transcription of the kernel, shared by ``phi_mode`` (scalars,
-    ``maximum=max``) and ``phi_mode_grid`` (arrays, ``maximum=np.maximum``).
+    The one transcription of the kernel, shared by ``phi_mode_slope``
+    (scalars, ``maximum=max``) and ``phi_mode_grid`` (arrays,
+    ``maximum=np.maximum``).
     """
     if m == 0:
         val = -r0 * psi[1]
@@ -200,19 +220,66 @@ def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
     return t1 + t2, maximum(sc, abs(t1))
 
 
+def _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi):
+    """d/dz of the ``_phi_from_psi`` value, from psi at max(m-1, 0)..m+2.
+
+    Term by term with d psi_k/du = psi_{k+1}/2 (DLMF 10.29.4) and
+    du/dz = r0^2.
+    """
+    r2 = r0 * r0
+    if m == 0:
+        return -0.5 * r0 * r2 * psi[2]
+    pm1, pm, pp1, pp2 = psi
+    dsum = r2 * (0.5 * pm + pp1 + 0.5 * u * pp2)     # d/dz (pm1 + u pp1)
+    if m == 1:
+        return -0.5 * r0 * r2 * coef_c * pp1 + 0.5 * b_m * dsum
+    dt1 = m * coef_c * (-r0) ** m * (pm + 0.5 * r2 * z * pp1)
+    half = 0.5 * (-r0) ** (m - 1)
+    return dt1 + half * (b_m * (pm1 + u * pp1) + (z * b_m + d_m) * dsum)
+
+
+def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
+    """(value, scale, slope) of the mode-m kernel at one point.
+
+    value and scale are those of ``phi_mode``; slope is the exact
+    derivative of value in z.  Every order of psi they read, one above the
+    kernel's own for the slope, comes from one pass of ``_psi_scalar``.
+    """
+    u = r0 * r0 * z
+    psi = _psi_scalar(range(max(m - 1, 0), m + 3), u)
+    val, scale = _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi[:-1], max)
+    return val, scale, _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi)
+
+
 def phi_mode(m, z, r0, coef_c, b_m, d_m):
     """Dispersion kernel for mode m with the structural zero factored out.
 
-    Returns (value, scale).  The scale is the magnitude of the largest
-    additive piece, measured one level inside the Bessel bracket so that it
-    stays a meaningful residual normaliser at roots and when a top-level
-    term vanishes identically (m = 0, or zero active strength).  The
-    nonzero roots of the mode-m dispersion function are exactly the roots
-    of this kernel.
+    Returns (value, scale), the first two entries of ``phi_mode_slope``.
+    The scale is the magnitude of the largest additive piece, measured one
+    level inside the Bessel bracket so that it stays a meaningful residual
+    normaliser at roots and when a top-level term vanishes identically
+    (m = 0, or zero active strength).  The nonzero roots of the mode-m
+    dispersion function are exactly the roots of this kernel.
     """
-    u = r0 * r0 * z
-    psi = [psi_tilde(k, u) for k in _psi_orders(m)]
-    return _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, max)
+    return phi_mode_slope(m, z, r0, coef_c, b_m, d_m)[:2]
+
+
+@functools.lru_cache(maxsize=1)
+def _psi_grid(m, r0, zs_bytes):
+    """Read-only psi rows at ``_psi_orders(m)`` over the grid u = r0^2 zs.
+
+    They depend only on (m, r0, the exact grid points), never on the force
+    constants, so a chi_c sweep over one mode reuses this single entry.
+    """
+    u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
+    ks = np.array(_psi_orders(m))
+    psi = np.empty((ks.size, u.size), dtype=np.complex128)
+    small = np.abs(u) <= PSI_SERIES_RADIUS
+    psi[:, small] = _psi_series_grid(ks, u[small])
+    if not small.all():
+        psi[:, ~small] = _psi_chain_grid(ks, u[~small])
+    psi.flags.writeable = False
+    return psi
 
 
 def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
@@ -220,17 +287,13 @@ def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
 
     Returns (values, scales) as arrays.  Points with |u| <= PSI_SERIES_RADIUS
     take the ascending series, the others one shared Miller chain; either
-    way every order of psi the kernel reads comes from one pass.
+    way every order of psi the kernel reads comes from one pass, and the
+    most recent grid's psi rows are kept for the next call.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    u = r0 * r0 * zs
-    ks = np.array(_psi_orders(m))
-    psi = np.empty((ks.size, u.size), dtype=np.complex128)
-    small = np.abs(u) <= PSI_SERIES_RADIUS
-    psi[:, small] = _psi_series_grid(ks, u[small])
-    if not small.all():
-        psi[:, ~small] = _psi_chain_grid(ks, u[~small])
-    return _phi_from_psi(m, zs, u, r0, coef_c, b_m, d_m, psi, np.maximum)
+    psi = _psi_grid(m, r0, zs.tobytes())
+    return _phi_from_psi(m, zs, r0 * r0 * zs, r0, coef_c, b_m, d_m, psi,
+                         np.maximum)
 
 
 # ---------------------------------------------------------------------------

@@ -101,32 +101,53 @@ def newton_solve(
     )
 
 
-def _complex_newton(fun, z0, tol_abs, max_iter=60, max_backtracks=40):
-    """Damped Newton for a scalar analytic function; returns (root, |f|) or None."""
+def _complex_newton(fun, z0, tol_abs, max_iter=60, max_backtracks=40,
+                    slope=None):
+    """Damped Newton for a scalar analytic function; returns (root, |f|) or None.
+
+    ``slope`` maps z to (f(z), f'(z)) from one evaluation and then replaces
+    fun; without it f' comes from central differences of fun.
+    """
+    evaluate = slope if slope is not None else lambda z: (fun(z), None)
     z = complex(z0)
-    fz = fun(z)
+    fz, d = evaluate(z)
     afz = abs(fz)
     backtracks = 0
     for _ in range(max_iter):
         if afz <= tol_abs:
             return z, afz
-        h = 1e-6 * (1.0 + abs(z))
-        d = (fun(z + h) - fun(z - h)) / (2.0 * h)
+        if slope is None:
+            h = 1e-6 * (1.0 + abs(z))
+            d = (fun(z + h) - fun(z - h)) / (2.0 * h)
         if d == 0 or not np.isfinite(d.real) or not np.isfinite(d.imag):
             return None
         dz = -fz / d
         step = 1.0
         while True:
             zn = z + step * dz
-            fn = fun(zn)
+            fn, dn = evaluate(zn)
             if abs(fn) < afz or abs(fn) <= tol_abs:
-                z, fz, afz = zn, fn, abs(fn)
+                z, fz, afz, d = zn, fn, abs(fn), dn
                 break
             backtracks += 1
             step *= 0.5
             if backtracks > max_backtracks:
                 return (z, afz) if afz <= tol_abs else None
     return (z, afz) if afz <= tol_abs else None
+
+
+def _local_minima(mag):
+    """Row-major (i, j) indices of the seed-grid local minima of mag.
+
+    A point qualifies when it is finite and <= each of its (up to four)
+    grid neighbours, so plateaus seed every point; a NaN neighbour
+    disqualifies it.
+    """
+    pad = np.pad(mag, 1, constant_values=np.inf)
+    keep = np.isfinite(mag)
+    for neigh in (pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]):
+        keep &= mag <= neigh
+    return np.nonzero(keep)
 
 
 def find_complex_roots(
@@ -137,6 +158,7 @@ def find_complex_roots(
     residual_factor: float = 1e-10,
     dedup_tol: float = 1e-6,
     fun_grid=None,
+    slope=None,
 ) -> list[complex]:
     """Locate roots of an analytic function on a rectangle.
 
@@ -158,6 +180,9 @@ def find_complex_roots(
         where scale is the median of |f| over the seed grid.
     fun_grid : callable, optional
         Vectorised evaluation over a flat complex array (else fun is looped).
+    slope : callable, optional
+        z -> (f(z), f'(z)) from one evaluation, used by the Newton
+        iterations in place of central differences of fun.
 
     Returns
     -------
@@ -179,29 +204,14 @@ def find_complex_roots(
     scale = float(np.median(finite)) if finite.size else 1.0
     tol_abs = residual_factor * (1.0 + scale)
 
-    starts = []
-    for i in range(nx):
-        for j in range(ny):
-            v = mag[i, j]
-            if not np.isfinite(v):
-                continue
-            neigh = []
-            if i > 0:
-                neigh.append(mag[i - 1, j])
-            if i < nx - 1:
-                neigh.append(mag[i + 1, j])
-            if j > 0:
-                neigh.append(mag[i, j - 1])
-            if j < ny - 1:
-                neigh.append(mag[i, j + 1])
-            if all(v <= nv for nv in neigh):
-                starts.append(xs[i] + 1j * ys[j])
+    i, j = _local_minima(mag)
+    starts = xs[i] + 1j * ys[j]
 
     margin_re = 0.02 * (re_max - re_min)
     margin_im = 0.02 * (im_max - im_min)
     found: list[tuple[complex, float]] = []
     for z0 in starts:
-        hit = _complex_newton(fun, z0, tol_abs)
+        hit = _complex_newton(fun, z0, tol_abs, slope=slope)
         if hit is None:
             continue
         root, res = hit

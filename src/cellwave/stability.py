@@ -100,36 +100,38 @@ def dispersion_kernel(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
 
 
 def _kernel_closures(m, params, f_act, f_und):
+    """Mode-m kernel as (value, slope) for the root search, as values over
+    the seed grid, and as (value, scale, slope) for the polish."""
     coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
     r0 = params.R0
 
-    def fun(z):
-        return _kernels.phi_mode(m, complex(z), r0, coef_c, b_m, d_m)[0]
+    def kernel(z):
+        return _kernels.phi_mode_slope(m, complex(z), r0, coef_c, b_m, d_m)
+
+    def fun_slope(z):
+        val, _, slope = kernel(z)
+        return val, slope
 
     def fun_grid(zs):
         return _kernels.phi_mode_grid(m, zs, r0, coef_c, b_m, d_m)[0]
 
-    def fun_scaled(z):
-        return _kernels.phi_mode(m, complex(z), r0, coef_c, b_m, d_m)
-
-    return fun, fun_grid, fun_scaled
+    return fun_slope, fun_grid, kernel
 
 
-def _polish_root(fun_scaled, z0, *, rel_tol=1e-13, max_iter=80):
+def _polish_root(kernel, z0, *, rel_tol=1e-13, max_iter=80):
     """Newton-polish a root of the dispersion kernel from a warm start.
 
-    Iterates until |value| <= rel_tol * (largest additive term) or damping
-    stops helping; always returns (best_z, best_rel).
+    ``kernel`` maps z to (value, scale, slope).  Iterates until
+    |value| <= rel_tol * (largest additive term) or damping stops helping;
+    always returns (best_z, best_rel).
     """
     z = complex(z0)
-    val, scale = fun_scaled(z)
+    val, scale, d = kernel(z)
     rel = abs(val) / max(scale, 1e-300)
     backtracks = 0
     for _ in range(max_iter):
         if rel <= rel_tol:
             break
-        h = 1e-7 * (1.0 + abs(z))
-        d = (fun_scaled(z + h)[0] - fun_scaled(z - h)[0]) / (2.0 * h)
         if d == 0:
             break
         dz = -val / d
@@ -137,10 +139,10 @@ def _polish_root(fun_scaled, z0, *, rel_tol=1e-13, max_iter=80):
         improved = False
         while backtracks <= 50:
             zn = z + step * dz
-            vn, sn = fun_scaled(zn)
+            vn, sn, dn = kernel(zn)
             rn = abs(vn) / max(sn, 1e-300)
             if rn < rel or rn <= rel_tol:
-                z, val, scale, rel = zn, vn, sn, rn
+                z, val, scale, rel, d = zn, vn, sn, rn, dn
                 improved = True
                 break
             backtracks += 1
@@ -181,12 +183,13 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     """
     if region is None:
         region = default_root_region(params)
-    fun, fun_grid, fun_scaled = _kernel_closures(m, params, f_act, f_und)
-    raw = find_complex_roots(fun, region, seeds, fun_grid=fun_grid)
+    fun_slope, fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
+    raw = find_complex_roots(lambda z: fun_slope(z)[0], region, seeds,
+                             fun_grid=fun_grid, slope=fun_slope)
     roots = []
     residuals = []
     for z in raw:
-        z, rel = _polish_root(fun_scaled, z)
+        z, rel = _polish_root(kernel, z)
         if any(abs(z - other) <= 1e-6 for other in roots):
             continue
         if rel <= RESIDUAL_TOL:
@@ -436,8 +439,8 @@ def _principal_root(m, params, f_act, f_und, warm=None, region=None,
                     seeds=DEFAULT_SEEDS):
     """Principal root of mode m, warm-started when a previous root is known."""
     if warm is not None:
-        _, _, fun_scaled = _kernel_closures(m, params, f_act, f_und)
-        z, rel = _polish_root(fun_scaled, warm)
+        _, _, kernel = _kernel_closures(m, params, f_act, f_und)
+        z, rel = _polish_root(kernel, warm)
         if rel <= 1e-11:
             return z
     spec = mode_spectrum(m, params, f_act, f_und, region=region, seeds=seeds)

@@ -13,6 +13,7 @@ from cellwave import (
     find_complex_roots,
     newton_solve,
 )
+from cellwave.solvers import _local_minima
 from cellwave.stability import dispersion_H
 
 
@@ -79,10 +80,73 @@ class TestComplexRoots:
             for b in roots[i + 1:]:
                 assert abs(a - b) > 1e-6
 
+    def test_analytic_slope(self):
+        # With slope given, Newton takes f and f' from it in one call per
+        # point and finds the same roots as central differences of fun.
+        calls = []
+
+        def slope(z):
+            calls.append(z)
+            return z ** 3 - 1.0, 3.0 * z * z
+
+        fun = lambda z: z ** 3 - 1.0
+        fd_roots = find_complex_roots(fun, (-2, 2, -2, 2), (20, 20))
+        roots = find_complex_roots(fun, (-2, 2, -2, 2), (20, 20), slope=slope)
+        assert calls
+        assert len(roots) == 3
+        for got, ref in zip(roots, fd_roots):
+            assert abs(got - ref) <= 1e-8
+
     def test_no_roots_returns_empty(self):
         roots = find_complex_roots(lambda z: z * 0 + 1.0, (-1, 1, -1, 1),
                                    (8, 8))
         assert roots == []
+
+
+def _local_minima_loop(mag):
+    """The double-loop seed scan _local_minima replaced (the reference)."""
+    nx, ny = mag.shape
+    starts = []
+    for i in range(nx):
+        for j in range(ny):
+            v = mag[i, j]
+            if not np.isfinite(v):
+                continue
+            neigh = []
+            if i > 0:
+                neigh.append(mag[i - 1, j])
+            if i < nx - 1:
+                neigh.append(mag[i + 1, j])
+            if j > 0:
+                neigh.append(mag[i, j - 1])
+            if j < ny - 1:
+                neigh.append(mag[i, j + 1])
+            if all(v <= nv for nv in neigh):
+                starts.append((i, j))
+    return starts
+
+
+class TestLocalMinima:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (1, 6),
+                                       (40, 20)])
+    def test_matches_double_loop(self, shape):
+        # Few distinct levels give ties and plateaus; NaN and +inf sprinkled.
+        rng = np.random.default_rng(sum(shape))
+        for trial in range(60):
+            if trial % 3 == 0:
+                mag = rng.random(shape)
+            else:
+                mag = rng.integers(0, 3, size=shape).astype(float)
+            mark = rng.random(shape)
+            mag[mark < 0.1] = np.nan
+            mag[(mark >= 0.1) & (mark < 0.15)] = np.inf
+            i, j = _local_minima(mag)
+            assert list(zip(i.tolist(), j.tolist())) == _local_minima_loop(mag)
+
+    def test_plateau_seeds_every_point(self):
+        i, j = _local_minima(np.ones((2, 3)))
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 class TestArclength:

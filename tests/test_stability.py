@@ -142,6 +142,106 @@ class TestDispersionFunction:
                 assert np.all(np.abs(vals - ref_vals) <= 1e-13 * ref_scales)
                 assert np.all(np.abs(scales - ref_scales) <= 1e-13 * ref_scales)
 
+    @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+    def test_slope_matches_central_differences(self, params, f_act, f_und,
+                                               r0):
+        # phi_mode_slope against complex central differences of phi_mode,
+        # plus a second-order Taylor remainder along a complex direction.
+        base = ModelParams(params.a, params.gamma, params.chi_c, params.chi_u,
+                           r0, params.M)
+        re_min, re_max, im_min, im_max = default_root_region(base)
+        rng = np.random.default_rng(46)
+        edge = _kernels.PSI_SERIES_RADIUS / r0 ** 2 * np.exp(
+            2j * np.pi * np.arange(8) / 8 + 0.1j)
+        zs = np.concatenate([rng.uniform(re_min, re_max, 12)
+                             + 1j * rng.uniform(im_min, im_max, 12),
+                             edge * (1 - 1e-9), edge * (1 + 1e-9),
+                             np.linspace(-90.0, -0.1, 10) / r0 ** 2 + 0j])
+        direction = cmath.exp(0.7j)
+        for chi_c in (0.5, 2.5):
+            p = base.with_chi_c(chi_c)
+            for m in range(9):
+                consts = _mode_constants(m, p, f_act, f_und)
+                phi = lambda z: _kernels.phi_mode(m, z, r0, *consts)[0]
+                for z in map(complex, zs):
+                    val, scale, slope = _kernels.phi_mode_slope(m, z, r0,
+                                                                *consts)
+                    assert (val, scale) == _kernels.phi_mode(m, z, r0, *consts)
+                    h = 1e-5 * (1.0 + abs(z))
+                    fd = (phi(z + h) - phi(z - h)) / (2.0 * h)
+                    assert abs(slope - fd) <= 1e-7 * (abs(slope)
+                                                      + scale / (1.0 + abs(z)))
+                    steps = [eps * (1.0 + abs(z)) * direction
+                             for eps in (1e-3, 1e-4, 1e-5)]
+                    rems = [abs(phi(z + dz) - val - dz * slope) for dz in steps]
+                    orders = [math.log10(rems[i] / rems[i + 1])
+                              for i in range(2)]
+                    assert min(orders) >= 1.9
+
+    def test_shared_chain_matches_per_order_psi(self):
+        # One pass of _psi_scalar against psi_tilde order by order, for the
+        # orders a mode kernel and its slope read, on both sides of the
+        # series radius.  Off the real axis each value is compared with
+        # itself; on the negative real axis I_k(w) = w^k psi_k has the zeros
+        # of J_k, so there each I_k is compared with the pass's largest.
+        rng = np.random.default_rng(47)
+        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
+            2j * np.pi * np.arange(16) / 16 + 0.05j)
+        radius = rng.uniform(0.5, 360.0, 60)
+        off_axis = np.concatenate([
+            edge * (1 - 1e-9), edge * (1 + 1e-9),
+            radius * np.exp(1j * rng.uniform(-3.0, 3.0, 60))])
+        negative = np.linspace(-360.0, -0.1, 60) + 0j
+        for k0 in range(9):
+            ks = range(k0, k0 + 4)
+            for u in map(complex, np.concatenate([off_axis, negative])):
+                got = np.array(_kernels._psi_scalar(ks, u))
+                ref = np.array([_kernels.psi_tilde(k, u) for k in ks])
+                if u.imag != 0.0:
+                    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+                else:
+                    wk = abs(u) ** (np.array(ks) / 2.0)
+                    assert np.all(np.abs(got - ref) * wk
+                                  <= 1e-14 * np.max(np.abs(ref) * wk))
+
+
+class TestPsiGridMemo:
+    """The seed screen keeps the most recent grid's psi rows."""
+
+    @staticmethod
+    def _cold(m, p, f_act, f_und, **kw):
+        _kernels._psi_grid.cache_clear()
+        return mode_spectrum(m, p, f_act, f_und, **kw)
+
+    def test_chi_c_sweep_warm_equals_cold(self, params, f_act, f_und):
+        for m in (0, 1, 4):
+            _kernels._psi_grid.cache_clear()
+            grid = [params.with_chi_c(c) for c in (0.5, 1.5, 2.5)]
+            warm = [mode_spectrum(m, p, f_act, f_und) for p in grid]
+            assert _kernels._psi_grid.cache_info().hits == len(grid) - 1
+            cold = [self._cold(m, p, f_act, f_und) for p in grid]
+            assert warm == cold
+            assert repr(warm) == repr(cold)
+
+    def test_changed_key_gives_cold_result(self, params, f_act, f_und):
+        other_r0 = ModelParams(params.a, params.gamma, params.chi_c,
+                               params.chi_u, 1.5, params.M)
+        region = (-60.0, 10.0, -8.0, 8.0)
+        for m, p, kw in [(3, params, {}), (2, other_r0, {}),
+                         (2, params, {"region": region})]:
+            mode_spectrum(2, params, f_act, f_und)        # warm, other key
+            warm = mode_spectrum(m, p, f_act, f_und, **kw)
+            cold = self._cold(m, p, f_act, f_und, **kw)
+            assert repr(warm) == repr(cold)
+
+    def test_rows_read_only(self):
+        zs = np.linspace(-5.0, 5.0, 7) + 0.5j
+        rows = _kernels._psi_grid(2, 1.0, zs.tobytes())
+        assert rows.shape == (3, zs.size)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
 
 class TestModeSpectrum:
     def test_mode0_matches_j1_roots(self, params, f_act, f_und):
