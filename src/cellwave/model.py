@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateThresholdError, ParamError
 from .forces import ForceLaw
 
@@ -100,15 +102,19 @@ def chi_c_star(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw) -> float:
     return numer / (params.R0 * params.a * c0 * slope)
 
 
-def tw_concentration(params: ModelParams, V: float, c1: float, point) -> float:
-    """Traveling-wave marker concentration c(x, y) = c1 * exp(-a V x)."""
+def tw_concentration(params: ModelParams, V: float, c1: float, point):
+    """Traveling-wave marker concentration c(x, y) = c1 * exp(-a V x).
+
+    ``point[0]`` may be an array of x values; the result then has its shape.
+    """
     if not c1 > 0.0:
         raise ParamError(f"c1 must be positive, got {c1!r}")
-    x = point[0]
-    return c1 * math.exp(-params.a * V * x)
+    return c1 * np.exp(-params.a * V * np.asarray(point[0], dtype=float))
 
 
-def tw_pressure(V: float, p1: float, point) -> float:
-    """Traveling-wave pressure P(x, y) = p1 - V x (constant gradient (-V, 0))."""
-    x = point[0]
-    return p1 - V * x
+def tw_pressure(V: float, p1: float, point):
+    """Traveling-wave pressure P(x, y) = p1 - V x (constant gradient (-V, 0)).
+
+    ``point[0]`` may be an array of x values; the result then has its shape.
+    """
+    return p1 - V * np.asarray(point[0], dtype=float)

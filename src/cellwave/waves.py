@@ -41,8 +41,8 @@ DEFAULT_N = 64
 #: Newton tolerance for traveling-wave solves.
 SOLVE_TOL = 1e-12
 
-#: Jacobian condition number beyond which branch stepping switches to
-#: pseudo-arclength continuation.
+#: 1-norm condition number of an accepted step's last Newton Jacobian
+#: beyond which branch stepping switches to pseudo-arclength continuation.
 COND_SWITCH = 1e10
 
 
@@ -211,28 +211,30 @@ def mean_curvature(shape: Shape, theta):
     return _like_theta(_checked_boundary(shape, theta).kappa, theta)
 
 
+#: Taylor coefficients 1/(k! (k+2)), k = 8 down to 0, of
+#: int_0^1 exp(x t) t dt; for |x| < 0.05 the first omitted term is below
+#: 1e-18 relative.
+_RADIAL_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2))
+                       for k in range(8, -1, -1))
+
+
 def _radial_weight(s, radii):
-    """int_0^R exp(s r) r dr, elementwise; series fallback near s = 0."""
-    s = np.asarray(s, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    out = np.empty_like(radii)
-    small = np.abs(s * radii) < 0.05
-    if np.any(small):
-        ss, rr = s[small], radii[small]
-        acc = rr * rr / 2.0
-        term = np.ones_like(rr)
-        # term_k = s^k R^{k+2} / (k! (k+2))
-        fact = 1.0
-        for kk in range(1, 12):
-            fact *= kk
-            term = term * ss * rr
-            acc = acc + term * rr * rr / (fact * (kk + 2))
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        ss, rr = s[big], radii[big]
-        out[big] = (np.exp(ss * rr) * (ss * rr - 1.0) + 1.0) / (ss * ss)
-    return out
+    """int_0^R exp(s r) r dr, elementwise.
+
+    With x = s R this is R^2 (x e^x - expm1(x)) / x^2; where |x| < 0.05
+    the Taylor series R^2 sum_k x^k / (k! (k+2)) (Horner form) replaces it.
+    Both are evaluated on the whole array and picked per point; the closed
+    form sees x = 1 at the series points, so x = 0 never divides.
+    """
+    x = np.asarray(s, dtype=float) * np.asarray(radii, dtype=float)
+    small = np.abs(x) < 0.05
+    safe = np.where(small, 1.0, x)
+    closed = (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe)
+    series = np.full_like(x, _RADIAL_SERIES[0])
+    for coef in _RADIAL_SERIES[1:]:
+        series *= x
+        series += coef
+    return np.square(radii) * np.where(small, series, closed)
 
 
 def marker_normalization(shape: Shape, V: float, params: ModelParams,
@@ -261,7 +263,10 @@ class TravelingWaveState:
     ``p1`` is the pressure constant relative to the resting pressure; the
     physical constant is recovered by ``p1_physical``.  ``diagnostics`` is
     the ``state_diagnostics`` dict, computed once when the branch code
-    builds the state (None for states built by hand).
+    builds the state (None for states built by hand).  ``jacobian_cond``
+    is the 1-norm condition number of the last Newton Jacobian of the
+    fixed-speed solve that produced the state (None for the root, for
+    pseudo-arclength points and for states built by hand).
     """
 
     shape: Shape
@@ -270,6 +275,8 @@ class TravelingWaveState:
     chi_c: float
     c1: float
     diagnostics: dict | None = field(default=None, compare=False, repr=False)
+    jacobian_cond: float | None = field(default=None, compare=False,
+                                        repr=False)
 
     def p1_physical(self, params: ModelParams, f_act: ForceLaw) -> float:
         return (self.p1 + params.gamma / params.R0
@@ -462,10 +469,8 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
     b = _boundary(shape.rho_cos, shape.R0)
     x = b.r * b.cos
     p1_phys = state.p1_physical(params, f_act)
-    pressure = np.array([tw_pressure(state.V, p1_phys, (xi,)) for xi in x])
-    conc = np.array(
-        [tw_concentration(params, state.V, state.c1, (xi,)) for xi in x]
-    )
+    pressure = tw_pressure(state.V, p1_phys, (x,))
+    conc = tw_concentration(params, state.V, state.c1, (x,))
     defect = (params.gamma * b.kappa
               - (pressure
                  - state.chi_c * np.asarray(f_act.eval(conc))
@@ -517,7 +522,9 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
 
     Unknowns are the cosine modes rho_0..rho_N, the pressure constant p1 and
     the active strength chi_c; the centering row pins the cos(theta) mode.
-    Newton uses the analytic Jacobian ``_residual_jacobian``.
+    Newton uses the analytic Jacobian ``_residual_jacobian``; the 1-norm
+    condition number of the last one it built is kept on the state as
+    ``jacobian_cond`` (one Jacobian at the solution if Newton took no step).
 
     Parameters
     ----------
@@ -542,9 +549,13 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
     def fun(u):
         return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und)
 
+    last_jac = None
+
     def jac(u):
-        return _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
-                                  f_und)
+        nonlocal last_jac
+        last_jac = _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
+                                      f_und)
+        return last_jac
 
     try:
         sol = newton_solve(fun, _pack(guess), jac, tol=tol)
@@ -553,7 +564,10 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
             f"traveling-wave solve failed at V={V:g}: {exc} "
             f"(best residual {exc.best_residual:.3e})"
         ) from exc
-    return _checked_state(sol, V, params, f_act, f_und)
+    state = _checked_state(sol, V, params, f_act, f_und)
+    if last_jac is None:
+        last_jac = jac(sol)
+    return replace(state, jacobian_cond=float(np.linalg.cond(last_jac, 1)))
 
 
 @dataclass(frozen=True)
@@ -586,8 +600,9 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
     Steps the speed directly (the branch is a graph over V near onset since
     the kernel direction at the bifurcation point is the pure-V direction);
-    if the condition number of the analytic fixed-V Jacobian at an accepted
-    state exceeds ``cond_switch`` the remaining stretch is traced by
+    if the 1-norm condition number of the last Newton Jacobian of an
+    accepted step (``TravelingWaveState.jacobian_cond``, no extra Jacobian
+    is built) exceeds ``cond_switch`` the remaining stretch is traced by
     pseudo-arclength continuation in (rho, p1, chi_c, V) instead, which is
     robust through folds.
 
@@ -623,9 +638,7 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                 Branch(states=tuple(states)),
             ) from exc
         states.append(state)
-        jac = _residual_jacobian(state.shape.rho_cos, state.V, state.p1,
-                                 state.chi_c, params, f_act, f_und)
-        if np.linalg.cond(jac) > cond_switch:
+        if state.jacobian_cond > cond_switch:
             return _arclength_tail(states, params, f_act, f_und, V_max, ds, tol)
     return Branch(states=tuple(states))
 

@@ -135,6 +135,26 @@ class TestClosedForms:
         assert tw_pressure(1.0, 0.0, (2.0, 0.0)) == -2.0
         assert tw_pressure(0.3, 1.2, (-1.0, 7.0)) == 1.5
 
+    def test_array_points_match_scalar(self, params):
+        # An array of x values gives the per-point scalar results.
+        xs = np.random.default_rng(31).uniform(-3.0, 3.0, 257)
+        for V in (0.0, 0.37, -1.4):
+            conc = tw_concentration(params, V, 1.7, (xs,))
+            pres = tw_pressure(V, 0.9, (xs, np.zeros_like(xs)))
+            assert conc.shape == pres.shape == xs.shape
+            for got, scalar in ((conc, [tw_concentration(params, V, 1.7, (x,))
+                                        for x in xs]),
+                                (pres, [tw_pressure(V, 0.9, (x,))
+                                        for x in xs])):
+                ulp = np.spacing(np.abs(np.array(scalar)))
+                assert np.all(np.abs(got - scalar) <= ulp)
+
+    @pytest.mark.parametrize("c1", [0.0, -1.0, float("nan")])
+    def test_concentration_scale_must_be_positive(self, params, c1):
+        for x in (0.3, np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(ParamError):
+                tw_concentration(params, 0.2, c1, (x,))
+
     def test_mass_conservation_over_disk(self):
         # With c1 = M / integral(exp(-aVx)), the marker mass over the disk
         # is M to quadrature accuracy.

@@ -1,6 +1,7 @@
 """Shapes, the traveling-wave residual, branch continuation and the report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ class TestMarkerNormalization:
         assert abs(c1 - C1_ORACLE) <= 1e-9
 
 
+class TestRadialWeight:
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    def test_matches_mpmath_integral(self, radius):
+        # int_0^R exp(s r) r dr on both sides of the series/closed-form
+        # switch at |s R| = 0.05 and far from it; no floating-point warning.
+        mp = pytest.importorskip("mpmath")
+        sr = np.array([0.0, 1e-300, 0.05 - 1e-12, 0.05 + 1e-12, 0.3, 1.0,
+                       5.0])
+        s = np.concatenate([sr, -sr[1:]]) / radius
+        radii = np.full(s.shape, radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = waves._radial_weight(s, radii)
+        with mp.workdps(40):
+            ref = [mp.quad(lambda r, si=si: mp.exp(si * r) * r,
+                           [0, mp.mpf(radius)]) for si in map(mp.mpf, s)]
+            errs = [abs((mp.mpf(g) - o) / o) for g, o in zip(got, ref)]
+        assert max(errs) <= 1e-14
+
+
 class TestResidual:
     def test_zero_at_disk_for_any_chi(self, params, f_act, f_und):
         rng = np.random.default_rng(50)
@@ -265,6 +286,24 @@ class TestSolve:
         assert diag["mass_rel_error"] <= 1e-9
         assert diag["min_boundary_concentration"] > 0
 
+    def test_condition_number_of_last_newton_jacobian(self, params, f_act,
+                                                      f_und):
+        root = rest_state(params, f_act, f_und, N_TEST)
+        state = solve_at_velocity(0.1, root, params, f_act, f_und)
+        # A converged guess takes no Newton step: one Jacobian is built at
+        # the solution instead.
+        again = solve_at_velocity(0.1, state, params, f_act, f_und)
+        jac = _residual_jacobian(again.shape.rho_cos, 0.1, again.p1,
+                                 again.chi_c, params, f_act, f_und)
+        assert again.jacobian_cond == np.linalg.cond(jac, 1)
+        # Newton's last Jacobian sits next to the solution.
+        assert abs(state.jacobian_cond - again.jacobian_cond) \
+            <= 1e-6 * again.jacobian_cond
+        # The 1- and 2-norm condition numbers differ by at most N + 3.
+        two_norm = np.linalg.cond(jac)
+        assert two_norm / (N_TEST + 3) <= again.jacobian_cond \
+            <= (N_TEST + 3) * two_norm
+
 
 class TestBranch:
     def test_root_and_monotone_speeds(self, params, f_act, f_und):
@@ -320,6 +359,56 @@ class TestBranch:
             assert diag["area_error"] <= 1e-9
             assert diag["residual_sup"] <= 1e-8
 
+
+    def test_one_jacobian_per_newton_iteration(self, params, f_act, f_und,
+                                               monkeypatch):
+        # Every analytic Jacobian the branch builds is one that Newton
+        # asked for: the conditioning switch reuses Newton's last one.
+        built = asked = 0
+        real_jacobian = waves._residual_jacobian
+        real_newton = waves.newton_solve
+
+        def counting_jacobian(*args):
+            nonlocal built
+            built += 1
+            return real_jacobian(*args)
+
+        def counting_newton(fun, x0, jac=None, **kwargs):
+            def asking(u):
+                nonlocal asked
+                asked += 1
+                return jac(u)
+            return real_newton(fun, x0, asking, **kwargs)
+
+        monkeypatch.setattr(waves, "_residual_jacobian", counting_jacobian)
+        monkeypatch.setattr(waves, "newton_solve", counting_newton)
+        branch = continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
+                                 n=16)
+        assert not branch.used_arclength
+        assert asked >= len(branch.states) - 1
+        assert built == asked
+
+    def test_finite_cond_switch(self, params, f_act, f_und):
+        direct = continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
+                                 n=N_TEST)
+        assert not direct.used_arclength
+        conds = [s.jacobian_cond for s in direct.states[1:]]
+        assert all(c is not None and np.isfinite(c) for c in conds)
+        assert direct.states[0].jacobian_cond is None
+        switch = math.sqrt(conds[0] * conds[-1])
+        assert min(conds[0], conds[-1]) < switch < max(conds[0], conds[-1])
+        first = next(i for i, c in enumerate(conds, start=1) if c > switch)
+        switched = continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
+                                   n=N_TEST, cond_switch=switch)
+        assert switched.used_arclength
+        # Fixed-speed states up to and including the first one over the
+        # switch, then pseudo-arclength points (no Newton condition number).
+        for a, b in zip(direct.states[:first + 1], switched.states):
+            assert b.V == a.V and b.chi_c == a.chi_c
+            assert b.jacobian_cond == a.jacobian_cond
+        assert switched.states[first + 1].jacobian_cond is None
+        assert switched.states[first + 1].V != direct.states[first + 1].V
+        assert abs(switched.states[-1].V - 0.1) <= 1e-12
 
     def test_arclength_states_carry_checked_diagnostics(self, params, f_act,
                                                          f_und):
