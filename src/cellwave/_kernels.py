@@ -6,15 +6,18 @@ Bessel-J evaluation used by the root oracle, and the per-mode dispersion
 kernel.  Single-point kernels are scalar Python, which is what the Newton
 polish and the ``bessel_I``/``bessel_J`` references call; the scalar mode
 kernel takes every Bessel order it reads, and its analytic slope, from one
-pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once:
-one ascending series or one shared Miller chain per point yields every
-Bessel order it needs.
+pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once
+from one read-only table of psi_0..psi_top per rest radius and grid, shared
+by every mode whose orders fit under the same power-of-two top: inside the
+series radius the series of the top two orders recurs downward, elsewhere
+one Miller chain per point yields every order.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 
 import numpy as np
 
@@ -51,39 +54,46 @@ def iv_series(m, z):
 
 
 def iv_chain(mmax, z):
-    """I_0(z)..I_mmax(z) by Miller's downward recurrence; requires Re z >= 0.
+    """[I_0(z), ..., I_mmax(z)] by Miller's downward recurrence; Re z >= 0.
 
     The recurrence I_{k-1} = I_{k+1} + (2k/z) I_k is run down from a start
     order well above max(mmax, |z|) and normalised with
     e^z = I_0 + 2 * sum_{k>=1} I_k, which is cancellation-free for Re z >= 0.
+    Whenever the unnormalised I_k passes 1e250 in magnitude, everything
+    accumulated so far is scaled by 1e-250.  The steps above mmax only add
+    to the sum; the last mmax + 1 steps keep their values.
     """
-    out = np.zeros(mmax + 1, dtype=np.complex128)
     az = abs(z)
     start = mmax + 40 + int(2.0 * az)
     two_over_z = 2.0 / z
     ip = 0.0 + 0.0j          # unnormalised I_{k+1}
     ic = 1e-250 + 0.0j       # unnormalised I_k, k = start
-    ssum = 2.0 * ic
-    for k in range(start, 0, -1):
-        im1 = ip + k * two_over_z * ic
-        ip = ic
-        ic = im1
-        if k - 1 >= 1:
-            ssum += 2.0 * im1
-        else:
-            ssum += im1
-        if k - 1 <= mmax:
-            out[k - 1] = im1
-        if abs(im1.real) > 1e250 or abs(im1.imag) > 1e250:
+    upper = ic               # sum of the unnormalised I_k, k > mmax
+    # max(|I_{k-1}|, |I_k|) <= (1 + 2k/|z|) max(|I_k|, |I_{k+1}|), so below
+    # this bound the values stay under 1e240 and the rescale cannot fire.
+    if start * math.log10(1.0 + 2.0 * start / az) < 490.0:
+        for k in range(start, mmax + 1, -1):
+            ip, ic = ic, ip + k * two_over_z * ic
+            upper += ic
+    else:
+        for k in range(start, mmax + 1, -1):
+            ip, ic = ic, ip + k * two_over_z * ic
+            upper += ic
+            if abs(ic) > 1e250:
+                ip *= 1e-250
+                ic *= 1e-250
+                upper *= 1e-250
+    out = []                 # unnormalised I_mmax, ..., I_0
+    for k in range(mmax + 1, 0, -1):
+        ip, ic = ic, ip + k * two_over_z * ic
+        out.append(ic)
+        if abs(ic) > 1e250:
             ip *= 1e-250
             ic *= 1e-250
-            ssum *= 1e-250
-            for i in range(mmax + 1):
-                out[i] *= 1e-250
-    factor = cmath.exp(z) / ssum
-    for i in range(mmax + 1):
-        out[i] *= factor
-    return out
+            upper *= 1e-250
+            out = [v * 1e-250 for v in out]
+    factor = cmath.exp(z) / (2.0 * (upper + sum(out[:-1])) + ic)
+    return [v * factor for v in reversed(out)]
 
 
 def bessel_i_kernel(m, z):
@@ -160,46 +170,57 @@ def _psi_series_grid(ks, u):
     return total
 
 
-def _psi_chain_grid(ks, u):
-    """psi_k(u) for the consecutive orders ks by one Miller chain per point.
+def _psi_recur_grid(top, u):
+    """psi_0(u)..psi_top(u) for |u| <= PSI_SERIES_RADIUS.
 
-    The array form of ``iv_chain`` at w = sqrt(u): each point starts its
-    downward recurrence at its own order, is normalised with e^w, and is
-    rescaled on its own when it grows past 1e250.
+    The series gives the top two orders; the rest follow downward from
+    psi_{k-1} = 2k psi_k + u psi_{k+1} (DLMF 10.29.1 with I_k = w^k psi_k),
+    the stable direction for I_k and J_k.
+    """
+    psi = np.empty((top + 1, u.size), dtype=np.complex128)
+    psi[top - 1:] = _psi_series_grid(np.arange(top - 1, top + 1), u)
+    for k in range(top - 1, 0, -1):
+        psi[k - 1] = 2 * k * psi[k] + u * psi[k + 1]
+    return psi
+
+
+def _psi_chain_grid(top, u):
+    """psi_0(u)..psi_top(u) by one Miller chain per point.
+
+    The array form of ``iv_chain`` at w = sqrt(u), with every point started
+    at the highest order any of them needs and normalised with e^w.  The
+    per-point 1e250 rescale is tested only when the growth bound of
+    ``iv_chain`` does not rule it out.
     """
     w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
-    start = ks[-1] + 40 + (2.0 * np.abs(w)).astype(np.int64)
+    aw = np.abs(w)
+    start = top + 40 + int(2.0 * aw.max())
+    checked = start * math.log10(1.0 + 2.0 * start / aw.min()) >= 490.0
     two_over_w = 2.0 / w
     ip = np.zeros(u.size, dtype=np.complex128)
-    ic = np.zeros(u.size, dtype=np.complex128)
-    ssum = np.zeros(u.size, dtype=np.complex128)
-    out = np.zeros((ks.size, u.size), dtype=np.complex128)
-    for k in range(int(start.max()), 0, -1):
-        seed = start == k
-        ic[seed] = 1e-250
-        ssum[seed] = 2e-250
-        im1 = ip + k * two_over_w * ic
-        ip = ic
-        ic = im1
-        ssum += 2.0 * im1 if k > 1 else im1
-        if ks[0] <= k - 1 <= ks[-1]:
-            out[k - 1 - ks[0]] = im1
-        huge = (np.abs(im1.real) > 1e250) | (np.abs(im1.imag) > 1e250)
-        if huge.any():
-            ip[huge] *= 1e-250
-            ic[huge] *= 1e-250
-            ssum[huge] *= 1e-250
-            out[:, huge] *= 1e-250
-    return out * (np.exp(w) / ssum) / w ** ks[:, None]
-
-
-def _psi_orders(m):
-    """Orders of psi_tilde read by the mode-m kernel."""
-    return range(max(m - 1, 0), m + 2)
+    ic = np.full(u.size, 1e-250 + 0.0j)
+    upper = ic.copy()        # sum of the unnormalised I_k, k > top
+    out = np.zeros((top + 1, u.size), dtype=np.complex128)
+    for k in range(start, 0, -1):
+        ip, ic = ic, ip + k * two_over_w * ic
+        if k > top + 1:
+            upper += ic
+        else:
+            out[k - 1] = ic
+        if checked:
+            huge = np.abs(ic) > 1e250
+            if huge.any():
+                ip[huge] *= 1e-250
+                ic[huge] *= 1e-250
+                upper[huge] *= 1e-250
+                out[:, huge] *= 1e-250
+    out *= np.exp(w) / (2.0 * (upper + out[1:].sum(axis=0)) + out[0])
+    out /= w ** np.arange(top + 1)[:, None]
+    return out
 
 
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
-    """(value, scale) of the mode-m kernel from psi at ``_psi_orders(m)``.
+    """(value, scale) of the mode-m kernel from psi at max(m-1, 0)..m+1.
 
     The one transcription of the kernel, shared by ``phi_mode_slope``
     (scalars, ``maximum=max``) and ``phi_mode_grid`` (arrays,
@@ -264,20 +285,33 @@ def phi_mode(m, z, r0, coef_c, b_m, d_m):
     return phi_mode_slope(m, z, r0, coef_c, b_m, d_m)[:2]
 
 
-@functools.lru_cache(maxsize=1)
-def _psi_grid(m, r0, zs_bytes):
-    """Read-only psi rows at ``_psi_orders(m)`` over the grid u = r0^2 zs.
+def _psi_top(m):
+    """Top order of the shared psi table read by mode m.
 
-    They depend only on (m, r0, the exact grid points), never on the force
-    constants, so a chi_c sweep over one mode reuses this single entry.
+    The smallest power of two >= m + 2 (order m + 2 is the kernel's slope),
+    so modes 0..8 read tables up to 2, 4, 4, 8, 8, 8, 8, 16, 16.  A
+    function of m alone: the rows a mode reads never depend on which modes
+    ran before it.
+    """
+    return 1 << (m + 1).bit_length()
+
+
+@functools.lru_cache(maxsize=1)
+def _psi_table(top, r0, zs_bytes):
+    """Read-only psi_0..psi_top over the grid u = r0^2 zs, one row per order.
+
+    The rows depend only on (top, r0, the exact grid points), never on m or
+    the force constants, so every mode of one rest radius with the same top,
+    and every chi_c of those modes, reads this single entry.  Points with
+    |u| <= PSI_SERIES_RADIUS recur down from the series of the top two
+    orders; the others take one Miller chain each.
     """
     u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
-    ks = np.array(_psi_orders(m))
-    psi = np.empty((ks.size, u.size), dtype=np.complex128)
+    psi = np.empty((top + 1, u.size), dtype=np.complex128)
     small = np.abs(u) <= PSI_SERIES_RADIUS
-    psi[:, small] = _psi_series_grid(ks, u[small])
+    psi[:, small] = _psi_recur_grid(top, u[small])
     if not small.all():
-        psi[:, ~small] = _psi_chain_grid(ks, u[~small])
+        psi[:, ~small] = _psi_chain_grid(top, u[~small])
     psi.flags.writeable = False
     return psi
 
@@ -285,13 +319,14 @@ def _psi_grid(m, r0, zs_bytes):
 def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
     """phi_mode over a flat complex array at once (seed screening).
 
-    Returns (values, scales) as arrays.  Points with |u| <= PSI_SERIES_RADIUS
-    take the ascending series, the others one shared Miller chain; either
-    way every order of psi the kernel reads comes from one pass, and the
-    most recent grid's psi rows are kept for the next call.
+    Returns (values, scales) as arrays.  The psi rows the kernel reads,
+    orders max(m-1, 0)..m+1, are read-only slices of the shared table
+    ``_psi_table(_psi_top(m), r0, zs)``; the most recent table is kept for
+    the next call, so every mode of one rest radius and grid with the same
+    top, at every chi_c, builds it once.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    psi = _psi_grid(m, r0, zs.tobytes())
+    psi = _psi_table(_psi_top(m), r0, zs.tobytes())[max(m - 1, 0):m + 2]
     return _phi_from_psi(m, zs, r0 * r0 * zs, r0, coef_c, b_m, d_m, psi,
                          np.maximum)
 

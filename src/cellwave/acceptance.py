@@ -235,17 +235,17 @@ def criterion_special_floor(config) -> CriterionResult:
     identities hold at their stated tolerances."""
     import mpmath as mp
 
-    mp.mp.dps = 40
     rng = np.random.default_rng(config.analysis["seed"] + 4)
     worst = 0.0
-    for _ in range(500):
-        m = int(rng.integers(0, 9))
-        r = 20.0 * math.sqrt(rng.uniform())
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * complex(math.cos(th), math.sin(th))
-        mine = bessel_I(m, z)
-        ref = complex(mp.besseli(m, mp.mpc(z.real, z.imag)))
-        worst = max(worst, abs(mine - ref) / (1.0 + abs(ref)))
+    with mp.workdps(40):
+        for _ in range(500):
+            m = int(rng.integers(0, 9))
+            r = 20.0 * math.sqrt(rng.uniform())
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            z = r * complex(math.cos(th), math.sin(th))
+            mine = bessel_I(m, z)
+            ref = complex(mp.besseli(m, mp.mpc(z.real, z.imag)))
+            worst = max(worst, abs(mine - ref) / (1.0 + abs(ref)))
     parity_worst = 0.0
     recur_worst = 0.0
     for _ in range(100):

@@ -73,6 +73,15 @@ def test_criterion_09_special_floor(config):
     _check(acceptance.criterion_special_floor(config))
 
 
+def test_criterion_09_keeps_caller_precision(config):
+    # The 40-digit oracle runs at a local precision: the caller's mpmath
+    # precision is the same after the criterion as before it.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(23):
+        assert acceptance.criterion_special_floor(config).passed
+        assert mp.mp.dps == 23
+
+
 def test_criterion_10_verify_determinism(tmp_path):
     cfg = json.loads(json.dumps(CONFIG_DICT))
     path = tmp_path / "config.json"

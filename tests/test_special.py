@@ -1,5 +1,6 @@
 """Bessel evaluation, root oracle and quadrature rules."""
 
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cellwave import (
     gauss_legendre,
     periodic_trapezoid,
 )
+from cellwave import _kernels
 
 # Frozen 40-digit oracle values.
 I0_AT_1 = 1.2660658777520083356
@@ -91,6 +93,49 @@ class TestBesselI:
             bessel_I(0, complex(float("nan"), 0.0))
         with pytest.raises(ValueError):
             bessel_I(-1, 1.0)
+
+
+class TestMillerChain:
+    def test_matches_mpmath(self):
+        # Orders 0..8 against a 40-digit oracle for 4 <= |z| <= 100 and
+        # Re z >= 0.  Up to |arg z| = 1.3 each value is compared with
+        # itself; closer to the imaginary axis I_k(iy) = i^k J_k(y) has the
+        # zeros of J_k, so there each order is compared with the largest.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(14)
+        r = rng.uniform(4.0, 100.0, 36)
+        th = np.concatenate([rng.uniform(-1.3, 1.3, 24),
+                             np.sign(rng.uniform(-1.0, 1.0, 12))
+                             * rng.uniform(1.3, 0.5 * math.pi, 12)])
+        zs = [complex(z) for z in r * np.exp(1j * th)] + [4.0, 100.0, 100j]
+        with mp.workdps(40):
+            for z in zs:
+                got = _kernels.iv_chain(8, z)
+                ref = [complex(mp.besseli(k, mp.mpc(z.real, z.imag)))
+                       for k in range(9)]
+                assert len(got) == 9
+                err = np.abs(np.array(got) - np.array(ref))
+                if abs(cmath.phase(z)) <= 1.3:
+                    assert np.all(err <= 1e-14 * np.abs(ref))
+                else:
+                    assert np.all(err <= 1e-14 * np.max(np.abs(ref)))
+
+    def test_rescale_path(self):
+        # Started at 1e-250, the unnormalised values grow by more than 1e500
+        # on the way down, so the 1e250 rescale fires: for I_k(1) from order
+        # 342 mostly among the kept orders, for I_k(1e-14) from order 42
+        # mostly above them.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            got = _kernels.iv_chain(300, 1.0)
+            assert len(got) == 301
+            for k in list(range(9)) + [50, 100, 150]:
+                ref = float(mp.besseli(k, 1))
+                assert abs(got[k] - ref) <= 1e-14 * ref
+            got = _kernels.iv_chain(2, 1e-14)
+            for k in range(3):
+                ref = float(mp.besseli(k, mp.mpf(1e-14)))
+                assert abs(got[k] - ref) <= 1e-14 * ref
 
 
 class TestBesselJRoots:

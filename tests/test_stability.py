@@ -205,20 +205,67 @@ class TestDispersionFunction:
                                   <= 1e-14 * np.max(np.abs(ref) * wk))
 
 
+    def test_psi_table_matches_per_order_psi(self):
+        # The shared table for each top against psi_tilde order by order,
+        # with the same points and scales as the single-point pass above:
+        # both sides of the series radius, where the table recurs down from
+        # its top two orders, and the negative real axis.  The wide set
+        # reaches |u| = 1e5: there the chain starts so far above the order
+        # of its smallest points that they pass 1e250 and are rescaled.
+        rng = np.random.default_rng(48)
+        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
+            2j * np.pi * np.arange(16) / 16 + 0.05j)
+        radius = rng.uniform(0.5, 360.0, 60)
+        off_axis = np.concatenate([
+            edge * (1 - 1e-9), edge * (1 + 1e-9),
+            radius * np.exp(1j * rng.uniform(-3.0, 3.0, 60))])
+        wide = np.concatenate([[17.0, 1e5], rng.uniform(17.0, 1e5, 40)
+                               * np.exp(1j * rng.uniform(-3.0, 3.0, 40))])
+        negative = np.concatenate([np.linspace(-360.0, -0.1, 60),
+                                   [-1e5]]) + 0j
+        for top in (2, 4, 8, 16):
+            ks = np.arange(top + 1)
+            for us in (off_axis, wide, negative):
+                _kernels._psi_table.cache_clear()
+                got = _kernels._psi_table(top, 1.0, us.tobytes())
+                ref = np.array([[_kernels.psi_tilde(int(k), complex(u))
+                                 for u in us] for k in ks])
+                if us is negative:
+                    wk = np.abs(us) ** (ks[:, None] / 2.0)
+                    assert np.all(np.abs(got - ref) * wk
+                                  <= 1e-14 * np.max(np.abs(ref) * wk, axis=0))
+                else:
+                    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+    def test_chain_rescale_inside_kept_orders(self):
+        # With orders up to 300 kept, the chain passes 1e250 while rows are
+        # being stored, so the stored rows are rescaled with the sum.
+        us = np.array([17.0, 20.0 + 5.0j, -30.0 + 1.0j])
+        got = _kernels._psi_chain_grid(300, us)
+        for k in range(9):
+            ref = np.array([_kernels.psi_tilde(k, complex(u)) for u in us])
+            assert np.all(np.abs(got[k] - ref) <= 1e-14 * np.abs(ref))
+
+
 class TestPsiGridMemo:
-    """The seed screen keeps the most recent grid's psi rows."""
+    """The seed screen keeps the most recent psi table, shared by modes."""
 
     @staticmethod
     def _cold(m, p, f_act, f_und, **kw):
-        _kernels._psi_grid.cache_clear()
+        _kernels._psi_table.cache_clear()
         return mode_spectrum(m, p, f_act, f_und, **kw)
+
+    def test_top_depends_on_mode_only(self):
+        tops = [_kernels._psi_top(m) for m in range(9)]
+        assert tops == [2, 4, 4, 8, 8, 8, 8, 16, 16]
 
     def test_chi_c_sweep_warm_equals_cold(self, params, f_act, f_und):
         for m in (0, 1, 4):
-            _kernels._psi_grid.cache_clear()
+            _kernels._psi_table.cache_clear()
             grid = [params.with_chi_c(c) for c in (0.5, 1.5, 2.5)]
             warm = [mode_spectrum(m, p, f_act, f_und) for p in grid]
-            assert _kernels._psi_grid.cache_info().hits == len(grid) - 1
+            assert _kernels._psi_table.cache_info().hits == len(grid) - 1
             cold = [self._cold(m, p, f_act, f_und) for p in grid]
             assert warm == cold
             assert repr(warm) == repr(cold)
@@ -227,20 +274,44 @@ class TestPsiGridMemo:
         other_r0 = ModelParams(params.a, params.gamma, params.chi_c,
                                params.chi_u, 1.5, params.M)
         region = (-60.0, 10.0, -8.0, 8.0)
-        for m, p, kw in [(3, params, {}), (2, other_r0, {}),
+        for m, p, kw in [(3, params, {}), (1, params, {}), (2, other_r0, {}),
                          (2, params, {"region": region})]:
             mode_spectrum(2, params, f_act, f_und)        # warm, other key
             warm = mode_spectrum(m, p, f_act, f_und, **kw)
             cold = self._cold(m, p, f_act, f_und, **kw)
             assert repr(warm) == repr(cold)
 
+    def test_rows_independent_of_mode_order(self, params, f_act, f_und):
+        # Mode 4 reads the top-8 table.  A lower or higher mode of the same
+        # top leaves the table for it; one of another top replaces it.
+        # Either way mode 4 reads the same rows and finds the same roots.
+        re_min, re_max, im_min, im_max = default_root_region(params)
+        zx, zy = np.meshgrid(np.linspace(re_min, re_max, DEFAULT_SEEDS[0]),
+                             np.linspace(im_min, im_max, DEFAULT_SEEDS[1]),
+                             indexing="ij")
+        zs = (zx + 1j * zy).ravel()
+        consts = _mode_constants(4, params, f_act, f_und)
+        _kernels._psi_table.cache_clear()
+        cold_rows = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
+        cold = self._cold(4, params, f_act, f_und)
+        for first, shared in [(3, True), (6, True), (2, False), (7, False)]:
+            self._cold(first, params, f_act, f_und)
+            hits = _kernels._psi_table.cache_info().hits
+            rows = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
+            assert _kernels._psi_table.cache_info().hits == hits + shared
+            for got, ref in zip(rows, cold_rows):
+                assert np.array_equal(got, ref)
+            assert repr(mode_spectrum(4, params, f_act, f_und)) == repr(cold)
+
     def test_rows_read_only(self):
         zs = np.linspace(-5.0, 5.0, 7) + 0.5j
-        rows = _kernels._psi_grid(2, 1.0, zs.tobytes())
-        assert rows.shape == (3, zs.size)
+        rows = _kernels._psi_table(4, 1.0, zs.tobytes())
+        assert rows.shape == (5, zs.size)
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rows[1:4][0, 0] = 0.0
 
 
 class TestModeSpectrum:
