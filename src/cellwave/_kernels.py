@@ -137,9 +137,9 @@ def _psi_series(k, u):
 def _psi_scalar(ks, u):
     """psi_k(u) at one point for the consecutive orders ks, from one pass.
 
-    The scalar form of the grid's rule: where |u| <= PSI_SERIES_RADIUS each
-    order sums its series, elsewhere one Miller chain up to ks[-1] yields
-    every order, divided by w^k.
+    Where |u| <= PSI_SERIES_RADIUS each order sums its own series (the grid
+    table sums only its top two and recurs down); elsewhere one
+    ``iv_chain`` up to ks[-1] yields every order, divided by w^k.
     """
     if abs(u) <= PSI_SERIES_RADIUS:
         return [_psi_series(k, u) for k in ks]
