@@ -204,7 +204,6 @@ class TestDispersionFunction:
                     assert np.all(np.abs(got - ref) * wk
                                   <= 1e-14 * np.max(np.abs(ref) * wk))
 
-
     def test_psi_table_matches_per_order_psi(self):
         # The shared table for each top against psi_tilde order by order,
         # with the same points and scales as the single-point pass above:
@@ -236,7 +235,6 @@ class TestDispersionFunction:
                                   <= 1e-14 * np.max(np.abs(ref) * wk, axis=0))
                 else:
                     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
-
 
     def test_chain_rescale_inside_kept_orders(self):
         # With orders up to 300 kept, the chain passes 1e250 while rows are
@@ -292,14 +290,14 @@ class TestPsiGridMemo:
         zs = (zx + 1j * zy).ravel()
         consts = _mode_constants(4, params, f_act, f_und)
         _kernels._psi_table.cache_clear()
-        cold_rows = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
+        cold_screen = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
         cold = self._cold(4, params, f_act, f_und)
         for first, shared in [(3, True), (6, True), (2, False), (7, False)]:
             self._cold(first, params, f_act, f_und)
             hits = _kernels._psi_table.cache_info().hits
-            rows = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
+            screen = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
             assert _kernels._psi_table.cache_info().hits == hits + shared
-            for got, ref in zip(rows, cold_rows):
+            for got, ref in zip(screen, cold_screen):
                 assert np.array_equal(got, ref)
             assert repr(mode_spectrum(4, params, f_act, f_und)) == repr(cold)
 
