@@ -9,15 +9,14 @@ kernel takes every Bessel order it reads, and its analytic slope, from one
 pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once
 from one read-only table of psi_0..psi_top per rest radius and grid, shared
 by every mode whose orders fit under the same power-of-two top: inside the
-series radius the series of the top two orders recurs downward, elsewhere
-one Miller chain per point yields every order.
+series radius each order sums its series, elsewhere one Miller chain per
+point yields every order.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 
 import numpy as np
 
@@ -69,20 +68,13 @@ def iv_chain(mmax, z):
     ip = 0.0 + 0.0j          # unnormalised I_{k+1}
     ic = 1e-250 + 0.0j       # unnormalised I_k, k = start
     upper = ic               # sum of the unnormalised I_k, k > mmax
-    # max(|I_{k-1}|, |I_k|) <= (1 + 2k/|z|) max(|I_k|, |I_{k+1}|), so below
-    # this bound the values stay under 1e240 and the rescale cannot fire.
-    if start * math.log10(1.0 + 2.0 * start / az) < 490.0:
-        for k in range(start, mmax + 1, -1):
-            ip, ic = ic, ip + k * two_over_z * ic
-            upper += ic
-    else:
-        for k in range(start, mmax + 1, -1):
-            ip, ic = ic, ip + k * two_over_z * ic
-            upper += ic
-            if abs(ic) > 1e250:
-                ip *= 1e-250
-                ic *= 1e-250
-                upper *= 1e-250
+    for k in range(start, mmax + 1, -1):
+        ip, ic = ic, ip + k * two_over_z * ic
+        upper += ic
+        if abs(ic) > 1e250:
+            ip *= 1e-250
+            ic *= 1e-250
+            upper *= 1e-250
     out = []                 # unnormalised I_mmax, ..., I_0
     for k in range(mmax + 1, 0, -1):
         ip, ic = ic, ip + k * two_over_z * ic
@@ -137,9 +129,9 @@ def _psi_series(k, u):
 def _psi_scalar(ks, u):
     """psi_k(u) at one point for the consecutive orders ks, from one pass.
 
-    Where |u| <= PSI_SERIES_RADIUS each order sums its own series (the grid
-    table sums only its top two and recurs down); elsewhere one
-    ``iv_chain`` up to ks[-1] yields every order, divided by w^k.
+    Where |u| <= PSI_SERIES_RADIUS each order sums its own series;
+    elsewhere one ``iv_chain`` up to ks[-1] yields every order, divided by
+    w^k.
     """
     if abs(u) <= PSI_SERIES_RADIUS:
         return [_psi_series(k, u) for k in ks]
@@ -170,32 +162,15 @@ def _psi_series_grid(ks, u):
     return total
 
 
-def _psi_recur_grid(top, u):
-    """psi_0(u)..psi_top(u) for |u| <= PSI_SERIES_RADIUS.
-
-    The series gives the top two orders; the rest follow downward from
-    psi_{k-1} = 2k psi_k + u psi_{k+1} (DLMF 10.29.1 with I_k = w^k psi_k),
-    the stable direction for I_k and J_k.
-    """
-    psi = np.empty((top + 1, u.size), dtype=np.complex128)
-    psi[top - 1:] = _psi_series_grid(np.arange(top - 1, top + 1), u)
-    for k in range(top - 1, 0, -1):
-        psi[k - 1] = 2 * k * psi[k] + u * psi[k + 1]
-    return psi
-
-
 def _psi_chain_grid(top, u):
     """psi_0(u)..psi_top(u) by one Miller chain per point.
 
     The array form of ``iv_chain`` at w = sqrt(u), with every point started
-    at the highest order any of them needs and normalised with e^w.  The
-    per-point 1e250 rescale is tested only when the growth bound of
-    ``iv_chain`` does not rule it out.
+    at the highest order any of them needs and normalised with e^w.  Orders
+    whose w^k overflows are returned as 0.
     """
     w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
-    aw = np.abs(w)
-    start = top + 40 + int(2.0 * aw.max())
-    checked = start * math.log10(1.0 + 2.0 * start / aw.min()) >= 490.0
+    start = top + 40 + int(2.0 * np.abs(w).max())
     two_over_w = 2.0 / w
     ip = np.zeros(u.size, dtype=np.complex128)
     ic = np.full(u.size, 1e-250 + 0.0j)
@@ -207,16 +182,16 @@ def _psi_chain_grid(top, u):
             upper += ic
         else:
             out[k - 1] = ic
-        if checked:
-            huge = np.abs(ic) > 1e250
-            if huge.any():
-                ip[huge] *= 1e-250
-                ic[huge] *= 1e-250
-                upper[huge] *= 1e-250
-                out[:, huge] *= 1e-250
+        huge = np.abs(ic) > 1e250
+        if huge.any():
+            ip[huge] *= 1e-250
+            ic[huge] *= 1e-250
+            upper[huge] *= 1e-250
+            out[:, huge] *= 1e-250
     out *= np.exp(w) / (2.0 * (upper + out[1:].sum(axis=0)) + out[0])
-    out /= w ** np.arange(top + 1)[:, None]
-    return out
+    with np.errstate(over="ignore"):
+        wk = w ** np.arange(top + 1)[:, None]
+    return np.divide(out, wk, out=np.zeros_like(out), where=np.isfinite(wk))
 
 
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
@@ -303,13 +278,13 @@ def _psi_table(top, r0, zs_bytes):
     The rows depend only on (top, r0, the exact grid points), never on m or
     the force constants, so every mode of one rest radius with the same top,
     and every chi_c of those modes, reads this single entry.  Points with
-    |u| <= PSI_SERIES_RADIUS recur down from the series of the top two
-    orders; the others take one Miller chain each.
+    |u| <= PSI_SERIES_RADIUS sum every order's series; the others take one
+    Miller chain each.
     """
     u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
     psi = np.empty((top + 1, u.size), dtype=np.complex128)
     small = np.abs(u) <= PSI_SERIES_RADIUS
-    psi[:, small] = _psi_recur_grid(top, u[small])
+    psi[:, small] = _psi_series_grid(np.arange(top + 1), u[small])
     if not small.all():
         psi[:, ~small] = _psi_chain_grid(top, u[~small])
     psi.flags.writeable = False

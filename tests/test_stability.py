@@ -207,8 +207,8 @@ class TestDispersionFunction:
     def test_psi_table_matches_per_order_psi(self):
         # The shared table for each top against psi_tilde order by order,
         # with the same points and scales as the single-point pass above:
-        # both sides of the series radius, where the table recurs down from
-        # its top two orders, and the negative real axis.  The wide set
+        # both sides of the series radius, where the table sums every
+        # order's series, and the negative real axis.  The wide set
         # reaches |u| = 1e5: there the chain starts so far above the order
         # of its smallest points that they pass 1e250 and are rescaled.
         rng = np.random.default_rng(48)
@@ -235,6 +235,28 @@ class TestDispersionFunction:
                                   <= 1e-14 * np.max(np.abs(ref) * wk, axis=0))
                 else:
                     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    def test_psi_table_top_256(self):
+        # Modes 127..254 read orders near 128 from the top-256 table.  The
+        # series of orders 255 and 256 underflows to 0, so no row may be
+        # recurred down from them; on the chains w^256 overflows once
+        # |w| > 16, and those unread rows must not turn into NaN.
+        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
+            2j * np.pi * np.arange(8) / 8 + 0.05j) * (1 - 1e-9)
+        inside = np.concatenate([edge, [-9.0, 3.0 + 1.0j, 0.5j]])
+        outside = np.array([20.0 + 1.0j, 200.0 + 50.0j, -300.0 + 0j, 1e3j])
+        us = np.concatenate([inside, outside])
+        _kernels._psi_table.cache_clear()
+        got = _kernels._psi_table(256, 1.0, us.tobytes())
+        assert np.all(np.isfinite(got))
+        n = inside.size
+        for k in range(126, 130):
+            ref = np.array([_kernels.psi_tilde(k, complex(u)) for u in us])
+            assert np.all(np.abs(got[k, :n] - ref[:n])
+                          <= 1e-14 * np.abs(ref[:n]))
+            # About 130 recurrence steps below the start: a few ulps each.
+            assert np.all(np.abs(got[k, n:] - ref[n:])
+                          <= 1e-13 * np.abs(ref[n:]))
 
     def test_chain_rescale_inside_kept_orders(self):
         # With orders up to 300 kept, the chain passes 1e250 while rows are
