@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import sys
 
 import numpy as np
+
+from .errors import AccuracyError
 
 #: Radius below which the ascending power series is used for I_m(z), J_m(x).
 SERIES_RADIUS = 4.0
@@ -132,12 +135,24 @@ def _psi_scalar(ks, u):
     Where |u| <= PSI_SERIES_RADIUS each order sums its own series;
     elsewhere one ``iv_chain`` up to ks[-1] yields every order, divided by
     w^k.
+
+    Raises
+    ------
+    AccuracyError
+        If w^k leaves the double range (|w|^k above about 1.8e308, which
+        modes from about 141 up reach near their roots on the default
+        config).
     """
     if abs(u) <= PSI_SERIES_RADIUS:
         return [_psi_series(k, u) for k in ks]
     w = cmath.sqrt(u)        # principal root: Re w >= 0, as the chain needs
     chain = iv_chain(ks[-1], w)
-    return [chain[k] / w ** k for k in ks]
+    try:
+        return [chain[k] / w ** k for k in ks]
+    except OverflowError:
+        raise AccuracyError(
+            f"psi_{ks[-1]}(u) at |u|={abs(u):.4g}: w^k leaves the double "
+            "range") from None
 
 
 def _psi_series_grid(ks, u):
@@ -240,9 +255,21 @@ def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
     value and scale are those of ``phi_mode``; slope is the exact
     derivative of value in z.  Every order of psi they read, one above the
     kernel's own for the slope, comes from one pass of ``_psi_scalar``.
+
+    Raises
+    ------
+    AccuracyError
+        If a psi order the value reads is below the smallest normal
+        double: at large m (from the mid 140s up on the default config)
+        it underflows, and so would value and scale, which then pass any
+        relative residual test.
     """
     u = r0 * r0 * z
     psi = _psi_scalar(range(max(m - 1, 0), m + 3), u)
+    if min(map(abs, psi[:-1])) < sys.float_info.min:
+        raise AccuracyError(
+            f"mode {m} kernel underflows at z={z:.6g}: psi orders "
+            f"{max(m - 1, 0)}..{m + 1} leave the double range")
     val, scale = _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi[:-1], max)
     return val, scale, _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi)
 

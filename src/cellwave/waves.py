@@ -45,6 +45,10 @@ SOLVE_TOL = 1e-12
 #: beyond which branch stepping switches to pseudo-arclength continuation.
 COND_SWITCH = 1e10
 
+#: Accepted states the fixed-speed predictor extrapolates through in V
+#: (three: a quadratic).
+PREDICTOR_POINTS = 3
+
 
 @lru_cache(maxsize=8)
 def _grid(n: int):
@@ -265,7 +269,8 @@ class TravelingWaveState:
     the ``state_diagnostics`` dict, computed once when the branch code
     builds the state (None for states built by hand).  ``jacobian_cond``
     is the 1-norm condition number of the last Newton Jacobian of the
-    fixed-speed solve that produced the state (None for the root, for
+    fixed-speed solve that produced the state, which on a branch is
+    usually the one at the predicted guess (None for the root, for
     pseudo-arclength points and for states built by hand).
     """
 
@@ -310,29 +315,56 @@ def _area_centering(rho_cos: np.ndarray, R0: float) -> tuple[float, float]:
     return area, centering
 
 
-def _boundary_concentration(b: _Boundary, V: float, params: ModelParams):
-    """Exponent rates s = -a V cos(theta), exp(s r), mean radial weight and
-    the boundary concentration c1 exp(s r) with its mass normalisation c1."""
+@dataclass(frozen=True)
+class _WaveFields:
+    """Fields of one iterate on the collocation grid that the residual and
+    its Jacobian both read: the geometry ``b``, the exponent rates
+    s = -a V cos(theta), exp(s r), the mean radial weight, the boundary
+    concentration c1 exp(s r) with its mass normalisation c1, and ``act``
+    = f_act at that concentration."""
+
+    b: _Boundary
+    s: np.ndarray
+    growth: np.ndarray
+    mean_weight: float
+    c_bnd: np.ndarray
+    act: np.ndarray
+
+
+def _wave_fields(rho_cos, V, params: ModelParams,
+                 f_act: ForceLaw) -> _WaveFields | None:
+    """The ``_WaveFields`` of (rho_cos, V); None for a degenerate shape,
+    one whose radius falls to 1e-9 R0 or below at a collocation node."""
+    b = _boundary(rho_cos, params.R0)
+    if np.min(b.r) <= 1e-9 * params.R0:
+        return None
     s = -params.a * V * b.cos
     growth = np.exp(s * b.r)
     mean_weight = float(np.mean(_radial_weight(s, b.r)))
-    c1 = params.M / (2.0 * np.pi * mean_weight)
-    return s, growth, mean_weight, c1 * growth
+    c_bnd = params.M / (2.0 * np.pi * mean_weight) * growth
+    return _WaveFields(b, s, growth, mean_weight, c_bnd,
+                       np.asarray(f_act.eval(c_bnd)))
 
 
-def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und):
-    """Discretised boundary residual: cosine modes 0..N, then area, centering."""
+def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und,
+                     fields=None):
+    """Discretised boundary residual: cosine modes 0..N, then area, centering.
+
+    ``fields`` are the ``_wave_fields`` of (rho_cos, V) when the caller
+    already has them; they are computed here otherwise.
+    """
     n = rho_cos.size - 1
-    b = _boundary(rho_cos, params.R0)
-    if np.min(b.r) <= 1e-9 * params.R0:
+    if fields is None:
+        fields = _wave_fields(rho_cos, V, params, f_act)
+    if fields is None:
         # Degenerate trial shape inside a Newton line search: hand back a
         # large residual so the step is rejected instead of raising.
         return np.full(n + 3, 1e6)
-    c_bnd = _boundary_concentration(b, V, params)[3]
 
+    b = fields.b
     c0 = params.c0
     block = (params.gamma * b.kappa
-             + chi_c * (np.asarray(f_act.eval(c_bnd)) - float(f_act.eval(c0)))
+             + chi_c * (fields.act - float(f_act.eval(c0)))
              + params.chi_u * np.asarray(f_und.eval(V * b.n1))
              + V * b.r * b.cos
              - p1
@@ -342,7 +374,8 @@ def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und):
     return np.concatenate([modes, [area, centering]])
 
 
-def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und):
+def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
+                       fields=None):
     """Analytic Jacobian of ``_residual_vector`` in (rho_0..rho_N, p1, chi_c).
 
     Before projection, column j of the rho block samples
@@ -352,11 +385,21 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und):
     and D g_j is the rank-one term of the mass normalisation c1, with
     g_j = d log(c1)/d rho_j = -mean(exp(s r) r cos(j theta)) / mean(W).
     The p1 column is -e_0 and the area and centering rows are exact.
+    ``fields`` are as in ``_residual_vector``.
+
+    Raises
+    ------
+    SolverError
+        At a degenerate shape, where the residual is only a sentinel.
     """
     n = rho_cos.size - 1
     _, k, cos_t, sin_t = _grid(n)
-    b = _boundary(rho_cos, params.R0)
-    s, growth, mean_weight, c_bnd = _boundary_concentration(b, V, params)
+    if fields is None:
+        fields = _wave_fields(rho_cos, V, params, f_act)
+    if fields is None:
+        raise SolverError("no Jacobian at a degenerate shape")
+    b, s, growth, c_bnd = fields.b, fields.s, fields.growth, fields.c_bnd
+    mean_weight = fields.mean_weight
     q15 = b.q ** 1.5
     root_q = np.sqrt(b.q)
     dkappa_r = (2.0 * b.r - b.rpp) / q15 - 3.0 * b.r * b.kappa / b.q
@@ -378,7 +421,7 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und):
     jac[: n + 1, : n + 1] = project_cosine(samples)
     jac[0, n + 1] = -1.0
     jac[: n + 1, n + 2] = project_cosine(
-        np.asarray(f_act.eval(c_bnd)) - float(f_act.eval(params.c0)))
+        fields.act - float(f_act.eval(params.c0)))
     jac[n + 1, 0] = 4.0 * np.pi * (params.R0 + rho_cos[0])
     jac[n + 1, 1: n + 1] = 2.0 * np.pi * rho_cos[1:]
     jac[n + 2, 1] = np.pi
@@ -515,50 +558,65 @@ def _checked_state(u: np.ndarray, V: float, params: ModelParams,
     return replace(state, diagnostics=diag)
 
 
-def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
-                      f_act: ForceLaw, f_und: ForceLaw, *,
+def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
+                      params: ModelParams, f_act: ForceLaw, f_und: ForceLaw, *,
                       tol: float = SOLVE_TOL) -> TravelingWaveState:
     """Solve the traveling-wave system at a fixed nonzero speed.
 
     Unknowns are the cosine modes rho_0..rho_N, the pressure constant p1 and
     the active strength chi_c; the centering row pins the cos(theta) mode.
-    Newton uses the analytic Jacobian ``_residual_jacobian``; the 1-norm
-    condition number of the last one it built is kept on the state as
-    ``jacobian_cond`` (one Jacobian at the solution if Newton took no step).
+    Newton uses the analytic Jacobian ``_residual_jacobian``, built from the
+    boundary fields the residual has just computed at the same iterate.
+    The 1-norm condition number of the last Jacobian Newton built is kept
+    on the state as ``jacobian_cond``: from a good guess Newton takes one
+    step, so this is usually the Jacobian at the guess, not at the
+    solution (one is built at the solution if Newton took no step).
 
     Parameters
     ----------
     V : float
         Wave speed; V = 0 is rejected (the system is singular there: the
         disk solves it for every chi_c).
-    guess : TravelingWaveState
+    guess : TravelingWaveState or ndarray
         Starting point within the Newton basin (a disk state works for
-        small V).
+        small V), or its packed unknowns (rho_0..rho_N, p1, chi_c).  A
+        packed guess is never checked as a ``Shape``: if it is degenerate,
+        the residual there is the sentinel and no Jacobian exists, so the
+        solve fails with a SolverError like any other Newton failure.
 
     Raises
     ------
     SolverError
-        For V = 0, Newton failure, or a violated state invariant.
+        For V = 0, Newton failure, a degenerate packed guess, or a violated
+        state invariant.
     """
     if V == 0.0:
         raise SolverError(
             "V = 0 is singular: every chi_c solves it with the disk; "
             "start the branch at a small positive V instead"
         )
+    at = [None, None]        # the last iterate and its _wave_fields
+
+    def fields(u):
+        if not np.array_equal(at[0], u):
+            at[:] = u.copy(), _wave_fields(u[:-2], V, params, f_act)
+        return at[1]
 
     def fun(u):
-        return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und)
+        return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und,
+                                fields(u))
 
     last_jac = None
 
     def jac(u):
         nonlocal last_jac
         last_jac = _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
-                                      f_und)
+                                      f_und, fields(u))
         return last_jac
 
+    start = guess if isinstance(guess, np.ndarray) else _pack(guess)
     try:
-        sol = newton_solve(fun, _pack(guess), jac, tol=tol)
+        sol = newton_solve(fun, start, jac, tol=tol)
     except NewtonConvergenceError as exc:
         raise SolverError(
             f"traveling-wave solve failed at V={V:g}: {exc} "
@@ -568,6 +626,28 @@ def solve_at_velocity(V: float, guess: TravelingWaveState, params: ModelParams,
     if last_jac is None:
         last_jac = jac(sol)
     return replace(state, jacobian_cond=float(np.linalg.cond(last_jac, 1)))
+
+
+def _predict(history, V: float) -> np.ndarray:
+    """Packed unknowns at speed V, extrapolated through the last
+    ``PREDICTOR_POINTS`` states of ``history`` (fewer at the start).
+
+    Lagrange interpolation in V on the packed (rho_0..rho_N, p1, chi_c):
+    constant through one state, linear through two, quadratic through
+    three, at whatever spacing their speeds have.  The result stays a
+    vector and is never checked as a ``Shape``: an over-extrapolated,
+    degenerate one fails its Newton solve with a SolverError, which the
+    halving retry of ``continue_branch`` catches.
+    """
+    points = history[-PREDICTOR_POINTS:]
+    guess = 0.0
+    for i, si in enumerate(points):
+        weight = 1.0
+        for j, sj in enumerate(points):
+            if j != i:
+                weight *= (V - sj.V) / (si.V - sj.V)
+        guess = guess + weight * _pack(si)
+    return guess
 
 
 @dataclass(frozen=True)
@@ -599,14 +679,23 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     """Trace the traveling-wave branch from the bifurcation point.
 
     Steps the speed directly (the branch is a graph over V near onset since
-    the kernel direction at the bifurcation point is the pure-V direction);
-    if the 1-norm condition number of the last Newton Jacobian of an
+    the kernel direction at the bifurcation point is the pure-V direction).
+    Each fixed-speed Newton solve starts from ``_predict``: the unknowns
+    (rho, p1, chi_c) extrapolated in V through the last three accepted
+    states, the V = 0 root counting as one, so the first step starts from
+    the root, the second from a line and every later one from a parabola.
+    The guess is then O(ds^3) off and most states converge in one Newton
+    step, with one Jacobian.
+
+    If the 1-norm condition number of the last Newton Jacobian of an
     accepted step (``TravelingWaveState.jacobian_cond``, no extra Jacobian
     is built) exceeds ``cond_switch`` the remaining stretch is traced by
     pseudo-arclength continuation in (rho, p1, chi_c, V) instead, which is
     robust through folds.
 
-    Failed steps are retried with halved substeps down to ds/64.
+    Failed steps are retried with halved substeps down to ds/64; each
+    substep is predicted through the same history extended by the
+    substeps already accepted, at their uneven spacing.
 
     Raises
     ------
@@ -619,19 +708,20 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     n_steps = max(1, int(round(V_max / ds)))
     targets = list(np.linspace(V_max / n_steps, V_max, n_steps))
 
-    def advance(prev, V_to, depth=0):
+    def advance(history, V_to, depth=0):
         try:
-            return solve_at_velocity(V_to, prev, params, f_act, f_und, tol=tol)
+            return solve_at_velocity(V_to, _predict(history, V_to), params,
+                                     f_act, f_und, tol=tol)
         except SolverError:
             if depth >= 6:          # substeps down to ds/64
                 raise
-            half = prev.V + 0.5 * (V_to - prev.V)
-            inter = advance(prev, half, depth + 1)
-            return advance(inter, V_to, depth + 1)
+            half = history[-1].V + 0.5 * (V_to - history[-1].V)
+            inter = advance(history, half, depth + 1)
+            return advance([*history, inter], V_to, depth + 1)
 
     for V_to in targets:
         try:
-            state = advance(states[-1], V_to)
+            state = advance(states, V_to)
         except SolverError as exc:
             raise ContinuationStalledError(
                 f"branch stalled before V={V_to:g}: {exc}",

@@ -138,6 +138,15 @@ class TestDispersion:
         assert abs(float(principal0[0][2]) + j1[0] ** 2) <= 1e-8
 
 
+    def test_mode_beyond_double_range_exits_3(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        assert main(["dispersion", "-c", path,
+                     "--set", "analysis.mode_min=148",
+                     "--set", "analysis.mode_max=148"]) == 3
+        assert "double range" in capsys.readouterr().err
+
+
 class TestBranchCommand:
     def test_outputs_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

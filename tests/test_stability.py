@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cellwave import (
+    AccuracyError,
     ModelParams,
     ResidualError,
     bessel_I,
@@ -380,6 +381,22 @@ class TestModeSpectrum:
         spec = mode_spectrum(1, params, f_act, f_und)
         assert len(spec.residuals) == len(spec.roots)
         assert all(r <= 1e-9 for r in spec.residuals)
+
+    @pytest.mark.parametrize("m", [141, 148, 155])
+    def test_mode_beyond_double_range_raises(self, params, f_act, f_und, m):
+        # m = 141 and 148 once raised a raw OverflowError from w**k; at
+        # m = 155 the kernel underflowed and its value and scale (both
+        # subnormal) passed the relative residual test as eight bogus roots
+        # near -3692.
+        with pytest.raises(AccuracyError, match="double range"):
+            mode_spectrum(m, params, f_act, f_und)
+
+    def test_largest_resolved_mode_still_located(self, params, f_act,
+                                                 f_und):
+        spec = mode_spectrum(140, params, f_act, f_und)
+        assert len(spec.roots) == 1
+        assert abs(spec.roots[0] + 20799.989424828163) <= 1e-8
+        assert spec.residuals[0] <= 1e-9
 
 
 class TestZeroModes:

@@ -442,6 +442,146 @@ class TestBranch:
         assert not isinstance(info.value, ContinuationStalledError)
 
 
+def _packed_state(V, u, R0=1.0):
+    return TravelingWaveState(shape=Shape(u[:-2], R0), V=V, p1=float(u[-2]),
+                              chi_c=float(u[-1]), c1=1.0)
+
+
+class TestPredictor:
+    def test_constant_then_linear(self):
+        u0 = np.array([0.0, 0.0, 0.0, 0.0, 1.5])
+        u1 = np.array([1e-3, 0.0, 2e-3, -4e-4, 1.6])
+        root, first = _packed_state(0.0, u0), _packed_state(0.02, u1)
+        assert np.array_equal(waves._predict([root], 0.02), u0)
+        linear = u0 + (0.05 / 0.02) * (u1 - u0)
+        assert np.max(np.abs(waves._predict([root, first], 0.05) - linear)) \
+            <= 1e-15
+
+    def test_exact_on_quadratic_data_with_uneven_speeds(self):
+        rng = np.random.default_rng(7)
+        a, b, c = (1e-2 * rng.standard_normal(7) for _ in range(3))
+
+        def exact(V):
+            return a + b * V + c * V * V
+
+        # Only the last three states count: an older one off the parabola
+        # must not change the prediction.
+        history = [_packed_state(-0.2, exact(-0.2) + 0.5)]
+        history += [_packed_state(V, exact(V)) for V in (0.0, 0.013, 0.05)]
+        for V in (0.0315, 0.087, 0.2):
+            assert np.max(np.abs(waves._predict(history, V) - exact(V))) \
+                <= 1e-14
+
+    def test_one_jacobian_per_state_from_the_third(self, params, f_act, f_und,
+                                                   monkeypatch):
+        # Constant, then linear prediction: the first two states take two
+        # Newton steps; the quadratic one lands each later state in one.
+        per_state = []
+        built = 0
+        real_jacobian = waves._residual_jacobian
+        real_solve = waves.solve_at_velocity
+
+        def counting_jacobian(*args):
+            nonlocal built
+            built += 1
+            return real_jacobian(*args)
+
+        def counting_solve(*args, **kwargs):
+            nonlocal built
+            built = 0
+            state = real_solve(*args, **kwargs)
+            per_state.append(built)
+            return state
+
+        monkeypatch.setattr(waves, "_residual_jacobian", counting_jacobian)
+        monkeypatch.setattr(waves, "solve_at_velocity", counting_solve)
+        continue_branch(params, f_act, f_und, V_max=0.3, ds=0.01, n=16)
+        assert len(per_state) == 30
+        assert per_state[2:] == [1] * 28
+
+    def test_substep_halving_matches_small_steps(self, f_act, f_und,
+                                                 monkeypatch):
+        # At gamma = 0.1 the branch folds near V = 1.1755; the last full
+        # step of ds = 0.39 fails there and is retried in halves, each
+        # predicted through the unevenly spaced history.
+        p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
+                        M=math.pi)
+        failed = []
+        real_solve = waves.solve_at_velocity
+
+        def logging_solve(V, *args, **kwargs):
+            try:
+                return real_solve(V, *args, **kwargs)
+            except SolverError:
+                failed.append(V)
+                raise
+
+        monkeypatch.setattr(waves, "solve_at_velocity", logging_solve)
+        coarse = continue_branch(p, f_act, f_und, V_max=1.17, ds=0.39, n=64)
+        assert failed
+        fine = continue_branch(p, f_act, f_und, V_max=1.17, ds=0.01, n=64)
+        vs = fine.velocities()
+        assert len(coarse.states) == 4
+        for state in coarse.states[1:]:
+            match = fine.states[int(np.argmin(np.abs(vs - state.V)))]
+            assert abs(match.V - state.V) <= 1e-12
+            assert np.max(np.abs(waves._pack(state) - waves._pack(match))) \
+                <= 1e-10
+
+    def test_degenerate_guess_is_a_solver_error(self, params, f_act, f_und):
+        guess = waves._pack(rest_state(params, f_act, f_und, N_TEST))
+        guess[0] = -2.0 * params.R0          # radius -R0 all round
+        with pytest.raises(SolverError, match="degenerate"):
+            solve_at_velocity(0.1, guess, params, f_act, f_und)
+
+    def test_degenerate_prediction_is_halved(self, params, f_act, f_und,
+                                             monkeypatch):
+        reference = continue_branch(params, f_act, f_und, V_max=0.06,
+                                    ds=0.02, n=N_TEST)
+        real_predict = waves._predict
+        spoiled = []
+
+        def over_extrapolated(history, V):
+            guess = real_predict(history, V)
+            if not spoiled and V == reference.states[2].V:
+                spoiled.append(V)
+                guess[0] = -2.0 * params.R0
+            return guess
+
+        monkeypatch.setattr(waves, "_predict", over_extrapolated)
+        branch = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                                 n=N_TEST)
+        assert spoiled
+        assert len(branch.states) == len(reference.states)
+        for a, b in zip(reference.states, branch.states):
+            assert a.V == b.V
+            assert np.max(np.abs(waves._pack(a) - waves._pack(b))) <= 1e-10
+
+    def test_fold_stall_pinned(self, f_act, f_und, monkeypatch):
+        # At gamma = 0.1 and N = 64 the branch folds near V = 1.1755.  The
+        # condition number stays far below cond_switch, so fixed-speed
+        # stepping stalls at the fold and hands back the partial branch,
+        # as with the constant predictor (which built 411 Jacobians).
+        p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
+                        M=math.pi)
+        built = 0
+        real_jacobian = waves._residual_jacobian
+
+        def counting_jacobian(*args):
+            nonlocal built
+            built += 1
+            return real_jacobian(*args)
+
+        monkeypatch.setattr(waves, "_residual_jacobian", counting_jacobian)
+        with pytest.raises(ContinuationStalledError,
+                           match=r"before V=1\.18:.* at V=1\.17547") as info:
+            continue_branch(p, f_act, f_und, V_max=1.5, ds=0.01, n=64)
+        states = info.value.points.states
+        assert len(states) == 118
+        assert abs(states[-1].V - 1.17) <= 1e-12
+        assert built < 411
+
+
 class TestBifurcationStructure:
     def test_kernel_is_pure_speed_direction(self, params, f_act, f_und):
         ka = kernel_alignment(params, f_act, f_und, N_TEST)
