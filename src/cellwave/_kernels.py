@@ -32,6 +32,8 @@ PSI_SERIES_RADIUS = 16.0
 #: The kernels are never compiled; recorded by tools that report the path.
 NUMBA_ENABLED = False
 
+_DOUBLE_MIN = sys.float_info.min      # smallest normal double
+
 
 # ---------------------------------------------------------------------------
 # Modified Bessel functions I_m for complex argument.
@@ -259,17 +261,18 @@ def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
     Raises
     ------
     AccuracyError
-        If a psi order the value reads is below the smallest normal
-        double: at large m (from the mid 140s up on the default config)
-        it underflows, and so would value and scale, which then pass any
-        relative residual test.
+        If psi_{m+1}, the highest order the value reads, is below the
+        smallest normal double: at large m (from the mid 140s up on the
+        default config) the orders the value reads underflow together,
+        and so would value and scale, which then pass any relative
+        residual test.
     """
     u = r0 * r0 * z
     psi = _psi_scalar(range(max(m - 1, 0), m + 3), u)
-    if min(map(abs, psi[:-1])) < sys.float_info.min:
+    if abs(psi[-2]) < _DOUBLE_MIN:
         raise AccuracyError(
-            f"mode {m} kernel underflows at z={z:.6g}: psi orders "
-            f"{max(m - 1, 0)}..{m + 1} leave the double range")
+            f"mode {m} kernel underflows at z={z:.6g}: psi_{m + 1} leaves "
+            "the double range")
     val, scale = _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi[:-1], max)
     return val, scale, _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi)
 
