@@ -137,7 +137,6 @@ class TestDispersion:
         assert len(principal0) == 1
         assert abs(float(principal0[0][2]) + j1[0] ** 2) <= 1e-8
 
-
     def test_mode_beyond_double_range_exits_3(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)

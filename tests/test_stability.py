@@ -384,10 +384,9 @@ class TestModeSpectrum:
 
     @pytest.mark.parametrize("m", [141, 148, 155])
     def test_mode_beyond_double_range_raises(self, params, f_act, f_und, m):
-        # m = 141 and 148 once raised a raw OverflowError from w**k; at
-        # m = 155 the kernel underflowed and its value and scale (both
-        # subnormal) passed the relative residual test as eight bogus roots
-        # near -3692.
+        # Near m = 141 w**k overflows at the roots; by m = 155 value and
+        # scale underflow together, and subnormal pairs would pass the
+        # relative residual test as roots.
         with pytest.raises(AccuracyError, match="double range"):
             mode_spectrum(m, params, f_act, f_und)
 

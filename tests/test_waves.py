@@ -560,8 +560,8 @@ class TestPredictor:
     def test_fold_stall_pinned(self, f_act, f_und, monkeypatch):
         # At gamma = 0.1 and N = 64 the branch folds near V = 1.1755.  The
         # condition number stays far below cond_switch, so fixed-speed
-        # stepping stalls at the fold and hands back the partial branch,
-        # as with the constant predictor (which built 411 Jacobians).
+        # stepping stalls at the fold and hands back the partial branch.
+        # A constant predictor needs 411 Jacobians to get there.
         p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
                         M=math.pi)
         built = 0
