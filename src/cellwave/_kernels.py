@@ -57,18 +57,32 @@ def iv_series(m, z):
     return total
 
 
+def _miller_start(mmax, az):
+    """Start order of the Miller recurrence for orders 0..mmax at |z| = az.
+
+    max(mmax, |z|) + 30 + |z|/2.  Run down from order N, the recurrence
+    carries the wanted minimal solution I_k plus a multiple of K_k that
+    shrinks as k falls, so a kept order k is off by about |I_N / I_k|^2
+    relative, and the normalising sum misses the tail beyond N, about
+    |I_N / e^z| (Gautschi, SIAM Rev. 9, 1967).  Past the turning point
+    k ~ |z| the orders fall off faster than geometrically, so for
+    |arg z| <= pi/2 both are far below double precision 30 + |z|/2 orders
+    above max(mmax, |z|); the error left is the rounding of the steps.
+    """
+    return max(mmax, int(az)) + 30 + int(az) // 2
+
+
 def iv_chain(mmax, z):
     """[I_0(z), ..., I_mmax(z)] by Miller's downward recurrence; Re z >= 0.
 
-    The recurrence I_{k-1} = I_{k+1} + (2k/z) I_k is run down from a start
-    order well above max(mmax, |z|) and normalised with
+    The recurrence I_{k-1} = I_{k+1} + (2k/z) I_k is run down from the
+    start order ``_miller_start(mmax, |z|)`` and normalised with
     e^z = I_0 + 2 * sum_{k>=1} I_k, which is cancellation-free for Re z >= 0.
     Whenever the unnormalised I_k passes 1e250 in magnitude, everything
     accumulated so far is scaled by 1e-250.  The steps above mmax only add
     to the sum; the last mmax + 1 steps keep their values.
     """
-    az = abs(z)
-    start = mmax + 40 + int(2.0 * az)
+    start = _miller_start(mmax, abs(z))
     two_over_z = 2.0 / z
     ip = 0.0 + 0.0j          # unnormalised I_{k+1}
     ic = 1e-250 + 0.0j       # unnormalised I_k, k = start
@@ -183,11 +197,12 @@ def _psi_chain_grid(top, u):
     """psi_0(u)..psi_top(u) by one Miller chain per point.
 
     The array form of ``iv_chain`` at w = sqrt(u), with every point started
-    at the highest order any of them needs and normalised with e^w.  Orders
-    whose w^k overflows are returned as 0.
+    at ``_miller_start(top, max |w|)``, the highest order any of them
+    needs, and normalised with e^w.  Orders whose w^k overflows are
+    returned as 0.
     """
     w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
-    start = top + 40 + int(2.0 * np.abs(w).max())
+    start = _miller_start(top, float(np.abs(w).max()))
     two_over_w = 2.0 / w
     ip = np.zeros(u.size, dtype=np.complex128)
     ic = np.full(u.size, 1e-250 + 0.0j)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContinuationStalledError, NewtonConvergenceError, SolverError
@@ -143,11 +145,29 @@ def _local_minima(mag):
     grid neighbours, so plateaus seed every point; a NaN neighbour
     disqualifies it.
     """
-    pad = np.pad(mag, 1, constant_values=np.inf)
     keep = np.isfinite(mag)
-    for neigh in (pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]):
-        keep &= mag <= neigh
+    keep[1:] &= mag[1:] <= mag[:-1]
+    keep[:-1] &= mag[:-1] <= mag[1:]
+    keep[:, 1:] &= mag[:, 1:] <= mag[:, :-1]
+    keep[:, :-1] &= mag[:, :-1] <= mag[:, 1:]
     return np.nonzero(keep)
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half):
+    """Read-only (xs, ys, flat grid) of the seed screen, row-major in (x, y).
+
+    ``half`` keeps only the rows of the full ``linspace`` grid with
+    Im >= 0, the last (ny + 1) // 2 of them, at the same points.
+    """
+    xs = np.linspace(re_min, re_max, nx)
+    ys = np.linspace(im_min, im_max, ny)
+    if half:
+        ys = ys[ny // 2:].copy()
+    zgrid = (xs[:, None] + 1j * ys[None, :]).ravel()
+    for arr in (xs, ys, zgrid):
+        arr.flags.writeable = False
+    return xs, ys, zgrid
 
 
 def find_complex_roots(
@@ -159,6 +179,7 @@ def find_complex_roots(
     dedup_tol: float = 1e-6,
     fun_grid=None,
     slope=None,
+    conjugate: bool = False,
 ) -> list[complex]:
     """Locate roots of an analytic function on a rectangle.
 
@@ -183,6 +204,19 @@ def find_complex_roots(
     slope : callable, optional
         z -> (f(z), f'(z)) from one evaluation, used by the Newton
         iterations in place of central differences of fun.
+    conjugate : bool
+        Declares f(conj z) = conj f(z), so the roots off the real axis come
+        in conjugate pairs.  If the rectangle is also symmetric
+        (im_min == -im_max) only its upper half is screened: f is
+        evaluated on the rows of the seed grid with Im >= 0 (the same
+        points as the full grid; for odd ny the middle row is the real
+        axis), |f| is mirrored for the local-minimum scan and the median,
+        and Newton starts only from minima in the upper half.  A root
+        Newton finds below the axis is replaced by its conjugate, so the
+        result holds one member of each pair, the one with Im >= 0, and
+        the roots are the returned ones together with their conjugates.
+        On an asymmetric rectangle the whole grid is screened as without
+        ``conjugate``.
 
     Returns
     -------
@@ -191,21 +225,23 @@ def find_complex_roots(
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = seeds
-    xs = np.linspace(re_min, re_max, nx)
-    ys = np.linspace(im_min, im_max, ny)
-    zx, zy = np.meshgrid(xs, ys, indexing="ij")
-    zgrid = (zx + 1j * zy).ravel()
+    half = conjugate and im_min == -im_max
+    xs, ys, zgrid = _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half)
     if fun_grid is not None:
         fvals = np.asarray(fun_grid(zgrid))
     else:
         fvals = np.array([fun(z) for z in zgrid])
-    mag = np.abs(fvals).reshape(nx, ny)
+    mag = np.abs(fvals).reshape(nx, ys.size)
+    low = ny - ys.size        # rows below the axis, mirrored from above
+    if low:
+        mag = np.concatenate([mag[:, :-low - 1:-1], mag], axis=1)
     finite = mag[np.isfinite(mag)]
     scale = float(np.median(finite)) if finite.size else 1.0
     tol_abs = residual_factor * (1.0 + scale)
 
     i, j = _local_minima(mag)
-    starts = xs[i] + 1j * ys[j]
+    upper = j >= low
+    starts = xs[i[upper]] + 1j * ys[j[upper] - low]
 
     margin_re = 0.02 * (re_max - re_min)
     margin_im = 0.02 * (im_max - im_min)
@@ -215,6 +251,8 @@ def find_complex_roots(
         if hit is None:
             continue
         root, res = hit
+        if half and root.imag < 0.0:
+            root = root.conjugate()
         if not (re_min - margin_re <= root.real <= re_max + margin_re):
             continue
         if not (im_min - margin_im <= root.imag <= im_max + margin_im):

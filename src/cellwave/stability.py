@@ -180,12 +180,19 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     Roots are found by Newton iterations on the branch-free dispersion
     kernel seeded from a grid; each returned root passes the normalised
     residual check |kernel| <= RESIDUAL_TOL * (largest additive term).
+    The kernel has real coefficients, so the search runs with
+    ``conjugate=True`` (on a symmetric rectangle it screens the upper half
+    only).  Each located root is polished once, and every polished root
+    with |Im| > 1e-6, the dedup distance, is joined by its exact
+    conjugate with the same residual: the roots off the real axis come
+    out in exact conjugate pairs.
     """
     if region is None:
         region = default_root_region(params)
     fun_slope, fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
     raw = find_complex_roots(lambda z: fun_slope(z)[0], region, seeds,
-                             fun_grid=fun_grid, slope=fun_slope)
+                             fun_grid=fun_grid, slope=fun_slope,
+                             conjugate=True)
     roots = []
     residuals = []
     for z in raw:
@@ -195,6 +202,9 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         if rel <= RESIDUAL_TOL:
             roots.append(z)
             residuals.append(rel)
+            if abs(z.imag) > 1e-6:
+                roots.append(z.conjugate())
+                residuals.append(rel)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]

@@ -2,13 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellwave import Shape, bessel_J_roots, chi_c_star
+from cellwave import Shape, _kernels, bessel_J_roots, chi_c_star
 from cellwave.cli import main
 from cellwave.config import load_config
+from cellwave.solvers import _seed_grid
 from cellwave.waves import mean_curvature, normal_x, project_cosine
 
 
@@ -136,6 +138,26 @@ class TestDispersion:
             assert any(abs(v + x * x) <= 1e-8 for v in mode0)
         assert len(principal0) == 1
         assert abs(float(principal0[0][2]) + j1[0] ** 2) <= 1e-8
+
+    def test_cached_scaffolding_leaves_csv_unchanged(self, tmp_path):
+        # The seed grid and the psi tables are cached across spectra; a run
+        # on warm caches and one after clearing both write the same bytes.
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["dispersion", "-c", str(config), "-o", str(out)]) == 0
+            return (out / "dispersion.csv").read_bytes()
+
+        first, warm = run("first"), run("warm")
+        _seed_grid.cache_clear()
+        _kernels._psi_table.cache_clear()
+        assert run("cleared") == warm == first
+        assert _seed_grid.cache_info().hits > 0
+        for arr in _seed_grid(-80.0, 20.0, -10.0, 10.0, 40, 20, True):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_mode_beyond_double_range_exits_3(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")

@@ -120,6 +120,42 @@ class TestMillerChain:
                 else:
                     assert np.all(err <= 1e-14 * np.max(np.abs(ref)))
 
+    def test_start_order_no_worse_than_old_start(self, monkeypatch):
+        # The chain starts at max(mmax, |z|) + 30 + |z|/2; it used to start
+        # at mmax + 40 + 2|z|, kept here as the reference.  On a fixed
+        # sample with 4 <= |z| <= 120, |arg z| <= pi/2 and mmax <= 160,
+        # the error relative to the largest kept order may be at most
+        # twice the old start's, or 1e-15.  The orders with the largest
+        # truncation error (the top two), the turning point k ~ |z| and
+        # the low orders are checked against a 30-digit oracle; the
+        # largest kept order is read off the chain itself.
+        mp = pytest.importorskip("mpmath")
+        new_start = _kernels._miller_start
+        assert new_start(160, 120.0) == 160 + 30 + 60
+        assert new_start(0, 120.0) == 120 + 30 + 60
+        assert new_start(8, 4.5) == 8 + 30 + 2
+        rng = np.random.default_rng(81)
+        n = 120
+        zs = rng.uniform(4.0, 120.0, n) * np.exp(
+            1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
+        zs = np.concatenate([zs, [4.0, 120.0, 120j, -120j]])
+        mmaxes = np.concatenate([rng.integers(0, 161, n), [160, 0, 160, 0]])
+        with mp.workdps(30):
+            for z, mmax in zip(map(complex, zs), map(int, mmaxes)):
+                got = np.array(_kernels.iv_chain(mmax, z))
+                monkeypatch.setattr(_kernels, "_miller_start",
+                                    lambda m, az: m + 40 + int(2.0 * az))
+                old = np.array(_kernels.iv_chain(mmax, z))
+                monkeypatch.setattr(_kernels, "_miller_start", new_start)
+                ks = sorted({0, min(1, mmax), mmax // 2, max(mmax - 1, 0),
+                             mmax, min(int(abs(z)), mmax)})
+                ref = np.array([complex(mp.besseli(k, mp.mpc(z.real, z.imag)))
+                                for k in ks])
+                big = np.max(np.abs(old))
+                err = np.max(np.abs(got[ks] - ref)) / big
+                err_old = np.max(np.abs(old[ks] - ref)) / big
+                assert err <= max(2.0 * err_old, 1e-15)
+
     def test_rescale_path(self):
         # Started at 1e-250, the unnormalised values grow by more than 1e500
         # on the way down, so the 1e250 rescale fires: for I_k(1) from order

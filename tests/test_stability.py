@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cellwave import (
     dispersion_H,
     dispersion_kernel,
     eigenmode,
+    hill_active,
     linear_undercooling,
     mode_spectrum,
     principal_eigenvalue_sweep,
@@ -27,13 +29,19 @@ from cellwave import (
     zero_mode_basis,
 )
 from cellwave import _kernels
+from cellwave.acceptance import _sample_params
+from cellwave.config import load_config
+from cellwave.solvers import _seed_grid, find_complex_roots
 from cellwave.stability import (
     DEFAULT_SEEDS,
     _mode_constants,
+    _kernel_closures,
     default_root_region,
     eigenmode_residual,
     structural_exponent,
 )
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _random_params(rng, f_act, chi_factor=None):
@@ -306,11 +314,10 @@ class TestPsiGridMemo:
         # Mode 4 reads the top-8 table.  A lower or higher mode of the same
         # top leaves the table for it; one of another top replaces it.
         # Either way mode 4 reads the same rows and finds the same roots.
-        re_min, re_max, im_min, im_max = default_root_region(params)
-        zx, zy = np.meshgrid(np.linspace(re_min, re_max, DEFAULT_SEEDS[0]),
-                             np.linspace(im_min, im_max, DEFAULT_SEEDS[1]),
-                             indexing="ij")
-        zs = (zx + 1j * zy).ravel()
+        # The default rectangle is symmetric, so the screen reads the
+        # upper half of the seed grid.
+        zs = _seed_grid(*default_root_region(params), *DEFAULT_SEEDS,
+                        True)[2]
         consts = _mode_constants(4, params, f_act, f_und)
         _kernels._psi_table.cache_clear()
         cold_screen = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
@@ -396,6 +403,77 @@ class TestModeSpectrum:
         assert len(spec.roots) == 1
         assert abs(spec.roots[0] + 20799.989424828163) <= 1e-8
         assert spec.residuals[0] <= 1e-9
+
+
+class TestHalfPlaneScreen:
+    """On a symmetric rectangle the screen reads Im z >= 0 only."""
+
+    @staticmethod
+    def _criterion4_draws():
+        # The parameter sets criterion 4 draws on the default config.
+        rng = np.random.default_rng(load_config(DEFAULT_CONFIG)
+                                    .analysis["seed"] + 2)
+        f_act = hill_active(2.0, 0.75, 2)
+        for _ in range(20):
+            p = _sample_params(rng, chi_c=0.0)
+            bound = 1.0 / (p.a * p.c0 * float(f_act.d1(p.c0)))
+            yield p.with_chi_c(rng.uniform(0.0, bound))
+
+    def test_criterion4_spectra_pair_exactly(self, f_act, f_und):
+        # A full screen left a complex root's partner unfound in 9 of these
+        # 120 spectra; the conjugates are now added exactly.
+        for p in self._criterion4_draws():
+            for m in range(1, 7):
+                spec = mode_spectrum(m, p, f_act, f_und)
+                pairs = dict(zip(spec.roots, spec.residuals))
+                for z, rel in pairs.items():
+                    if abs(z.imag) > 1e-6:
+                        assert pairs.get(z.conjugate()) == rel
+
+    @pytest.mark.parametrize("m, draw", [(1, None), (2, None), (4, None),
+                                         (2, 0), (3, 1), (5, 2)])
+    def test_full_screen_roots_found(self, params, f_act, f_und, m, draw):
+        p = params if draw is None else list(self._criterion4_draws())[draw]
+        fun_slope, fun_grid, _ = _kernel_closures(m, p, f_act, f_und)
+        region = default_root_region(p)
+        kw = {"fun_grid": fun_grid, "slope": fun_slope}
+        fun = lambda z: fun_slope(z)[0]
+        full = find_complex_roots(fun, region, DEFAULT_SEEDS, **kw)
+        half = find_complex_roots(fun, region, DEFAULT_SEEDS, **kw,
+                                  conjugate=True)
+        assert full
+        assert all(z.imag >= 0.0 for z in half)
+        both = half + [z.conjugate() for z in half]
+        for z in full:
+            assert min(abs(z - w) for w in both) <= 1e-10
+
+    def test_asymmetric_region_screens_whole_grid(self, params, f_act,
+                                                  f_und):
+        j1 = bessel_J_roots(1, 4)
+        region = (-1.05 * j1[3] ** 2, 0.5, -1.0, 2.0)
+        fun_slope, fun_grid, _ = _kernel_closures(0, params, f_act, f_und)
+        seen = []
+        fun_grid_log = lambda zs: seen.append(zs.size) or fun_grid(zs)
+        find_complex_roots(lambda z: fun_slope(z)[0], region, DEFAULT_SEEDS,
+                           fun_grid=fun_grid_log, slope=fun_slope,
+                           conjugate=True)
+        assert seen == [DEFAULT_SEEDS[0] * DEFAULT_SEEDS[1]]
+        spec = mode_spectrum(0, params, f_act, f_und, region=region)
+        assert len(spec.roots) == 4
+        for got, x in zip(spec.roots, j1[::-1]):
+            assert abs(got + x * x) <= 1e-9
+
+    def test_odd_ny_reads_real_axis_row(self, params, f_act, f_und):
+        seeds = (DEFAULT_SEEDS[0], DEFAULT_SEEDS[1] + 1)
+        xs, ys, zs = _seed_grid(*default_root_region(params), *seeds, True)
+        assert ys[0] == 0.0 and ys.size == seeds[1] // 2 + 1
+        assert zs.size == xs.size * ys.size
+        for m in range(5):
+            even = mode_spectrum(m, params, f_act, f_und)
+            odd = mode_spectrum(m, params, f_act, f_und, seeds=seeds)
+            assert len(odd.roots) == len(even.roots) > 0
+            for a, b in zip(odd.roots, even.roots):
+                assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
 
 
 class TestZeroModes:
