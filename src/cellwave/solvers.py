@@ -1,12 +1,24 @@
-"""Damped Newton, complex root search and pseudo-arclength continuation."""
+"""Damped Newton, complex root search and pseudo-arclength continuation.
+
+``newton_solve`` solves real vector systems; ``_complex_newton`` is the one
+scalar complex Newton, run by the seed screen and by the root polish.
+"""
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import numpy as np
 
 from .errors import ContinuationStalledError, NewtonConvergenceError, SolverError
+
+#: The screen accepts a Newton end point z when
+#: |f(z)| <= SCREEN_TOL * (1 + median |f| over the seed grid).
+SCREEN_TOL = 1e-10
+
+#: Roots closer than this are one root.
+DEDUP_TOL = 1e-6
 
 
 def fd_jacobian(fun, x, f0=None, step: float = 1e-7) -> np.ndarray:
@@ -103,39 +115,38 @@ def newton_solve(
     )
 
 
-def _complex_newton(fun, z0, tol_abs, max_iter=60, max_backtracks=40,
-                    slope=None):
-    """Damped Newton for a scalar analytic function; returns (root, |f|) or None.
+def _complex_newton(evaluate, z0, tol, max_iter=60, max_backtracks=40):
+    """Damped Newton for a scalar analytic function; returns (z, residual).
 
-    ``slope`` maps z to (f(z), f'(z)) from one evaluation and then replaces
-    fun; without it f' comes from central differences of fun.
+    ``evaluate`` maps z to (f(z), scale, f'(z)) from one evaluation, and
+    the residual is |f| / scale.  A step is halved until the residual
+    falls (or reaches ``tol``), spending at most ``max_backtracks``
+    halvings over the whole run.  Iteration stops at residual <= tol, at
+    a zero or non-finite slope, or when the halvings run out.  The
+    returned z is the last accepted iterate, which is also the best one;
+    the caller compares the residual with its own tolerance.
     """
-    evaluate = slope if slope is not None else lambda z: (fun(z), None)
     z = complex(z0)
-    fz, d = evaluate(z)
-    afz = abs(fz)
+    f, scale, d = evaluate(z)
+    res = abs(f) / max(scale, 1e-300)
     backtracks = 0
     for _ in range(max_iter):
-        if afz <= tol_abs:
-            return z, afz
-        if slope is None:
-            h = 1e-6 * (1.0 + abs(z))
-            d = (fun(z + h) - fun(z - h)) / (2.0 * h)
-        if d == 0 or not np.isfinite(d.real) or not np.isfinite(d.imag):
-            return None
-        dz = -fz / d
+        if res <= tol or d == 0 or not cmath.isfinite(d):
+            break
+        dz = -f / d
         step = 1.0
         while True:
             zn = z + step * dz
-            fn, dn = evaluate(zn)
-            if abs(fn) < afz or abs(fn) <= tol_abs:
-                z, fz, afz, d = zn, fn, abs(fn), dn
+            fn, sn, dn = evaluate(zn)
+            rn = abs(fn) / max(sn, 1e-300)
+            if rn < res or rn <= tol:
+                z, f, res, d = zn, fn, rn, dn
                 break
             backtracks += 1
             step *= 0.5
             if backtracks > max_backtracks:
-                return (z, afz) if afz <= tol_abs else None
-    return (z, afz) if afz <= tol_abs else None
+                return z, res
+    return z, res
 
 
 def _local_minima(mag):
@@ -175,8 +186,6 @@ def find_complex_roots(
     region,
     seeds=(40, 20),
     *,
-    residual_factor: float = 1e-10,
-    dedup_tol: float = 1e-6,
     fun_grid=None,
     slope=None,
     conjugate: bool = False,
@@ -184,9 +193,11 @@ def find_complex_roots(
     """Locate roots of an analytic function on a rectangle.
 
     The function is sampled on a seed grid; Newton iterations are started
-    from every local minimum of |f| on the grid.  Converged points within
-    a 2% margin of the region are deduplicated (pairwise distance >
-    ``dedup_tol``) and returned sorted by (real, imag).
+    from every local minimum of |f| on the grid.  An end point is a root
+    when |f| <= SCREEN_TOL * (1 + scale), with scale the median of |f|
+    over the seed grid (an absolute test).  Roots within a 2% margin of
+    the region are deduplicated (pairwise distance > DEDUP_TOL) and
+    returned sorted by (real, imag).
 
     Parameters
     ----------
@@ -196,14 +207,11 @@ def find_complex_roots(
         (re_min, re_max, im_min, im_max).
     seeds : tuple
         (nx, ny) seed-grid resolution.
-    residual_factor : float
-        Accepted roots satisfy |f(root)| <= residual_factor * (1 + scale),
-        where scale is the median of |f| over the seed grid.
     fun_grid : callable, optional
         Vectorised evaluation over a flat complex array (else fun is looped).
     slope : callable, optional
-        z -> (f(z), f'(z)) from one evaluation, used by the Newton
-        iterations in place of central differences of fun.
+        z -> (f(z), f'(z)) from one evaluation.  Newton then calls it in
+        place of fun; without it f' is a central difference of fun.
     conjugate : bool
         Declares f(conj z) = conj f(z), so the roots off the real axis come
         in conjugate pairs.  If the rectangle is also symmetric
@@ -237,7 +245,16 @@ def find_complex_roots(
         mag = np.concatenate([mag[:, :-low - 1:-1], mag], axis=1)
     finite = mag[np.isfinite(mag)]
     scale = float(np.median(finite)) if finite.size else 1.0
-    tol_abs = residual_factor * (1.0 + scale)
+    tol_abs = SCREEN_TOL * (1.0 + scale)
+
+    if slope is not None:
+        def evaluate(z):
+            f, d = slope(z)
+            return f, 1.0, d
+    else:
+        def evaluate(z):
+            h = 1e-6 * (1.0 + abs(z))
+            return fun(z), 1.0, (fun(z + h) - fun(z - h)) / (2.0 * h)
 
     i, j = _local_minima(mag)
     upper = j >= low
@@ -247,10 +264,9 @@ def find_complex_roots(
     margin_im = 0.02 * (im_max - im_min)
     found: list[tuple[complex, float]] = []
     for z0 in starts:
-        hit = _complex_newton(fun, z0, tol_abs, slope=slope)
-        if hit is None:
+        root, res = _complex_newton(evaluate, z0, tol_abs)
+        if not res <= tol_abs:
             continue
-        root, res = hit
         if half and root.imag < 0.0:
             root = root.conjugate()
         if not (re_min - margin_re <= root.real <= re_max + margin_re):
@@ -258,7 +274,7 @@ def find_complex_roots(
         if not (im_min - margin_im <= root.imag <= im_max + margin_im):
             continue
         for k, (other, other_res) in enumerate(found):
-            if abs(root - other) <= dedup_tol:
+            if abs(root - other) <= DEDUP_TOL:
                 if res < other_res:
                     found[k] = (root, res)
                 break

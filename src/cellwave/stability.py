@@ -23,11 +23,19 @@ from . import _kernels
 from .errors import ResidualError, SolverError
 from .forces import ForceLaw
 from .model import ModelParams, chi_c_star
-from .solvers import find_complex_roots
+from .solvers import DEDUP_TOL, _complex_newton, find_complex_roots
 from .special import bessel_I
 
 #: Located roots must satisfy |kernel| <= RESIDUAL_TOL * (largest additive term).
 RESIDUAL_TOL = 1e-9
+
+#: A warm-started polish within this residual skips the full spectrum.
+WARM_TOL = 1e-11
+
+#: The polish Newton: relative tolerance, iteration and halving budgets.
+POLISH_TOL = 1e-13
+POLISH_MAX_ITER = 80
+POLISH_MAX_BACKTRACKS = 50
 
 #: Re(lambda) above this counts as unstable.
 CLASSIFY_TOL = 1e-9
@@ -101,7 +109,7 @@ def dispersion_kernel(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
 
 def _kernel_closures(m, params, f_act, f_und):
     """Mode-m kernel as (value, slope) for the root search, as values over
-    the seed grid, and as (value, scale, slope) for the polish."""
+    the seed grid, and as (value, scale, slope) for the polish Newton."""
     coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
     r0 = params.R0
 
@@ -116,40 +124,6 @@ def _kernel_closures(m, params, f_act, f_und):
         return _kernels.phi_mode_grid(m, zs, r0, coef_c, b_m, d_m)[0]
 
     return fun_slope, fun_grid, kernel
-
-
-def _polish_root(kernel, z0, *, rel_tol=1e-13, max_iter=80):
-    """Newton-polish a root of the dispersion kernel from a warm start.
-
-    ``kernel`` maps z to (value, scale, slope).  Iterates until
-    |value| <= rel_tol * (largest additive term) or damping stops helping;
-    always returns (best_z, best_rel).
-    """
-    z = complex(z0)
-    val, scale, d = kernel(z)
-    rel = abs(val) / max(scale, 1e-300)
-    backtracks = 0
-    for _ in range(max_iter):
-        if rel <= rel_tol:
-            break
-        if d == 0:
-            break
-        dz = -val / d
-        step = 1.0
-        improved = False
-        while backtracks <= 50:
-            zn = z + step * dz
-            vn, sn, dn = kernel(zn)
-            rn = abs(vn) / max(sn, 1e-300)
-            if rn < rel or rn <= rel_tol:
-                z, val, scale, rel, d = zn, vn, sn, rn, dn
-                improved = True
-                break
-            backtracks += 1
-            step *= 0.5
-        if not improved:
-            break
-    return z, rel
 
 
 @dataclass(frozen=True)
@@ -182,10 +156,14 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     residual check |kernel| <= RESIDUAL_TOL * (largest additive term).
     The kernel has real coefficients, so the search runs with
     ``conjugate=True`` (on a symmetric rectangle it screens the upper half
-    only).  Each located root is polished once, and every polished root
-    with |Im| > 1e-6, the dedup distance, is joined by its exact
-    conjugate with the same residual: the roots off the real axis come
-    out in exact conjugate pairs.
+    only).  The same damped Newton, ``_complex_newton``, then polishes
+    each located root once, to POLISH_TOL of the kernel's own scale
+    (the screen's test is absolute).  Polished roots within DEDUP_TOL of
+    an earlier one are dropped, and every polished root with
+    |Im| > DEDUP_TOL is joined by its exact conjugate with the same
+    residual: the roots off the real axis come out in exact conjugate
+    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of
+    ``dispersion_kernel`` at ``roots[i]``.
     """
     if region is None:
         region = default_root_region(params)
@@ -196,13 +174,14 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     roots = []
     residuals = []
     for z in raw:
-        z, rel = _polish_root(kernel, z)
-        if any(abs(z - other) <= 1e-6 for other in roots):
+        z, rel = _complex_newton(kernel, z, POLISH_TOL, POLISH_MAX_ITER,
+                                 POLISH_MAX_BACKTRACKS)
+        if any(abs(z - other) <= DEDUP_TOL for other in roots):
             continue
         if rel <= RESIDUAL_TOL:
             roots.append(z)
             residuals.append(rel)
-            if abs(z.imag) > 1e-6:
+            if abs(z.imag) > DEDUP_TOL:
                 roots.append(z.conjugate())
                 residuals.append(rel)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
@@ -432,7 +411,7 @@ def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
         ambiguous = False
         if principal is not None and len(spec.roots) >= 2:
             ordered = sorted(spec.roots, key=lambda z: -z.real)
-            if abs(ordered[0] - ordered[1]) <= 1e-6:
+            if abs(ordered[0] - ordered[1]) <= DEDUP_TOL:
                 ambiguous = True
         if principal is not None and prev is not None:
             jump = abs(principal - prev)
@@ -450,8 +429,9 @@ def _principal_root(m, params, f_act, f_und, warm=None, region=None,
     """Principal root of mode m, warm-started when a previous root is known."""
     if warm is not None:
         _, _, kernel = _kernel_closures(m, params, f_act, f_und)
-        z, rel = _polish_root(kernel, warm)
-        if rel <= 1e-11:
+        z, rel = _complex_newton(kernel, warm, POLISH_TOL, POLISH_MAX_ITER,
+                                 POLISH_MAX_BACKTRACKS)
+        if rel <= WARM_TOL:
             return z
     spec = mode_spectrum(m, params, f_act, f_und, region=region, seeds=seeds)
     if spec.principal is None:

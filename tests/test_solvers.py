@@ -13,7 +13,7 @@ from cellwave import (
     find_complex_roots,
     newton_solve,
 )
-from cellwave.solvers import _local_minima
+from cellwave.solvers import _complex_newton, _local_minima
 from cellwave.stability import dispersion_H
 
 
@@ -101,6 +101,63 @@ class TestComplexRoots:
         roots = find_complex_roots(lambda z: z * 0 + 1.0, (-1, 1, -1, 1),
                                    (8, 8))
         assert roots == []
+
+
+class TestComplexNewton:
+    """The one scalar Newton: evaluate(z) -> (f, scale, f'), returns (z, res)."""
+
+    def test_absolute_contract(self):
+        z, res = _complex_newton(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
+                                 0.5 + 0.5j, 1e-12)
+        assert abs(z - 1j) <= 1e-12
+        assert res == abs(z * z + 1.0)
+        assert res <= 1e-12
+
+    def test_relative_contract_stops_at_tol(self):
+        # The scale grows with |z|, so |f| / scale reaches tol two steps
+        # from 3, where |f| is still about 0.03: it stops there.
+        calls = []
+
+        def evaluate(z):
+            calls.append(z)
+            return z * z - 4.0, 1e6 * (1.0 + abs(z)), 2.0 * z
+
+        z, res = _complex_newton(evaluate, 3.0, 1e-8)
+        assert len(calls) == 3 and z == calls[-1]
+        assert res == abs(z * z - 4.0) / (1e6 * (1.0 + abs(z)))
+        assert res <= 1e-8
+        assert abs(z * z - 4.0) > 1e-2
+        # Started there, it takes no step.
+        assert _complex_newton(evaluate, z, 1e-8) == (z, res)
+        assert len(calls) == 4
+
+    def test_zero_slope_returns_start(self):
+        calls = []
+
+        def evaluate(z):
+            calls.append(z)
+            return z * z + 1.0, 1.0, 2.0 * z
+
+        z, res = _complex_newton(evaluate, 0.0, 1e-12)
+        assert z == 0.0 and res == 1.0
+        assert len(calls) == 1
+
+    def test_halving_budget_returns_last_accepted(self):
+        # The slope is right at the start and reversed afterwards, so the
+        # first step is accepted and the second goes uphill; with no
+        # halvings allowed the run ends at the first step.
+        z0 = 3.0 + 0.0j
+        calls = []
+
+        def evaluate(z):
+            calls.append(z)
+            return z * z - 4.0, 1.0, 2.0 * z if z == z0 else -2.0 * z
+
+        z, res = _complex_newton(evaluate, z0, 1e-12, max_backtracks=0)
+        assert len(calls) == 3      # start, first step, one uphill trial
+        assert z == z0 - 5.0 / 6.0
+        assert res == abs(z * z - 4.0)
+        assert res > 1e-12
 
 
 def _local_minima_loop(mag):

@@ -388,6 +388,20 @@ class TestModeSpectrum:
         spec = mode_spectrum(1, params, f_act, f_und)
         assert len(spec.residuals) == len(spec.roots)
         assert all(r <= 1e-9 for r in spec.residuals)
+        # Each recorded residual is exactly |value| / scale of the kernel at
+        # its root, conjugate partners included, over the default config's
+        # modes and chi_c grid.
+        cfg = load_config(DEFAULT_CONFIG)
+        rows = 0
+        for m in range(9):
+            for chi in cfg.analysis["chi_c_grid"]:
+                p = cfg.params.with_chi_c(chi)
+                spec = mode_spectrum(m, p, cfg.f_act, cfg.f_und)
+                for z, res in zip(spec.roots, spec.residuals):
+                    v, s = dispersion_kernel(m, z, p, cfg.f_act, cfg.f_und)
+                    assert res == abs(v) / max(s, 1e-300)
+                    rows += 1
+        assert rows == 162
 
     @pytest.mark.parametrize("m", [141, 148, 155])
     def test_mode_beyond_double_range_raises(self, params, f_act, f_und, m):
