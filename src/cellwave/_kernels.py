@@ -3,8 +3,8 @@
 The hot inner loops of the package live here: modified-Bessel evaluation for
 complex arguments (ascending series plus Miller downward recurrence), the real
 Bessel-J evaluation used by the root oracle, and the per-mode dispersion
-kernel.  Single-point kernels are scalar Python, which is what the Newton
-polish and the ``bessel_I``/``bessel_J`` references call; the scalar mode
+kernel.  Single-point kernels are scalar Python, which is what the root
+Newton and the ``bessel_I``/``bessel_J`` references call; the scalar mode
 kernel takes every Bessel order it reads, and its analytic slope, from one
 pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once
 from one read-only table of psi_0..psi_top per rest radius and grid, shared

@@ -1,7 +1,7 @@
 """Damped Newton, complex root search and pseudo-arclength continuation.
 
 ``newton_solve`` solves real vector systems; ``_complex_newton`` is the one
-scalar complex Newton, run by the seed screen and by the root polish.
+scalar complex Newton, run once from each seed start of the root search.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import ContinuationStalledError, NewtonConvergenceError, SolverError
 
-#: The screen accepts a Newton end point z when
-#: |f(z)| <= SCREEN_TOL * (1 + median |f| over the seed grid).
-SCREEN_TOL = 1e-10
+#: The root-search Newton stops at |f(z)| <= ROOT_TOL * scale(z).
+ROOT_TOL = 1e-13
+
+#: A Newton end point is a root when |f(z)| <= RESIDUAL_TOL * scale(z).
+RESIDUAL_TOL = 1e-9
 
 #: Roots closer than this are one root.
 DEDUP_TOL = 1e-6
@@ -115,16 +117,19 @@ def newton_solve(
     )
 
 
-def _complex_newton(evaluate, z0, tol, max_iter=60, max_backtracks=40):
+def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
     """Damped Newton for a scalar analytic function; returns (z, residual).
 
     ``evaluate`` maps z to (f(z), scale, f'(z)) from one evaluation, and
-    the residual is |f| / scale.  A step is halved until the residual
-    falls (or reaches ``tol``), spending at most ``max_backtracks``
-    halvings over the whole run.  Iteration stops at residual <= tol, at
-    a zero or non-finite slope, or when the halvings run out.  The
-    returned z is the last accepted iterate, which is also the best one;
-    the caller compares the residual with its own tolerance.
+    the residual is |f| / scale.  A step is halved until |f| falls (or the
+    residual reaches ``tol``), spending at most ``max_backtracks``
+    halvings over the whole run.  The line search tests |f| and not the
+    residual: the scale can fall faster than |f| along a good step, and a
+    search on the residual then stalls far from the root.  Iteration stops
+    at residual <= tol, at a zero or non-finite slope, or when the
+    halvings run out.  The returned z is the last accepted iterate, the
+    one with the smallest |f|; the caller compares the residual with its
+    own tolerance.
     """
     z = complex(z0)
     f, scale, d = evaluate(z)
@@ -139,7 +144,7 @@ def _complex_newton(evaluate, z0, tol, max_iter=60, max_backtracks=40):
             zn = z + step * dz
             fn, sn, dn = evaluate(zn)
             rn = abs(fn) / max(sn, 1e-300)
-            if rn < res or rn <= tol:
+            if abs(fn) < abs(f) or rn <= tol:
                 z, f, res, d = zn, fn, rn, dn
                 break
             backtracks += 1
@@ -182,48 +187,45 @@ def _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half):
 
 
 def find_complex_roots(
-    fun,
+    evaluate,
     region,
     seeds=(40, 20),
     *,
     fun_grid=None,
-    slope=None,
     conjugate: bool = False,
 ) -> list[complex]:
     """Locate roots of an analytic function on a rectangle.
 
-    The function is sampled on a seed grid; Newton iterations are started
-    from every local minimum of |f| on the grid.  An end point is a root
-    when |f| <= SCREEN_TOL * (1 + scale), with scale the median of |f|
-    over the seed grid (an absolute test).  Roots within a 2% margin of
-    the region are deduplicated (pairwise distance > DEDUP_TOL) and
-    returned sorted by (real, imag).
+    The function is sampled on a seed grid, and ``_complex_newton`` runs
+    once from every local minimum of |f| on the grid, to
+    |f| <= ROOT_TOL * scale.  Its end point is a root when
+    |f| <= RESIDUAL_TOL * scale there and it lies within a 2% margin of
+    the region.  Roots are deduplicated (pairwise distance > DEDUP_TOL,
+    the smaller residual kept) and returned sorted by (real, imag).
 
     Parameters
     ----------
-    fun : callable
-        Analytic complex -> complex.
+    evaluate : callable
+        z -> (f(z), scale, f'(z)) from one evaluation, f analytic and
+        scale > 0 the magnitude the residual |f| / scale is relative to.
     region : tuple
         (re_min, re_max, im_min, im_max).
     seeds : tuple
         (nx, ny) seed-grid resolution.
     fun_grid : callable, optional
-        Vectorised evaluation over a flat complex array (else fun is looped).
-    slope : callable, optional
-        z -> (f(z), f'(z)) from one evaluation.  Newton then calls it in
-        place of fun; without it f' is a central difference of fun.
+        Vectorised f over a flat complex array (else evaluate is looped).
     conjugate : bool
         Declares f(conj z) = conj f(z), so the roots off the real axis come
         in conjugate pairs.  If the rectangle is also symmetric
         (im_min == -im_max) only its upper half is screened: f is
         evaluated on the rows of the seed grid with Im >= 0 (the same
         points as the full grid; for odd ny the middle row is the real
-        axis), |f| is mirrored for the local-minimum scan and the median,
-        and Newton starts only from minima in the upper half.  A root
-        Newton finds below the axis is replaced by its conjugate, so the
-        result holds one member of each pair, the one with Im >= 0, and
-        the roots are the returned ones together with their conjugates.
-        On an asymmetric rectangle the whole grid is screened as without
+        axis), |f| is mirrored for the local-minimum scan, and Newton
+        starts only from minima in the upper half.  A root Newton finds
+        below the axis is replaced by its conjugate, so the result holds
+        one member of each pair, the one with Im >= 0, and the roots are
+        the returned ones together with their conjugates.  On an
+        asymmetric rectangle the whole grid is screened as without
         ``conjugate``.
 
     Returns
@@ -238,23 +240,11 @@ def find_complex_roots(
     if fun_grid is not None:
         fvals = np.asarray(fun_grid(zgrid))
     else:
-        fvals = np.array([fun(z) for z in zgrid])
+        fvals = np.array([evaluate(z)[0] for z in zgrid])
     mag = np.abs(fvals).reshape(nx, ys.size)
     low = ny - ys.size        # rows below the axis, mirrored from above
     if low:
         mag = np.concatenate([mag[:, :-low - 1:-1], mag], axis=1)
-    finite = mag[np.isfinite(mag)]
-    scale = float(np.median(finite)) if finite.size else 1.0
-    tol_abs = SCREEN_TOL * (1.0 + scale)
-
-    if slope is not None:
-        def evaluate(z):
-            f, d = slope(z)
-            return f, 1.0, d
-    else:
-        def evaluate(z):
-            h = 1e-6 * (1.0 + abs(z))
-            return fun(z), 1.0, (fun(z + h) - fun(z - h)) / (2.0 * h)
 
     i, j = _local_minima(mag)
     upper = j >= low
@@ -264,8 +254,8 @@ def find_complex_roots(
     margin_im = 0.02 * (im_max - im_min)
     found: list[tuple[complex, float]] = []
     for z0 in starts:
-        root, res = _complex_newton(evaluate, z0, tol_abs)
-        if not res <= tol_abs:
+        root, res = _complex_newton(evaluate, z0, ROOT_TOL)
+        if not res <= RESIDUAL_TOL:
             continue
         if half and root.imag < 0.0:
             root = root.conjugate()

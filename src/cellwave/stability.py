@@ -23,19 +23,17 @@ from . import _kernels
 from .errors import ResidualError, SolverError
 from .forces import ForceLaw
 from .model import ModelParams, chi_c_star
-from .solvers import DEDUP_TOL, _complex_newton, find_complex_roots
+from .solvers import (
+    DEDUP_TOL,
+    RESIDUAL_TOL,
+    ROOT_TOL,
+    _complex_newton,
+    find_complex_roots,
+)
 from .special import bessel_I
 
-#: Located roots must satisfy |kernel| <= RESIDUAL_TOL * (largest additive term).
-RESIDUAL_TOL = 1e-9
-
-#: A warm-started polish within this residual skips the full spectrum.
+#: A warm-started Newton within this residual skips the full spectrum.
 WARM_TOL = 1e-11
-
-#: The polish Newton: relative tolerance, iteration and halving budgets.
-POLISH_TOL = 1e-13
-POLISH_MAX_ITER = 80
-POLISH_MAX_BACKTRACKS = 50
 
 #: Re(lambda) above this counts as unstable.
 CLASSIFY_TOL = 1e-9
@@ -108,22 +106,18 @@ def dispersion_kernel(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
 
 
 def _kernel_closures(m, params, f_act, f_und):
-    """Mode-m kernel as (value, slope) for the root search, as values over
-    the seed grid, and as (value, scale, slope) for the polish Newton."""
+    """Mode-m kernel as values over the seed grid, and as
+    (value, scale, slope) for Newton."""
     coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
     r0 = params.R0
 
     def kernel(z):
         return _kernels.phi_mode_slope(m, complex(z), r0, coef_c, b_m, d_m)
 
-    def fun_slope(z):
-        val, _, slope = kernel(z)
-        return val, slope
-
     def fun_grid(zs):
         return _kernels.phi_mode_grid(m, zs, r0, coef_c, b_m, d_m)[0]
 
-    return fun_slope, fun_grid, kernel
+    return fun_grid, kernel
 
 
 @dataclass(frozen=True)
@@ -151,39 +145,34 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                   region=None, seeds=DEFAULT_SEEDS) -> ModeSpectrum:
     """Locate the nonzero growth rates of mode m inside a rectangle.
 
-    Roots are found by Newton iterations on the branch-free dispersion
-    kernel seeded from a grid; each returned root passes the normalised
-    residual check |kernel| <= RESIDUAL_TOL * (largest additive term).
-    The kernel has real coefficients, so the search runs with
+    Roots are found by ``find_complex_roots`` on the branch-free
+    dispersion kernel: one Newton run from each seed start, to ROOT_TOL of
+    the kernel's own scale (the largest additive term), each returned root
+    passing |kernel| <= RESIDUAL_TOL * scale inside the rectangle.  The
+    kernel has real coefficients, so the search runs with
     ``conjugate=True`` (on a symmetric rectangle it screens the upper half
-    only).  The same damped Newton, ``_complex_newton``, then polishes
-    each located root once, to POLISH_TOL of the kernel's own scale
-    (the screen's test is absolute).  Polished roots within DEDUP_TOL of
-    an earlier one are dropped, and every polished root with
-    |Im| > DEDUP_TOL is joined by its exact conjugate with the same
-    residual: the roots off the real axis come out in exact conjugate
-    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of
-    ``dispersion_kernel`` at ``roots[i]``.
+    only), and every root with |Im| > DEDUP_TOL is joined by its exact
+    conjugate with the same residual: the roots off the real axis come out
+    in exact conjugate pairs.  ``residuals[i]`` is
+    |value| / max(scale, 1e-300) of ``dispersion_kernel`` at ``roots[i]``.
     """
     if region is None:
         region = default_root_region(params)
-    fun_slope, fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
-    raw = find_complex_roots(lambda z: fun_slope(z)[0], region, seeds,
-                             fun_grid=fun_grid, slope=fun_slope,
-                             conjugate=True)
+    fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
     roots = []
     residuals = []
-    for z in raw:
-        z, rel = _complex_newton(kernel, z, POLISH_TOL, POLISH_MAX_ITER,
-                                 POLISH_MAX_BACKTRACKS)
+    for z in find_complex_roots(kernel, region, seeds, fun_grid=fun_grid,
+                                conjugate=True):
+        # An asymmetric rectangle can yield both members of a pair.
         if any(abs(z - other) <= DEDUP_TOL for other in roots):
             continue
-        if rel <= RESIDUAL_TOL:
-            roots.append(z)
+        val, scale, _ = kernel(z)
+        rel = abs(val) / max(scale, 1e-300)
+        roots.append(z)
+        residuals.append(rel)
+        if abs(z.imag) > DEDUP_TOL:
+            roots.append(z.conjugate())
             residuals.append(rel)
-            if abs(z.imag) > DEDUP_TOL:
-                roots.append(z.conjugate())
-                residuals.append(rel)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]
@@ -428,9 +417,8 @@ def _principal_root(m, params, f_act, f_und, warm=None, region=None,
                     seeds=DEFAULT_SEEDS):
     """Principal root of mode m, warm-started when a previous root is known."""
     if warm is not None:
-        _, _, kernel = _kernel_closures(m, params, f_act, f_und)
-        z, rel = _complex_newton(kernel, warm, POLISH_TOL, POLISH_MAX_ITER,
-                                 POLISH_MAX_BACKTRACKS)
+        _, kernel = _kernel_closures(m, params, f_act, f_und)
+        z, rel = _complex_newton(kernel, warm, ROOT_TOL)
         if rel <= WARM_TOL:
             return z
     spec = mode_spectrum(m, params, f_act, f_und, region=region, seeds=seeds)
@@ -445,7 +433,7 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     """Active strength where the principal mode-m growth rate crosses zero.
 
     Bisection on the sign of Re(principal root), warm-starting the root
-    polish across bisection steps; the bracket defaults to an interval
+    Newton across bisection steps; the bracket defaults to an interval
     around the closed-form threshold, expanded until the sign changes.
 
     Returns the crossing to ``tol`` absolute in chi_c.

@@ -241,19 +241,15 @@ def _radial_weight(s, radii):
     return np.square(radii) * np.where(small, series, closed)
 
 
-def marker_normalization(shape: Shape, V: float, params: ModelParams,
-                         thetas: np.ndarray | None = None) -> float:
+def marker_normalization(shape: Shape, V: float, params: ModelParams) -> float:
     """Concentration scale c_1 fixing the total marker mass.
 
     c_1 = M / (integral over the domain of exp(-a V x)); the radial part is
     integrated in closed form per angle and the angular part by the periodic
     trapezoid rule on the collocation grid.
     """
-    if thetas is None:
-        thetas = _grid(shape.N)[0]
-        radii = _radius_on_grid(shape.rho_cos, shape.R0, thetas.size)
-    else:
-        radii = shape.radius(thetas)
+    thetas = _grid(shape.N)[0]
+    radii = _radius_on_grid(shape.rho_cos, shape.R0, thetas.size)
     s = -params.a * V * np.cos(thetas)
     weights = _radial_weight(s, radii)
     denom = 2.0 * np.pi * float(np.mean(weights))

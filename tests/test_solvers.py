@@ -44,17 +44,25 @@ class TestNewton:
         assert err.best_residual >= 1.0
 
 
+def _central_difference(fun):
+    """evaluate(z) -> (f, 1.0, f') for a function with no analytic slope."""
+    def evaluate(z):
+        h = 1e-6 * (1.0 + abs(z))
+        return fun(z), 1.0, (fun(z + h) - fun(z - h)) / (2.0 * h)
+    return evaluate
+
+
 class TestComplexRoots:
     def test_quadratic(self):
-        roots = find_complex_roots(lambda z: z * z + 1.0, (-2, 2, -2, 2),
-                                   (20, 20))
+        roots = find_complex_roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
+                                   (-2, 2, -2, 2), (20, 20))
         assert len(roots) == 2
         assert abs(roots[0] - (-1j)) <= 1e-8
         assert abs(roots[1] - 1j) <= 1e-8
 
     def test_cube_roots_of_unity(self):
-        roots = find_complex_roots(lambda z: z ** 3 - 1.0, (-2, 2, -2, 2),
-                                   (20, 20))
+        roots = find_complex_roots(lambda z: (z ** 3 - 1.0, 1.0, 3.0 * z * z),
+                                   (-2, 2, -2, 2), (20, 20))
         expected = sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
                           key=lambda z: (z.real, z.imag))
         assert len(roots) == 3
@@ -65,7 +73,8 @@ class TestComplexRoots:
         # The raw mode-0 dispersion function on [-60, 1] x [-1, 1] has the
         # structural double zero at the origin plus the two J_1-root values.
         fun = lambda z: dispersion_H(0, z, params, f_act, f_und)
-        roots = find_complex_roots(fun, (-60, 1, -1, 1), (50, 11))
+        roots = find_complex_roots(_central_difference(fun), (-60, 1, -1, 1),
+                                   (50, 11))
         j1 = bessel_J_roots(1, 2)
         expected = sorted([-j1[1] ** 2, -j1[0] ** 2, 0.0])
         assert len(roots) == 3
@@ -74,32 +83,18 @@ class TestComplexRoots:
 
     def test_duplicate_free_and_residual_bound(self):
         fun = lambda z: (z - 0.5) * (z + 0.25j) * (z - 2.0)
-        roots = find_complex_roots(fun, (-3, 3, -3, 3), (25, 25))
+        slope = lambda z: ((z + 0.25j) * (z - 2.0) + (z - 0.5) * (z - 2.0)
+                           + (z - 0.5) * (z + 0.25j))
+        roots = find_complex_roots(lambda z: (fun(z), 1.0, slope(z)),
+                                   (-3, 3, -3, 3), (25, 25))
         for i, a in enumerate(roots):
             assert abs(fun(a)) <= 1e-8
             for b in roots[i + 1:]:
                 assert abs(a - b) > 1e-6
 
-    def test_analytic_slope(self):
-        # With slope given, Newton takes f and f' from it in one call per
-        # point and finds the same roots as central differences of fun.
-        calls = []
-
-        def slope(z):
-            calls.append(z)
-            return z ** 3 - 1.0, 3.0 * z * z
-
-        fun = lambda z: z ** 3 - 1.0
-        fd_roots = find_complex_roots(fun, (-2, 2, -2, 2), (20, 20))
-        roots = find_complex_roots(fun, (-2, 2, -2, 2), (20, 20), slope=slope)
-        assert calls
-        assert len(roots) == 3
-        for got, ref in zip(roots, fd_roots):
-            assert abs(got - ref) <= 1e-8
-
     def test_no_roots_returns_empty(self):
-        roots = find_complex_roots(lambda z: z * 0 + 1.0, (-1, 1, -1, 1),
-                                   (8, 8))
+        roots = find_complex_roots(lambda z: (z * 0 + 1.0, 1.0, z * 0),
+                                   (-1, 1, -1, 1), (8, 8))
         assert roots == []
 
 
@@ -158,6 +153,24 @@ class TestComplexNewton:
         assert z == z0 - 5.0 / 6.0
         assert res == abs(z * z - 4.0)
         assert res > 1e-12
+
+    def test_step_accepted_when_f_falls_and_residual_rises(self):
+        # The scale falls a thousandfold per unit of Re z, faster than |f|
+        # along the first step from 3: |f| drops from 5 to 0.69 while
+        # |f| / scale rises from 5 to about 200.  The step is taken whole.
+        calls = []
+
+        def evaluate(z):
+            calls.append(z)
+            return z * z - 4.0, 1e-3 ** (3.0 - z.real), 2.0 * z
+
+        z, res = _complex_newton(evaluate, 3.0, 1e-12, max_iter=1,
+                                 max_backtracks=0)
+        assert len(calls) == 2
+        assert z == 3.0 - 5.0 / 6.0
+        assert abs(z * z - 4.0) < 5.0
+        assert res == abs(z * z - 4.0) / 1e-3 ** (3.0 - z.real)
+        assert res > 5.0
 
 
 def _local_minima_loop(mag):

@@ -55,6 +55,16 @@ def _random_params(rng, f_act, chi_factor=None):
     return p
 
 
+def _subcritical_draws(seed):
+    """Criterion 4's parameter sets: chi_c uniform in the energy range."""
+    rng = np.random.default_rng(seed)
+    f_act = hill_active(2.0, 0.75, 2)
+    for _ in range(20):
+        p = _sample_params(rng, chi_c=0.0)
+        bound = 1.0 / (p.a * p.c0 * float(f_act.d1(p.c0)))
+        yield p.with_chi_c(rng.uniform(0.0, bound))
+
+
 class TestDispersionFunction:
     def test_vanishes_at_origin(self, params, f_act, f_und):
         for m in range(9):
@@ -411,12 +421,37 @@ class TestModeSpectrum:
         with pytest.raises(AccuracyError, match="double range"):
             mode_spectrum(m, params, f_act, f_und)
 
-    def test_largest_resolved_mode_still_located(self, params, f_act,
-                                                 f_und):
+    def test_mode_140_out_of_rectangle_root_rejected(self, params, f_act,
+                                                     f_und):
+        # Newton walks from the seeds to the root at -20799.99, 260x
+        # outside a rectangle with Re >= -80; the end point is rejected.
         spec = mode_spectrum(140, params, f_act, f_und)
-        assert len(spec.roots) == 1
-        assert abs(spec.roots[0] + 20799.989424828163) <= 1e-8
-        assert spec.residuals[0] <= 1e-9
+        assert spec.roots == () and spec.principal is None
+
+    def test_roots_inside_rectangle(self, params, f_act, f_und):
+        # A screen with an absolute tolerance once accepted unmoved seed
+        # points from m = 14 on and walked them to -327.19 (m = 16),
+        # -494.69, -1831.97 and -10770.16.
+        re_min, re_max, im_min, im_max = default_root_region(params)
+        mre, mim = 0.02 * (re_max - re_min), 0.02 * (im_max - im_min)
+        located = 0
+        for m in (0, 1, 2, 5, 16, 20, 40, 100):
+            for z in mode_spectrum(m, params, f_act, f_und).roots:
+                assert re_min - mre <= z.real <= re_max + mre
+                assert im_min - mim <= z.imag <= im_max + mim
+                located += 1
+        assert located == 9
+
+    @pytest.mark.parametrize("draw, m, root", [(5, 2, -1.797180930837749),
+                                               (14, 2, -7.421398576180333),
+                                               (14, 5, -64.30169877898417)])
+    def test_roots_found_from_raw_seeds(self, f_act, f_und, draw, m, root):
+        # From raw seeds the kernel's scale can fall faster than |f| along
+        # a good Newton step; a line search on |f| / scale stalled at
+        # residuals of 0.15-0.75 here and lost these roots.
+        p = list(_subcritical_draws(2))[draw]
+        spec = mode_spectrum(m, p, f_act, f_und)
+        assert min(abs(z - root) for z in spec.roots) <= 1e-12 * abs(root)
 
 
 class TestHalfPlaneScreen:
@@ -425,13 +460,8 @@ class TestHalfPlaneScreen:
     @staticmethod
     def _criterion4_draws():
         # The parameter sets criterion 4 draws on the default config.
-        rng = np.random.default_rng(load_config(DEFAULT_CONFIG)
-                                    .analysis["seed"] + 2)
-        f_act = hill_active(2.0, 0.75, 2)
-        for _ in range(20):
-            p = _sample_params(rng, chi_c=0.0)
-            bound = 1.0 / (p.a * p.c0 * float(f_act.d1(p.c0)))
-            yield p.with_chi_c(rng.uniform(0.0, bound))
+        return _subcritical_draws(load_config(DEFAULT_CONFIG)
+                                  .analysis["seed"] + 2)
 
     def test_criterion4_spectra_pair_exactly(self, f_act, f_und):
         # A full screen left a complex root's partner unfound in 9 of these
@@ -448,13 +478,12 @@ class TestHalfPlaneScreen:
                                          (2, 0), (3, 1), (5, 2)])
     def test_full_screen_roots_found(self, params, f_act, f_und, m, draw):
         p = params if draw is None else list(self._criterion4_draws())[draw]
-        fun_slope, fun_grid, _ = _kernel_closures(m, p, f_act, f_und)
+        fun_grid, kernel = _kernel_closures(m, p, f_act, f_und)
         region = default_root_region(p)
-        kw = {"fun_grid": fun_grid, "slope": fun_slope}
-        fun = lambda z: fun_slope(z)[0]
-        full = find_complex_roots(fun, region, DEFAULT_SEEDS, **kw)
-        half = find_complex_roots(fun, region, DEFAULT_SEEDS, **kw,
-                                  conjugate=True)
+        full = find_complex_roots(kernel, region, DEFAULT_SEEDS,
+                                  fun_grid=fun_grid)
+        half = find_complex_roots(kernel, region, DEFAULT_SEEDS,
+                                  fun_grid=fun_grid, conjugate=True)
         assert full
         assert all(z.imag >= 0.0 for z in half)
         both = half + [z.conjugate() for z in half]
@@ -465,12 +494,11 @@ class TestHalfPlaneScreen:
                                                   f_und):
         j1 = bessel_J_roots(1, 4)
         region = (-1.05 * j1[3] ** 2, 0.5, -1.0, 2.0)
-        fun_slope, fun_grid, _ = _kernel_closures(0, params, f_act, f_und)
+        fun_grid, kernel = _kernel_closures(0, params, f_act, f_und)
         seen = []
         fun_grid_log = lambda zs: seen.append(zs.size) or fun_grid(zs)
-        find_complex_roots(lambda z: fun_slope(z)[0], region, DEFAULT_SEEDS,
-                           fun_grid=fun_grid_log, slope=fun_slope,
-                           conjugate=True)
+        find_complex_roots(kernel, region, DEFAULT_SEEDS,
+                           fun_grid=fun_grid_log, conjugate=True)
         assert seen == [DEFAULT_SEEDS[0] * DEFAULT_SEEDS[1]]
         spec = mode_spectrum(0, params, f_act, f_und, region=region)
         assert len(spec.roots) == 4
