@@ -155,22 +155,37 @@ def _branch_rows(branch, config: RunConfig):
     return header, rows
 
 
+def _branch(config: RunConfig):
+    return continue_branch(config.params, config.f_act, config.f_und,
+                           V_max=config.analysis["V_max"],
+                           ds=config.analysis["ds"],
+                           n=config.analysis["N"],
+                           tol=config.analysis["newton_tol"])
+
+
+def _branch_summary(branch) -> dict:
+    """Report fields of how the branch was traced: the worst resolution
+    certificate over its states and the speed arclength took over from."""
+    return {
+        "spectral_tail_max": max(s.diagnostics["spectral_tail"]
+                                 for s in branch.states),
+        "arclength_from_V": branch.arclength_from_V,
+    }
+
+
 def cmd_branch(config: RunConfig, outdir: Path) -> int:
     """Trace the branch and emit its states plus the expansion report."""
     params = config.params
     csv_path = outdir / "branch.csv"
     json_path = outdir / "branch_report.json"
     try:
-        branch = continue_branch(params, config.f_act, config.f_und,
-                                 V_max=config.analysis["V_max"],
-                                 ds=config.analysis["ds"],
-                                 n=config.analysis["N"],
-                                 tol=config.analysis["newton_tol"])
+        branch = _branch(config)
     except ContinuationStalledError as exc:
         header, rows = _branch_rows(exc.points, config)
         _write_csv(csv_path, header, rows)
         _write_json(json_path, {"error": str(exc),
-                                "states_completed": len(exc.points.states)})
+                                "states_completed": len(exc.points.states),
+                                **_branch_summary(exc.points)})
         print(f"branch stalled: wrote partial {csv_path}", file=sys.stderr)
         return EXIT_PARTIAL
     header, rows = _branch_rows(branch, config)
@@ -191,20 +206,30 @@ def cmd_branch(config: RunConfig, outdir: Path) -> int:
         "symmetry": report.symmetry,
         "used_arclength": branch.used_arclength,
         "n_states": len(branch.states),
+        **_branch_summary(branch),
     })
     print(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
     return EXIT_OK
 
 
 def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
-    """Emit the boundary contour of the branch state nearest a speed."""
+    """Emit the boundary contour of the branch state nearest a speed.
+
+    On a stalled branch the contour comes from the partial branch, with
+    exit 4, when the speed lies inside it; otherwise the stall is a
+    solver failure.
+    """
     params = config.params
-    branch = continue_branch(params, config.f_act, config.f_und,
-                             V_max=config.analysis["V_max"],
-                             ds=config.analysis["ds"],
-                             n=config.analysis["N"],
-                             tol=config.analysis["newton_tol"])
-    state = branch.state_nearest(velocity)
+    code = EXIT_OK
+    try:
+        state = _branch(config).state_nearest(velocity)
+    except ContinuationStalledError as exc:
+        try:
+            state = exc.points.state_nearest(velocity)
+        except BranchRangeError:
+            raise exc from None
+        print(f"branch stalled: {exc}", file=sys.stderr)
+        code = EXIT_PARTIAL
     thetas = collocation_nodes(state.shape.N)
     radius = state.shape.radius(thetas)
     n1 = normal_x(state.shape, thetas)
@@ -215,7 +240,7 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
     path = outdir / "shape.csv"
     _write_csv(path, ["theta", "radius", "n1", "kappa", "c_boundary"], rows)
     print(f"wrote {path} (state V={_fmt(state.V)}, chi_c={_fmt(state.chi_c)})")
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(config: RunConfig, outdir: Path) -> int:

@@ -41,9 +41,11 @@ DEFAULT_N = 64
 #: Newton tolerance for traveling-wave solves.
 SOLVE_TOL = 1e-12
 
-#: 1-norm condition number of an accepted step's last Newton Jacobian
-#: beyond which branch stepping switches to pseudo-arclength continuation.
-COND_SWITCH = 1e10
+#: Resolution certificate: a branch state is resolved when its spectral
+#: tail max_{k > 3N/4} |rho_k| / max_k |rho_k| is at most this.  The
+#: default config stays below 1e-13; gamma = 0.1 passes it near V = 0.85
+#: at N = 64, and the shapes past its fold reach tails of 0.2.
+TAIL_TOL = 1e-8
 
 #: Accepted states the fixed-speed predictor extrapolates through in V
 #: (three: a quadratic).
@@ -263,11 +265,9 @@ class TravelingWaveState:
     ``p1`` is the pressure constant relative to the resting pressure; the
     physical constant is recovered by ``p1_physical``.  ``diagnostics`` is
     the ``state_diagnostics`` dict, computed once when the branch code
-    builds the state (None for states built by hand).  ``jacobian_cond``
-    is the 1-norm condition number of the last Newton Jacobian of the
-    fixed-speed solve that produced the state, which on a branch is
-    usually the one at the predicted guess (None for the root, for
-    pseudo-arclength points and for states built by hand).
+    builds the state (None for states built by hand); its
+    ``spectral_tail`` is the resolution certificate that the branch
+    compares with ``TAIL_TOL``.
     """
 
     shape: Shape
@@ -276,8 +276,6 @@ class TravelingWaveState:
     chi_c: float
     c1: float
     diagnostics: dict | None = field(default=None, compare=False, repr=False)
-    jacobian_cond: float | None = field(default=None, compare=False,
-                                        repr=False)
 
     def p1_physical(self, params: ModelParams, f_act: ForceLaw) -> float:
         return (self.p1 + params.gamma / params.R0
@@ -501,7 +499,10 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
     The curvature-equation defect is reassembled pointwise from the
     closed-form pressure and concentration fields (not from the solver's
     residual path); the marker mass is re-integrated with Gauss-Legendre in
-    radius on a doubled angular grid.
+    radius on a doubled angular grid.  ``spectral_tail`` is
+    max_{k > 3N/4} |rho_k| / max_k |rho_k| (0 for the disk): a resolved
+    shape's cosine coefficients have decayed to round-off by the last
+    quarter of the series.
     """
     shape = state.shape
     n = shape.N
@@ -523,6 +524,9 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
     vals = np.exp(-params.a * state.V * np.cos(fine)[:, None] * rr) * rr
     mass = (state.c1 * 2.0 * np.pi / fine.size
             * float(np.dot(radii, vals @ weights)))
+    modes = np.abs(shape.rho_cos)
+    peak = float(np.max(modes))
+    tail = float(np.max(modes[3 * n // 4 + 1:])) / peak if peak > 0.0 else 0.0
 
     return {
         "residual_sup": float(np.max(np.abs(defect))),
@@ -532,6 +536,7 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
         "min_boundary_concentration": float(
             np.min(state.c1 * np.exp(-params.a * state.V * x))
         ),
+        "spectral_tail": tail,
     }
 
 
@@ -562,11 +567,10 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
     Unknowns are the cosine modes rho_0..rho_N, the pressure constant p1 and
     the active strength chi_c; the centering row pins the cos(theta) mode.
     Newton uses the analytic Jacobian ``_residual_jacobian``, built from the
-    boundary fields the residual has just computed at the same iterate.
-    The 1-norm condition number of the last Jacobian Newton built is kept
-    on the state as ``jacobian_cond``: from a good guess Newton takes one
-    step, so this is usually the Jacobian at the guess, not at the
-    solution (one is built at the solution if Newton took no step).
+    boundary fields the residual has just computed at the same iterate,
+    one per Newton step: a guess that already solves the system builds
+    none.  The state carries its ``state_diagnostics``, spectral tail
+    included; this function does not compare the tail with ``TAIL_TOL``.
 
     Parameters
     ----------
@@ -602,13 +606,9 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
         return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und,
                                 fields(u))
 
-    last_jac = None
-
     def jac(u):
-        nonlocal last_jac
-        last_jac = _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
-                                      f_und, fields(u))
-        return last_jac
+        return _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
+                                  f_und, fields(u))
 
     start = guess if isinstance(guess, np.ndarray) else _pack(guess)
     try:
@@ -618,10 +618,7 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
             f"traveling-wave solve failed at V={V:g}: {exc} "
             f"(best residual {exc.best_residual:.3e})"
         ) from exc
-    state = _checked_state(sol, V, params, f_act, f_und)
-    if last_jac is None:
-        last_jac = jac(sol)
-    return replace(state, jacobian_cond=float(np.linalg.cond(last_jac, 1)))
+    return _checked_state(sol, V, params, f_act, f_und)
 
 
 def _predict(history, V: float) -> np.ndarray:
@@ -648,10 +645,19 @@ def _predict(history, V: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Branch:
-    """Ordered traveling-wave states with the bifurcation point as root."""
+    """Ordered traveling-wave states with the bifurcation point as root.
+
+    ``arclength_from_V`` is the speed of the last fixed-speed state, from
+    which pseudo-arclength continuation traced the rest (None when it
+    was not used).
+    """
 
     states: tuple
-    used_arclength: bool = False
+    arclength_from_V: float | None = None
+
+    @property
+    def used_arclength(self) -> bool:
+        return self.arclength_from_V is not None
 
     def velocities(self) -> np.ndarray:
         return np.array([s.V for s in self.states])
@@ -668,10 +674,27 @@ class Branch:
         return self.states[int(np.argmin(np.abs(vs - V)))]
 
 
+def _certify(state: TravelingWaveState, resolved: Branch) -> None:
+    """Stop the branch at the first state whose spectral tail exceeds
+    ``TAIL_TOL``: its shape is not resolved at this truncation.
+
+    Raises
+    ------
+    ContinuationStalledError
+        Carrying ``resolved``, the branch before the state.
+    """
+    tail = state.diagnostics["spectral_tail"]
+    if tail > TAIL_TOL:
+        raise ContinuationStalledError(
+            f"unresolved shape at V={state.V:g}: spectral tail {tail:.3e} "
+            f"exceeds TAIL_TOL={TAIL_TOL:g} at N={state.shape.N}",
+            resolved,
+        )
+
+
 def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                     V_max: float, ds: float, *, n: int = DEFAULT_N,
-                    tol: float = SOLVE_TOL,
-                    cond_switch: float = COND_SWITCH) -> Branch:
+                    tol: float = SOLVE_TOL) -> Branch:
     """Trace the traveling-wave branch from the bifurcation point.
 
     Steps the speed directly (the branch is a graph over V near onset since
@@ -683,20 +706,23 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     The guess is then O(ds^3) off and most states converge in one Newton
     step, with one Jacobian.
 
-    If the 1-norm condition number of the last Newton Jacobian of an
-    accepted step (``TravelingWaveState.jacobian_cond``, no extra Jacobian
-    is built) exceeds ``cond_switch`` the remaining stretch is traced by
-    pseudo-arclength continuation in (rho, p1, chi_c, V) instead, which is
-    robust through folds.
-
     Failed steps are retried with halved substeps down to ds/64; each
     substep is predicted through the same history extended by the
-    substeps already accepted, at their uneven spacing.
+    substeps already accepted, at their uneven spacing.  When the
+    halvings run out, as they do at a fold, pseudo-arclength continuation
+    in (rho, p1, chi_c, V) takes over from the last two accepted states
+    and traces the rest of the branch.
+
+    Every accepted state, fixed-speed or arclength, must pass the
+    resolution certificate (spectral tail at most ``TAIL_TOL``); the
+    first one that does not stops the branch.
 
     Raises
     ------
     ContinuationStalledError
-        Carrying the partial branch on stall.
+        Carrying the partial branch: if the first step fails, if the
+        arclength corrector fails, or at the first unresolved state, which
+        the partial branch leaves out.
     """
     if V_max <= 0 or ds <= 0:
         raise ValueError("V_max and ds must be positive")
@@ -719,22 +745,25 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         try:
             state = advance(states, V_to)
         except SolverError as exc:
-            raise ContinuationStalledError(
-                f"branch stalled before V={V_to:g}: {exc}",
-                Branch(states=tuple(states)),
-            ) from exc
+            if len(states) < 2:
+                raise ContinuationStalledError(
+                    f"branch stalled before V={V_to:g}: {exc}",
+                    Branch(states=tuple(states)),
+                ) from exc
+            return _arclength_tail(states, params, f_act, f_und, V_max, ds,
+                                   tol)
+        _certify(state, Branch(states=tuple(states)))
         states.append(state)
-        if state.jacobian_cond > cond_switch:
-            return _arclength_tail(states, params, f_act, f_und, V_max, ds, tol)
     return Branch(states=tuple(states))
 
 
 def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
-    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max.
+    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max,
+    starting along the secant of the last two states.
 
     The Jacobian is the analytic (rho, p1, chi_c) block plus a central
     difference in V; every accepted point passes the same invariant checks
-    as a fixed-speed solve.
+    as a fixed-speed solve, and the resolution certificate.
     """
 
     def fun(u_ext):
@@ -750,36 +779,33 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
         v_col = (fun(u_ext + step) - fun(u_ext - step)) / (2.0 * step[-1])
         return np.column_stack([block, v_col])
 
-    last = states[-1]
-    u_last = np.concatenate([_pack(last), [last.V]])
-    if len(states) >= 2:
-        prev = states[-2]
-        u_prev = np.concatenate([_pack(prev), [prev.V]])
-        tangent = u_last - u_prev
-    else:
-        tangent = np.zeros_like(u_last)
-        tangent[-1] = 1.0
+    handover = states[-1].V
+
+    def partial():
+        return Branch(states=tuple(states), arclength_from_V=handover)
+
+    u_prev, u_last = (np.concatenate([_pack(s), [s.V]]) for s in states[-2:])
+    tangent = u_last - u_prev
     while states[-1].V < V_max - 1e-12:
         try:
             points = arclength_continue(fun, u_last, tangent, 1, ds,
                                         newton_tol=tol, jac=jac)
         except ContinuationStalledError as exc:
-            raise ContinuationStalledError(
-                str(exc), Branch(states=tuple(states), used_arclength=True)
-            ) from exc
+            raise ContinuationStalledError(str(exc), partial()) from exc
         new = points[-1]
         tangent = new - u_last
         u_last = new
         if new[-1] >= V_max:
             # Overshot the requested endpoint: land exactly on V_max with a
             # fixed-speed solve warm-started from the overshoot point.
-            guess = _unpack(new[:-1], V_max, params)
-            states.append(solve_at_velocity(V_max, guess, params, f_act,
-                                            f_und, tol=tol))
-            break
-        states.append(_checked_state(new[:-1], float(new[-1]), params,
-                                     f_act, f_und))
-    return Branch(states=tuple(states), used_arclength=True)
+            state = solve_at_velocity(V_max, new[:-1], params, f_act, f_und,
+                                      tol=tol)
+        else:
+            state = _checked_state(new[:-1], float(new[-1]), params, f_act,
+                                   f_und)
+        _certify(state, partial())
+        states.append(state)
+    return partial()
 
 
 # ---------------------------------------------------------------------------

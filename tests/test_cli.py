@@ -195,6 +195,8 @@ class TestBranchCommand:
         assert abs(report["d_chi_ds_at_0"]) <= 1e-4
         assert report["verdict"] in ("coincident", "statement_third",
                                      "proof_quarter")
+        assert report["arclength_from_V"] is None
+        assert 0.0 < report["spectral_tail_max"] <= 1e-8
 
     def test_stalled_branch_partial_output(self, tmp_path):
         # An unreachable Newton tolerance stalls the first step; the command
@@ -210,6 +212,22 @@ class TestBranchCommand:
         report = json.loads((out / "branch_report.json").read_text())
         assert "error" in report
         assert report["states_completed"] == 1
+
+    def test_unresolved_branch_exits_4(self, tmp_path):
+        # At gamma = 0.1 the shapes stop being resolved at N = 64 before
+        # V = 0.85: the command writes the resolved states only, exit 4.
+        out = tmp_path / "out"
+        cfg = base_config(out, N=64, V_max=1.5, ds=0.01)
+        cfg["model"]["gamma"] = 0.1
+        path = write_config(tmp_path, cfg)
+        assert main(["branch", "-c", path]) == 4
+        report = json.loads((out / "branch_report.json").read_text())
+        assert report["error"].startswith("unresolved shape at V=0.85")
+        assert report["arclength_from_V"] is None
+        assert report["spectral_tail_max"] <= 1e-8
+        lines = (out / "branch.csv").read_text().splitlines()
+        assert len(lines) == 1 + report["states_completed"]
+        assert float(lines[-1].split(",")[0]) < 0.85
 
     def test_branch_rows_revalidate(self, tmp_path):
         # Re-ingest emitted rows: rebuild shapes from the full-width rho
@@ -271,6 +289,23 @@ class TestShapeCommand:
         thetas = 2.0 * np.pi * np.arange(len(lines)) / len(lines)
         assert np.max(np.abs(normal_x(shape, thetas) - n1)) <= 1e-9
         assert np.max(np.abs(mean_curvature(shape, thetas) - kappa)) <= 1e-8
+
+    def test_stalled_branch(self, tmp_path, capsys):
+        # gamma = 0.1 stops before V = 0.85 (unresolved shapes): a speed
+        # inside the partial branch gets its contour with exit 4, one
+        # beyond it is a solver failure.
+        out = tmp_path / "out"
+        cfg = base_config(out, N=64, V_max=1.5, ds=0.01)
+        cfg["model"]["gamma"] = 0.1
+        path = write_config(tmp_path, cfg)
+        assert main(["shape", "-c", path, "--velocity", "0.5"]) == 4
+        assert "unresolved shape" in capsys.readouterr().err
+        lines = (out / "shape.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 64
+        (out / "shape.csv").unlink()
+        assert main(["shape", "-c", path, "--velocity", "1.0"]) == 3
+        assert "solver error: unresolved shape" in capsys.readouterr().err
+        assert not (out / "shape.csv").exists()
 
     def test_velocity_beyond_branch(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -286,23 +286,17 @@ class TestSolve:
         assert diag["mass_rel_error"] <= 1e-9
         assert diag["min_boundary_concentration"] > 0
 
-    def test_condition_number_of_last_newton_jacobian(self, params, f_act,
-                                                      f_und):
+    def test_spectral_tail(self, params, f_act, f_und):
         root = rest_state(params, f_act, f_und, N_TEST)
-        state = solve_at_velocity(0.1, root, params, f_act, f_und)
-        # A converged guess takes no Newton step: one Jacobian is built at
-        # the solution instead.
-        again = solve_at_velocity(0.1, state, params, f_act, f_und)
-        jac = _residual_jacobian(again.shape.rho_cos, 0.1, again.p1,
-                                 again.chi_c, params, f_act, f_und)
-        assert again.jacobian_cond == np.linalg.cond(jac, 1)
-        # Newton's last Jacobian sits next to the solution.
-        assert abs(state.jacobian_cond - again.jacobian_cond) \
-            <= 1e-6 * again.jacobian_cond
-        # The 1- and 2-norm condition numbers differ by at most N + 3.
-        two_norm = np.linalg.cond(jac)
-        assert two_norm / (N_TEST + 3) <= again.jacobian_cond \
-            <= (N_TEST + 3) * two_norm
+        assert root.diagnostics["spectral_tail"] == 0.0
+        rho = np.zeros(N_TEST + 1)
+        rho[2] = -0.1
+        rho[24] = 1e-3      # k = 3N/4 is not in the tail
+        rho[25] = 3e-9
+        state = TravelingWaveState(shape=Shape(rho, params.R0), V=0.1,
+                                   p1=0.0, chi_c=root.chi_c, c1=1.0)
+        tail = state_diagnostics(state, params, f_act, f_und)["spectral_tail"]
+        assert tail == 3e-9 / 0.1
 
 
 class TestBranch:
@@ -345,12 +339,18 @@ class TestBranch:
         c64 = b64.states[-1].chi_c
         assert abs(c32 - c64) / abs(c64) <= 1e-8
 
-    def test_arclength_switch_agrees(self, params, f_act, f_und):
+    def test_arclength_switch_agrees(self, params, f_act, f_und,
+                                     monkeypatch):
         direct = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
                                  n=N_TEST)
+        _stall_between(monkeypatch, 0.02, 0.06)
         switched = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
-                                   n=N_TEST, cond_switch=0.0)
+                                   n=N_TEST)
         assert switched.used_arclength
+        assert switched.arclength_from_V == direct.states[1].V
+        for a, b in zip(direct.states[:2], switched.states):
+            assert np.array_equal(waves._pack(a), waves._pack(b))
+        assert len(switched.states) > 3     # tail points besides V_max
         assert abs(switched.states[-1].V - 0.06) <= 1e-12
         assert abs(switched.states[-1].chi_c
                    - direct.states[-1].chi_c) <= 1e-9
@@ -363,7 +363,7 @@ class TestBranch:
     def test_one_jacobian_per_newton_iteration(self, params, f_act, f_und,
                                                monkeypatch):
         # Every analytic Jacobian the branch builds is one that Newton
-        # asked for: the conditioning switch reuses Newton's last one.
+        # asked for, and a guess that already solves the system builds none.
         built = asked = 0
         real_jacobian = waves._residual_jacobian
         real_newton = waves.newton_solve
@@ -387,33 +387,16 @@ class TestBranch:
         assert not branch.used_arclength
         assert asked >= len(branch.states) - 1
         assert built == asked
-
-    def test_finite_cond_switch(self, params, f_act, f_und):
-        direct = continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
-                                 n=N_TEST)
-        assert not direct.used_arclength
-        conds = [s.jacobian_cond for s in direct.states[1:]]
-        assert all(c is not None and np.isfinite(c) for c in conds)
-        assert direct.states[0].jacobian_cond is None
-        switch = math.sqrt(conds[0] * conds[-1])
-        assert min(conds[0], conds[-1]) < switch < max(conds[0], conds[-1])
-        first = next(i for i, c in enumerate(conds, start=1) if c > switch)
-        switched = continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
-                                   n=N_TEST, cond_switch=switch)
-        assert switched.used_arclength
-        # Fixed-speed states up to and including the first one over the
-        # switch, then pseudo-arclength points (no Newton condition number).
-        for a, b in zip(direct.states[:first + 1], switched.states):
-            assert b.V == a.V and b.chi_c == a.chi_c
-            assert b.jacobian_cond == a.jacobian_cond
-        assert switched.states[first + 1].jacobian_cond is None
-        assert switched.states[first + 1].V != direct.states[first + 1].V
-        assert abs(switched.states[-1].V - 0.1) <= 1e-12
+        state = branch.states[-1]
+        again = waves.solve_at_velocity(state.V, state, params, f_act, f_und)
+        assert built == asked
+        assert np.array_equal(waves._pack(again), waves._pack(state))
 
     def test_arclength_states_carry_checked_diagnostics(self, params, f_act,
-                                                         f_und):
+                                                         f_und, monkeypatch):
+        _stall_between(monkeypatch, 0.02, 0.06)
         branch = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
-                                 n=N_TEST, cond_switch=0.0)
+                                 n=N_TEST)
         assert branch.used_arclength
         assert len(branch.states) > 3       # tail points besides V_max
         for state in branch.states:
@@ -422,24 +405,80 @@ class TestBranch:
             assert diag["centering_error"] <= 1e-10
             assert diag["min_boundary_concentration"] > 0
             assert diag["residual_sup"] <= 1e-8
+            assert diag["spectral_tail"] <= waves.TAIL_TOL
 
     def test_arclength_violation_raises(self, params, f_act, f_und,
                                         monkeypatch):
-        # Report a constraint violation for the tail points only (the
-        # fixed-speed solves land on V = 0.02 and V = 0.06 exactly).
+        # Report a constraint violation for the tail points only: with
+        # every fixed-speed solve strictly between 0.02 and 0.06 failing,
+        # the only states checked at such speeds are arclength points.
+        _stall_between(monkeypatch, 0.02, 0.06)
         honest = waves.state_diagnostics
+        violated = []
 
         def fake(state, *args, **kwargs):
             diag = honest(state, *args, **kwargs)
-            if state.V not in (0.0, 0.02, 0.06):
+            if 0.02 < state.V < 0.06:
+                violated.append(state.V)
                 diag["area_error"] = 1.0
             return diag
 
         monkeypatch.setattr(waves, "state_diagnostics", fake)
         with pytest.raises(SolverError, match="constraint violation") as info:
             continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
-                            n=N_TEST, cond_switch=0.0)
+                            n=N_TEST)
         assert not isinstance(info.value, ContinuationStalledError)
+        assert len(violated) == 1
+
+    def test_unresolved_tail_point_stops_the_branch(self, params, f_act,
+                                                    f_und, monkeypatch):
+        # The certificate also guards the arclength points: the first one
+        # over TAIL_TOL stops the branch, which keeps only resolved states.
+        _stall_between(monkeypatch, 0.02, 0.06)
+        honest = waves.state_diagnostics
+
+        def fake(state, *args, **kwargs):
+            diag = honest(state, *args, **kwargs)
+            if state.V > 0.02:
+                diag["spectral_tail"] = 1e-3
+            return diag
+
+        monkeypatch.setattr(waves, "state_diagnostics", fake)
+        with pytest.raises(ContinuationStalledError,
+                           match=r"unresolved shape at V=0\.0\d+: spectral "
+                                 r"tail 1\.000e-03 .* at N=32") as info:
+            continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                            n=N_TEST)
+        partial = info.value.points
+        assert partial.velocities().tolist() == [0.0, 0.02]
+        assert partial.arclength_from_V == 0.02
+
+    def test_stall_at_the_first_step_raises(self, params, f_act, f_und,
+                                            monkeypatch):
+        # With only the root there is no secant to start arclength from.
+        _stall_between(monkeypatch, 0.0, 0.06)
+        with pytest.raises(ContinuationStalledError,
+                           match="stalled before V=0.02") as info:
+            continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                            n=N_TEST)
+        assert len(info.value.points.states) == 1
+        assert not info.value.points.used_arclength
+
+
+def _stall_between(monkeypatch, V_from, V_to):
+    """Fail every fixed-speed solve strictly between V_from and V_to.
+
+    Fixed-speed stepping then stalls after V_from; a solve at V_to itself,
+    which is how the arclength tail lands on V_max, still runs.
+    """
+    real_solve = waves.solve_at_velocity
+
+    def stalling(V, *args, **kwargs):
+        if V_from < V < V_to:
+            raise SolverError(f"forced failure at V={V:g}")
+        return real_solve(V, *args, **kwargs)
+
+    monkeypatch.setattr(waves, "solve_at_velocity", stalling)
 
 
 def _packed_state(V, u, R0=1.0):
@@ -501,25 +540,32 @@ class TestPredictor:
 
     def test_substep_halving_matches_small_steps(self, f_act, f_und,
                                                  monkeypatch):
-        # At gamma = 0.1 the branch folds near V = 1.1755; the last full
-        # step of ds = 0.39 fails there and is retried in halves, each
-        # predicted through the unevenly spaced history.
+        # A solve more than 0.1 in V past the last one fails, as outside a
+        # Newton basin, so each full step of ds = 0.27 is retried in halves
+        # (two levels deep), each predicted through the unevenly
+        # spaced history.  The steps that fail for real, at the gamma = 0.1
+        # fold near V = 1.1755, end on shapes the certificate refuses.
         p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
                         M=math.pi)
         failed = []
+        solved = [0.0]
         real_solve = waves.solve_at_velocity
 
-        def logging_solve(V, *args, **kwargs):
-            try:
-                return real_solve(V, *args, **kwargs)
-            except SolverError:
+        def basin_solve(V, *args, **kwargs):
+            if V - solved[-1] > 0.1:
                 failed.append(V)
-                raise
+                raise SolverError(f"step to V={V:g} leaves the basin")
+            state = real_solve(V, *args, **kwargs)
+            solved.append(V)
+            return state
 
-        monkeypatch.setattr(waves, "solve_at_velocity", logging_solve)
-        coarse = continue_branch(p, f_act, f_und, V_max=1.17, ds=0.39, n=64)
-        assert failed
-        fine = continue_branch(p, f_act, f_und, V_max=1.17, ds=0.01, n=64)
+        monkeypatch.setattr(waves, "solve_at_velocity", basin_solve)
+        coarse = continue_branch(p, f_act, f_und, V_max=0.81, ds=0.27, n=64)
+        assert np.allclose(failed, [0.27, 0.135, 0.27, 0.54, 0.405, 0.54,
+                                    0.81, 0.675, 0.81], atol=1e-12)
+        assert not coarse.used_arclength
+        monkeypatch.undo()
+        fine = continue_branch(p, f_act, f_und, V_max=0.81, ds=0.01, n=64)
         vs = fine.velocities()
         assert len(coarse.states) == 4
         for state in coarse.states[1:]:
@@ -558,10 +604,12 @@ class TestPredictor:
             assert np.max(np.abs(waves._pack(a) - waves._pack(b))) <= 1e-10
 
     def test_fold_stall_pinned(self, f_act, f_und, monkeypatch):
-        # At gamma = 0.1 and N = 64 the branch folds near V = 1.1755.  The
-        # condition number stays far below cond_switch, so fixed-speed
-        # stepping stalls at the fold and hands back the partial branch.
-        # A constant predictor needs 411 Jacobians to get there.
+        # At gamma = 0.1 and N = 64 the branch folds near V = 1.1755, but
+        # its shapes stop being resolved well before: the spectral tail
+        # first exceeds TAIL_TOL at V = 0.85, and the branch stops there
+        # with the resolved states only, never reaching the fold or the
+        # arclength hand-over.  A constant predictor needs 411 Jacobians
+        # to get to the fold.
         p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
                         M=math.pi)
         built = 0
@@ -574,11 +622,16 @@ class TestPredictor:
 
         monkeypatch.setattr(waves, "_residual_jacobian", counting_jacobian)
         with pytest.raises(ContinuationStalledError,
-                           match=r"before V=1\.18:.* at V=1\.17547") as info:
+                           match=r"unresolved shape at V=0\.85: spectral tail "
+                                 r"1\.\d+e-08 exceeds TAIL_TOL=1e-08 at N=64"
+                           ) as info:
             continue_branch(p, f_act, f_und, V_max=1.5, ds=0.01, n=64)
-        states = info.value.points.states
-        assert len(states) == 118
-        assert abs(states[-1].V - 1.17) <= 1e-12
+        partial = info.value.points
+        assert len(partial.states) == 85
+        assert abs(partial.states[-1].V - 0.84) <= 1e-12
+        assert not partial.used_arclength
+        assert all(s.diagnostics["spectral_tail"] <= waves.TAIL_TOL
+                   for s in partial.states)
         assert built < 411
 
 
