@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ContinuationStalledError
 from .forces import hill_active, linear_undercooling, tanh_undercooling
 from .model import ModelParams, chi_c_star
 from .special import bessel_I, bessel_J_roots
@@ -162,24 +163,33 @@ def criterion_bifurcation_structure(config) -> CriterionResult:
 def criterion_branch_invariants(config) -> CriterionResult:
     """6: every branch state up to V = 0.3 satisfies the pointwise curvature
     equation (1e-9), area and centering constraints (1e-10) and reproduces
-    the marker mass (1e-9 relative)."""
+    the marker mass (1e-9 relative).  A branch that stops before V_max
+    (a stall, or a shape its truncation does not resolve) fails the
+    criterion, with the reason under ``stalled``."""
     params = config.params
-    branch = continue_branch(params, config.f_act, config.f_und,
-                             V_max=config.analysis["V_max"],
-                             ds=config.analysis["ds"],
-                             n=config.analysis["N"],
-                             tol=config.analysis["newton_tol"])
+    stalled = None
+    try:
+        branch = continue_branch(params, config.f_act, config.f_und,
+                                 V_max=config.analysis["V_max"],
+                                 ds=config.analysis["ds"],
+                                 n=config.analysis["N"],
+                                 tol=config.analysis["newton_tol"])
+    except ContinuationStalledError as exc:
+        branch, stalled = exc.points, str(exc)
     worst = {"residual_sup": 0.0, "area_error": 0.0, "centering_error": 0.0,
              "mass_rel_error": 0.0}
     for state in branch.states[1:]:
         diag = state.diagnostics
         for key in worst:
             worst[key] = max(worst[key], diag[key])
-    ok = (worst["residual_sup"] <= 1e-9
+    ok = (stalled is None
+          and worst["residual_sup"] <= 1e-9
           and worst["area_error"] <= 1e-10
           and worst["centering_error"] <= 1e-10
           and worst["mass_rel_error"] <= 1e-9)
     worst["n_states"] = len(branch.states)
+    if stalled is not None:
+        worst["stalled"] = stalled
     return CriterionResult(6, "branch invariants up to V_max", ok, worst)
 
 

@@ -61,6 +61,18 @@ def test_criterion_06_branch_invariants(config):
     _check(acceptance.criterion_branch_invariants(config))
 
 
+def test_criterion_06_fails_on_an_unresolved_branch():
+    # gamma = 0.1 stops before V = 0.85 at N = 64: the criterion fails
+    # with the reason instead of aborting the whole verify run.
+    cfg = json.loads(json.dumps(CONFIG_DICT))
+    cfg["model"]["gamma"] = 0.1
+    cfg["analysis"]["V_max"] = 1.0
+    result = acceptance.criterion_branch_invariants(validate_config(cfg))
+    assert not result.passed
+    assert result.details["stalled"].startswith("unresolved shape at V=0.85")
+    assert result.details["n_states"] == 85
+
+
 def test_criterion_07_expansion_coefficients(config):
     _check(acceptance.criterion_expansion_coefficients(config))
 
