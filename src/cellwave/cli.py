@@ -27,14 +27,13 @@ from .errors import (
     ContinuationStalledError,
     SolverError,
 )
-from .model import chi_c_star, resting_state
+from .model import chi_c_star, resting_state, tw_concentration
 from .stability import classify, mode_spectrum
 from .waves import (
+    _checked_boundary,
     bifurcation_report,
     collocation_nodes,
     continue_branch,
-    mean_curvature,
-    normal_x,
 )
 
 EXIT_OK = 0
@@ -173,28 +172,17 @@ def _branch_summary(branch) -> dict:
     }
 
 
-def cmd_branch(config: RunConfig, outdir: Path) -> int:
-    """Trace the branch and emit its states plus the expansion report."""
-    params = config.params
-    csv_path = outdir / "branch.csv"
-    json_path = outdir / "branch_report.json"
-    try:
-        branch = _branch(config)
-    except ContinuationStalledError as exc:
-        header, rows = _branch_rows(exc.points, config)
-        _write_csv(csv_path, header, rows)
-        _write_json(json_path, {"error": str(exc),
-                                "states_completed": len(exc.points.states),
-                                **_branch_summary(exc.points)})
-        print(f"branch stalled: wrote partial {csv_path}", file=sys.stderr)
-        return EXIT_PARTIAL
-    header, rows = _branch_rows(branch, config)
-    _write_csv(csv_path, header, rows)
-    report = bifurcation_report(params, config.f_act, config.f_und,
+def _branch_report(config: RunConfig, branch) -> dict:
+    """The expansion report at the branch root and the branch summary.
+
+    ``bifurcation_report`` solves only at speeds up to ``report_step``, so
+    it does not depend on where the branch stopped.
+    """
+    report = bifurcation_report(config.params, config.f_act, config.f_und,
                                 n=config.analysis["N"],
                                 h=config.analysis["report_step"],
                                 tol=config.analysis["newton_tol"])
-    _write_json(json_path, {
+    return {
         "chi_c_star_closed_form": report.chi_c_star_closed_form,
         "chi_c_star_numeric": report.chi_c_star_numeric,
         "d_chi_ds_at_0": report.d_chi_ds_at_0,
@@ -207,7 +195,35 @@ def cmd_branch(config: RunConfig, outdir: Path) -> int:
         "used_arclength": branch.used_arclength,
         "n_states": len(branch.states),
         **_branch_summary(branch),
-    })
+    }
+
+
+def cmd_branch(config: RunConfig, outdir: Path) -> int:
+    """Trace the branch and emit its states plus the expansion report.
+
+    A stopped branch emits its resolved states and the same report, plus
+    ``error`` and ``states_completed``, with exit 4; if the report's own
+    solves fail too, the report holds the stop and the summary only.
+    """
+    csv_path = outdir / "branch.csv"
+    json_path = outdir / "branch_report.json"
+    try:
+        branch, stop = _branch(config), {}
+    except ContinuationStalledError as exc:
+        branch = exc.points
+        stop = {"error": str(exc), "states_completed": len(branch.states)}
+    header, rows = _branch_rows(branch, config)
+    _write_csv(csv_path, header, rows)
+    try:
+        payload = _branch_report(config, branch)
+    except SolverError:
+        if not stop:
+            raise
+        payload = _branch_summary(branch)
+    _write_json(json_path, {**payload, **stop})
+    if stop:
+        print(f"branch stalled: wrote partial {csv_path}", file=sys.stderr)
+        return EXIT_PARTIAL
     print(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
     return EXIT_OK
 
@@ -219,7 +235,6 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
     exit 4, when the speed lies inside it; otherwise the stall is a
     solver failure.
     """
-    params = config.params
     code = EXIT_OK
     try:
         state = _branch(config).state_nearest(velocity)
@@ -230,13 +245,11 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
             raise exc from None
         print(f"branch stalled: {exc}", file=sys.stderr)
         code = EXIT_PARTIAL
-    thetas = collocation_nodes(state.shape.N)
-    radius = state.shape.radius(thetas)
-    n1 = normal_x(state.shape, thetas)
-    kappa = mean_curvature(state.shape, thetas)
-    c_bnd = state.c1 * np.exp(-params.a * state.V * radius * np.cos(thetas))
-    rows = [[t, r, n, k, c]
-            for t, r, n, k, c in zip(thetas, radius, n1, kappa, c_bnd)]
+    b = _checked_boundary(state.shape)
+    c_bnd = tw_concentration(config.params, state.V, state.c1,
+                             (b.r * b.cos,))
+    rows = list(zip(collocation_nodes(state.shape.N), b.r, b.n1, b.kappa,
+                    c_bnd))
     path = outdir / "shape.csv"
     _write_csv(path, ["theta", "radius", "n1", "kappa", "c_boundary"], rows)
     print(f"wrote {path} (state V={_fmt(state.V)}, chi_c={_fmt(state.chi_c)})")

@@ -58,7 +58,6 @@ class RunConfig:
     f_und: ForceLaw
     analysis: dict
     output: dict
-    raw: dict
 
 
 def _require_number(section: str, key: str, value) -> float:
@@ -195,7 +194,7 @@ def validate_config(data: dict) -> RunConfig:
 
     return RunConfig(params=params, f_act=built["active"],
                      f_und=built["undercooling"], analysis=analysis,
-                     output=output, raw=data)
+                     output=output)
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

@@ -193,7 +193,7 @@ def find_complex_roots(
     *,
     fun_grid=None,
     conjugate: bool = False,
-) -> list[complex]:
+) -> list[tuple[complex, float]]:
     """Locate roots of an analytic function on a rectangle.
 
     The function is sampled on a seed grid, and ``_complex_newton`` runs
@@ -201,7 +201,7 @@ def find_complex_roots(
     |f| <= ROOT_TOL * scale.  Its end point is a root when
     |f| <= RESIDUAL_TOL * scale there and it lies within a 2% margin of
     the region.  Roots are deduplicated (pairwise distance > DEDUP_TOL,
-    the smaller residual kept) and returned sorted by (real, imag).
+    the smaller residual kept).
 
     Parameters
     ----------
@@ -216,22 +216,22 @@ def find_complex_roots(
         Vectorised f over a flat complex array (else evaluate is looped).
     conjugate : bool
         Declares f(conj z) = conj f(z), so the roots off the real axis come
-        in conjugate pairs.  If the rectangle is also symmetric
-        (im_min == -im_max) only its upper half is screened: f is
-        evaluated on the rows of the seed grid with Im >= 0 (the same
-        points as the full grid; for odd ny the middle row is the real
-        axis), |f| is mirrored for the local-minimum scan, and Newton
-        starts only from minima in the upper half.  A root Newton finds
-        below the axis is replaced by its conjugate, so the result holds
-        one member of each pair, the one with Im >= 0, and the roots are
-        the returned ones together with their conjugates.  On an
-        asymmetric rectangle the whole grid is screened as without
-        ``conjugate``.
+        in conjugate pairs.  A root found below the axis is replaced by its
+        conjugate before the dedup, and every root with Im > DEDUP_TOL is
+        then joined by its exact conjugate with the same residual.  If the
+        rectangle is also symmetric (im_min == -im_max) only its upper
+        half is screened: f is evaluated on the rows of the seed grid with
+        Im >= 0 (the same points as the full grid; for odd ny the middle
+        row is the real axis), |f| is mirrored for the local-minimum scan,
+        and Newton starts only from minima in the upper half.  On an
+        asymmetric rectangle the whole grid is screened.
 
     Returns
     -------
-    list of complex
-        Possibly empty; no convergence anywhere is not an error.
+    list of (complex, float)
+        Each root with the residual |f| / scale its Newton run ended at,
+        sorted by (real, imag) of the root.  Possibly empty; no
+        convergence anywhere is not an error.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = seeds
@@ -257,12 +257,12 @@ def find_complex_roots(
         root, res = _complex_newton(evaluate, z0, ROOT_TOL)
         if not res <= RESIDUAL_TOL:
             continue
-        if half and root.imag < 0.0:
-            root = root.conjugate()
         if not (re_min - margin_re <= root.real <= re_max + margin_re):
             continue
         if not (im_min - margin_im <= root.imag <= im_max + margin_im):
             continue
+        if conjugate and root.imag < 0.0:
+            root = root.conjugate()
         for k, (other, other_res) in enumerate(found):
             if abs(root - other) <= DEDUP_TOL:
                 if res < other_res:
@@ -270,8 +270,10 @@ def find_complex_roots(
                 break
         else:
             found.append((root, res))
-    roots = sorted((r for r, _ in found), key=lambda z: (z.real, z.imag))
-    return roots
+    if conjugate:
+        found += [(z.conjugate(), res) for z, res in found
+                  if z.imag > DEDUP_TOL]
+    return sorted(found, key=lambda pair: (pair[0].real, pair[0].imag))
 
 
 def arclength_continue(

@@ -151,39 +151,22 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     passing |kernel| <= RESIDUAL_TOL * scale inside the rectangle.  The
     kernel has real coefficients, so the search runs with
     ``conjugate=True`` (on a symmetric rectangle it screens the upper half
-    only), and every root with |Im| > DEDUP_TOL is joined by its exact
-    conjugate with the same residual: the roots off the real axis come out
-    in exact conjugate pairs.  ``residuals[i]`` is
-    |value| / max(scale, 1e-300) of ``dispersion_kernel`` at ``roots[i]``.
+    only), and the roots off the real axis come out in exact conjugate
+    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of
+    ``dispersion_kernel`` at ``roots[i]``, as its Newton run computed it.
     """
     if region is None:
         region = default_root_region(params)
     fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
-    roots = []
-    residuals = []
-    for z in find_complex_roots(kernel, region, seeds, fun_grid=fun_grid,
-                                conjugate=True):
-        # An asymmetric rectangle can yield both members of a pair.
-        if any(abs(z - other) <= DEDUP_TOL for other in roots):
-            continue
-        val, scale, _ = kernel(z)
-        rel = abs(val) / max(scale, 1e-300)
-        roots.append(z)
-        residuals.append(rel)
-        if abs(z.imag) > DEDUP_TOL:
-            roots.append(z.conjugate())
-            residuals.append(rel)
-    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    roots = [roots[i] for i in order]
-    residuals = [residuals[i] for i in order]
-    principal = None
-    if roots:
-        principal = max(roots, key=lambda z: (z.real, -abs(z.imag), z.imag))
+    found = find_complex_roots(kernel, region, seeds, fun_grid=fun_grid,
+                               conjugate=True)
+    roots = tuple(z for z, _ in found)
     return ModeSpectrum(
         m=m,
-        roots=tuple(roots),
-        residuals=tuple(residuals),
-        principal=principal,
+        roots=roots,
+        residuals=tuple(res for _, res in found),
+        principal=max(roots, key=lambda z: (z.real, -abs(z.imag), z.imag),
+                      default=None),
         zero_eigenspace_dim=zero_eigenspace_dimension(m, params, f_act, f_und),
     )
 

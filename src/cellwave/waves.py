@@ -92,6 +92,10 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
 
     A zero-padded inverse real FFT of the cosine series; on the 2N grid
     mode N is the Nyquist mode, which the inverse transform weights twice.
+    It stays apart from ``_boundary`` on purpose: it serves the dense
+    grids that need the radius only (the 4N positivity check of
+    ``Shape``, the c1 quadrature and the 4N mass check), and moving c1 to
+    the matrix product would change it in its last bits.
     """
     spec = 0.5 * m * rho_cos
     spec[0] *= 2.0
@@ -102,12 +106,9 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Boundary:
-    """Polar boundary r = R0 + rho sampled at a set of angles.
-
-    ``q = r^2 + r'^2``; ``cos``/``sin`` are those of the angles.  The
-    curvature is kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the outward
-    unit normal is (r cos + r' sin, r sin - r' cos) / sqrt(q).
-    """
+    """Polar boundary r = R0 + rho sampled at a set of angles, with its
+    derivatives, curvature and outward unit normal (see ``_boundary``);
+    ``cos``/``sin`` are those of the angles."""
 
     cos: np.ndarray
     sin: np.ndarray
@@ -123,7 +124,13 @@ class _Boundary:
 def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
     """Boundary fields on the cached collocation tables (``theta`` None) or
     at the given angles; the derivatives are spectral (exact for the
-    stored cosine series)."""
+    stored cosine series).  With q = r^2 + r'^2 the curvature is
+    kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the outward unit normal
+    is (r cos + r' sin, r sin - r' cos) / sqrt(q).
+
+    The one evaluator of the cosine series and its derivatives at given
+    angles: every reader of boundary geometry calls it.
+    """
     n = rho_cos.size - 1
     _, k, cos_t, sin_t = _grid(n) if theta is None else _trig_tables(n, theta)
     cos_th, sin_th = cos_t[1], sin_t[1]
@@ -168,20 +175,9 @@ class Shape:
     def N(self) -> int:
         return self.rho_cos.size - 1
 
-    def rho(self, theta):
-        _, _, cos_t, _ = _trig_tables(self.N, theta)
-        return _like_theta(self.rho_cos @ cos_t, theta)
-
-    def drho(self, theta):
-        _, k, _, sin_t = _trig_tables(self.N, theta)
-        return _like_theta(-(self.rho_cos * k) @ sin_t, theta)
-
-    def d2rho(self, theta):
-        _, k, cos_t, _ = _trig_tables(self.N, theta)
-        return _like_theta(-(self.rho_cos * k * k) @ cos_t, theta)
-
     def radius(self, theta):
-        return self.R0 + self.rho(theta)
+        """R0 + rho at the angles (a float for a scalar angle)."""
+        return _like_theta(_boundary(self.rho_cos, self.R0, theta).r, theta)
 
 
 def disk_shape(R0: float, n: int = DEFAULT_N) -> Shape:
@@ -189,8 +185,9 @@ def disk_shape(R0: float, n: int = DEFAULT_N) -> Shape:
     return Shape(np.zeros(n + 1), R0)
 
 
-def _checked_boundary(shape: Shape, theta) -> _Boundary:
-    """Boundary fields at the angles; a non-positive radius is an error."""
+def _checked_boundary(shape: Shape, theta=None) -> _Boundary:
+    """Boundary fields at the angles (the collocation nodes for ``theta``
+    None); a non-positive radius is an error."""
     b = _boundary(shape.rho_cos, shape.R0, theta)
     if np.min(b.r) <= 0.0:
         raise GeometryError("degenerate radius")
@@ -209,11 +206,8 @@ def normal_x(shape: Shape, theta):
 
 
 def mean_curvature(shape: Shape, theta):
-    """Curvature of the polar boundary (positive for a disk).
-
-    kappa = (r^2 + 2 r'^2 - r r'') / (r^2 + r'^2)^(3/2) with r = R0 + rho;
-    the derivatives are spectral (exact for the stored cosine series).
-    """
+    """Curvature of the polar boundary (positive for a disk), as
+    ``_boundary`` defines it."""
     return _like_theta(_checked_boundary(shape, theta).kappa, theta)
 
 
@@ -443,7 +437,9 @@ def linearized_residual(rho_cos, V, p1, chi_c, params: ModelParams,
         + (chi_u f_und'(0) + R0 - a c0 chi_c f_act'(c0) R0) V cos(theta)
         - p1
     followed by the linearised area (4 pi R0 rho_0) and centering (pi rho_1)
-    rows, discretised exactly like ``residual_F``.
+    rows, discretised exactly like ``residual_F``.  It evaluates rho and
+    rho'' itself and not through ``_boundary``: it is the independent
+    reference that acceptance criterion 8 checks the residual against.
     """
     rho_cos = np.asarray(rho_cos, dtype=float)
     n = rho_cos.size - 1
@@ -533,9 +529,7 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
         "area_error": abs(area),
         "centering_error": abs(centering),
         "mass_rel_error": abs(mass - params.M) / params.M,
-        "min_boundary_concentration": float(
-            np.min(state.c1 * np.exp(-params.a * state.V * x))
-        ),
+        "min_boundary_concentration": float(np.min(conc)),
         "spectral_tail": tail,
     }
 

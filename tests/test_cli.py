@@ -10,8 +10,16 @@ import pytest
 from cellwave import Shape, _kernels, bessel_J_roots, chi_c_star
 from cellwave.cli import main
 from cellwave.config import load_config
+from cellwave.model import tw_concentration
 from cellwave.solvers import _seed_grid
-from cellwave.waves import mean_curvature, normal_x, project_cosine
+from cellwave.waves import (
+    _boundary,
+    collocation_nodes,
+    continue_branch,
+    mean_curvature,
+    normal_x,
+    project_cosine,
+)
 
 
 def base_config(outdir, **analysis):
@@ -210,7 +218,10 @@ class TestBranchCommand:
         lines = (out / "branch.csv").read_text().splitlines()
         assert len(lines) == 2          # header + the V=0 root state
         report = json.loads((out / "branch_report.json").read_text())
-        assert "error" in report
+        # The expansion report's own solves fail too: the stop and the
+        # branch summary only.
+        assert set(report) == {"error", "states_completed",
+                               "spectral_tail_max", "arclength_from_V"}
         assert report["states_completed"] == 1
 
     def test_unresolved_branch_exits_4(self, tmp_path):
@@ -228,6 +239,15 @@ class TestBranchCommand:
         lines = (out / "branch.csv").read_text().splitlines()
         assert len(lines) == 1 + report["states_completed"]
         assert float(lines[-1].split(",")[0]) < 0.85
+        # The expansion report solves only up to report_step, so the
+        # stopped branch reports what a branch that ends early reports.
+        short = tmp_path / "short"
+        assert main(["branch", "-c", path, "-o", str(short),
+                     "--set", "analysis.V_max=0.3"]) == 0
+        whole = json.loads((short / "branch_report.json").read_text())
+        for key in ("d_chi_ds_at_0", "d2_chi_ds2_at_0", "verdict",
+                    "symmetry"):
+            assert report[key] == whole[key]
 
     def test_branch_rows_revalidate(self, tmp_path):
         # Re-ingest emitted rows: rebuild shapes from the full-width rho
@@ -290,6 +310,30 @@ class TestShapeCommand:
         assert np.max(np.abs(normal_x(shape, thetas) - n1)) <= 1e-9
         assert np.max(np.abs(mean_curvature(shape, thetas) - kappa)) <= 1e-8
 
+    def test_columns_are_one_boundary_evaluation(self, tmp_path):
+        # radius, n1 and kappa are the fields of one _boundary evaluation
+        # on the collocation nodes, and c_boundary is the closed-form
+        # concentration at the emitted boundary points.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["shape", "-c", path, "--velocity", "0.04"]) == 0
+        run = load_config(path)
+        state = continue_branch(run.params, run.f_act, run.f_und,
+                                V_max=run.analysis["V_max"],
+                                ds=run.analysis["ds"],
+                                n=run.analysis["N"]).state_nearest(0.04)
+        b = _boundary(state.shape.rho_cos, state.shape.R0)
+        rows = np.array([list(map(float, line.split(","))) for line in
+                         (out / "shape.csv").read_text().splitlines()[1:]])
+        theta, radius, n1, kappa, conc = rows.T
+        assert np.array_equal(theta, collocation_nodes(state.shape.N))
+        assert np.array_equal(radius, b.r)
+        assert np.array_equal(n1, b.n1)
+        assert np.array_equal(kappa, b.kappa)
+        x = radius * np.cos(theta)
+        assert np.array_equal(
+            conc, tw_concentration(run.params, state.V, state.c1, (x,)))
+
     def test_stalled_branch(self, tmp_path, capsys):
         # gamma = 0.1 stops before V = 0.85 (unresolved shapes): a speed
         # inside the partial branch gets its contour with exit 4, one
@@ -313,3 +357,18 @@ class TestShapeCommand:
         path = write_config(tmp_path, cfg)
         assert main(["shape", "-c", path, "--velocity", "0.5"]) == 2
         assert "range error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["resting-state"],
+                                     ["shape", "--velocity", "0.04"]])
+def test_reruns_byte_identical(tmp_path, command):
+    # Two runs of one config into separate directories write the same
+    # files, byte for byte.
+    path = write_config(tmp_path, base_config(tmp_path / "unused"))
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main([command[0], "-c", path, "-o", str(out),
+                     *command[1:]]) == 0
+        runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert runs[0] and runs[0] == runs[1]

@@ -44,6 +44,11 @@ class TestNewton:
         assert err.best_residual >= 1.0
 
 
+def _roots(evaluate, region, seeds):
+    """The roots ``find_complex_roots`` locates, without their residuals."""
+    return [z for z, _ in find_complex_roots(evaluate, region, seeds)]
+
+
 def _central_difference(fun):
     """evaluate(z) -> (f, 1.0, f') for a function with no analytic slope."""
     def evaluate(z):
@@ -54,15 +59,27 @@ def _central_difference(fun):
 
 class TestComplexRoots:
     def test_quadratic(self):
-        roots = find_complex_roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
-                                   (-2, 2, -2, 2), (20, 20))
+        roots = _roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
+                       (-2, 2, -2, 2), (20, 20))
         assert len(roots) == 2
         assert abs(roots[0] - (-1j)) <= 1e-8
         assert abs(roots[1] - 1j) <= 1e-8
 
+    @pytest.mark.parametrize("region", [(-2, 2, -2, 2), (-2, 2, -0.5, 2)])
+    def test_conjugate_pairs_completed(self, region):
+        # f has real coefficients: the search itself adds each partner,
+        # exactly conjugate and with the same residual, on a symmetric
+        # rectangle (upper half screened) and on an asymmetric one.
+        found = find_complex_roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
+                                   region, (20, 20), conjugate=True)
+        assert len(found) == 2
+        (low, low_res), (high, high_res) = found
+        assert abs(high - 1j) <= 1e-8
+        assert low == high.conjugate() and low_res == high_res
+
     def test_cube_roots_of_unity(self):
-        roots = find_complex_roots(lambda z: (z ** 3 - 1.0, 1.0, 3.0 * z * z),
-                                   (-2, 2, -2, 2), (20, 20))
+        roots = _roots(lambda z: (z ** 3 - 1.0, 1.0, 3.0 * z * z),
+                       (-2, 2, -2, 2), (20, 20))
         expected = sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
                           key=lambda z: (z.real, z.imag))
         assert len(roots) == 3
@@ -73,8 +90,7 @@ class TestComplexRoots:
         # The raw mode-0 dispersion function on [-60, 1] x [-1, 1] has the
         # structural double zero at the origin plus the two J_1-root values.
         fun = lambda z: dispersion_H(0, z, params, f_act, f_und)
-        roots = find_complex_roots(_central_difference(fun), (-60, 1, -1, 1),
-                                   (50, 11))
+        roots = _roots(_central_difference(fun), (-60, 1, -1, 1), (50, 11))
         j1 = bessel_J_roots(1, 2)
         expected = sorted([-j1[1] ** 2, -j1[0] ** 2, 0.0])
         assert len(roots) == 3
@@ -85,11 +101,13 @@ class TestComplexRoots:
         fun = lambda z: (z - 0.5) * (z + 0.25j) * (z - 2.0)
         slope = lambda z: ((z + 0.25j) * (z - 2.0) + (z - 0.5) * (z - 2.0)
                            + (z - 0.5) * (z + 0.25j))
-        roots = find_complex_roots(lambda z: (fun(z), 1.0, slope(z)),
+        found = find_complex_roots(lambda z: (fun(z), 1.0, slope(z)),
                                    (-3, 3, -3, 3), (25, 25))
-        for i, a in enumerate(roots):
-            assert abs(fun(a)) <= 1e-8
-            for b in roots[i + 1:]:
+        assert len(found) == 3
+        for i, (a, res) in enumerate(found):
+            # The residual is the one Newton ended at: |f| / scale there.
+            assert res == abs(fun(a)) <= 1e-8
+            for b, _ in found[i + 1:]:
                 assert abs(a - b) > 1e-6
 
     def test_no_roots_returns_empty(self):
