@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 solver/verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -173,7 +174,8 @@ def _branch_summary(branch) -> dict:
 
 
 def _branch_report(config: RunConfig, branch) -> dict:
-    """The expansion report at the branch root and the branch summary.
+    """The expansion report at the branch root, without its ``details``,
+    and the branch summary.
 
     ``bifurcation_report`` solves only at speeds up to ``report_step``, so
     it does not depend on where the branch stopped.
@@ -183,15 +185,8 @@ def _branch_report(config: RunConfig, branch) -> dict:
                                 h=config.analysis["report_step"],
                                 tol=config.analysis["newton_tol"])
     return {
-        "chi_c_star_closed_form": report.chi_c_star_closed_form,
-        "chi_c_star_numeric": report.chi_c_star_numeric,
-        "d_chi_ds_at_0": report.d_chi_ds_at_0,
-        "d2_chi_ds2_at_0": report.d2_chi_ds2_at_0,
-        "d2_chi_error_estimate": report.d2_chi_error_estimate,
-        "d2_chi_ds2_candidates": report.d2_chi_ds2_candidates,
-        "verdict": report.verdict,
-        "matched_within": report.matched_within,
-        "symmetry": report.symmetry,
+        **{f.name: getattr(report, f.name)
+           for f in dataclasses.fields(report) if f.name != "details"},
         "used_arclength": branch.used_arclength,
         "n_states": len(branch.states),
         **_branch_summary(branch),
@@ -325,7 +320,7 @@ def main(argv=None) -> int:
     except BranchRangeError as exc:
         print(f"range error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, CellWaveError) as exc:
+    except CellWaveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     raise AssertionError("unreachable")

@@ -19,21 +19,23 @@ import numpy as np
 from .errors import ConfigError, ForceLawError
 from .forces import ForceLaw, force_law_from_config
 from .model import ModelParams
+from .stability import DEFAULT_MODE_MAX, DEFAULT_SEEDS, THRESHOLD_TOL
+from .waves import DEFAULT_N, REPORT_STEP, SOLVE_TOL
 
 _MODEL_KEYS = ("a", "gamma", "chi_c", "chi_u", "R0", "M")
 
 _ANALYSIS_DEFAULTS = {
     "mode_min": 0,
-    "mode_max": 8,
+    "mode_max": DEFAULT_MODE_MAX,
     "chi_c_grid": {"start": 0.5, "stop": 3.5, "count": 13},
     "root_region": None,
-    "seed_grid": [40, 20],
-    "N": 64,
+    "seed_grid": list(DEFAULT_SEEDS),
+    "N": DEFAULT_N,
     "ds": 0.01,
     "V_max": 0.3,
-    "newton_tol": 1e-12,
-    "threshold_tol": 1e-8,
-    "report_step": 0.04,
+    "newton_tol": SOLVE_TOL,
+    "threshold_tol": THRESHOLD_TOL,
+    "report_step": REPORT_STEP,
     "seed": 20230915,
 }
 

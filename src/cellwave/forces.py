@@ -57,12 +57,11 @@ class ForceLaw:
         return f"ForceLaw({self.family}[{self.kind}], {coeffs})"
 
 
-def validate_force_law(law: ForceLaw, sample_range: float = 8.0,
-                       points: int = VALIDATION_POINTS) -> None:
+def validate_force_law(law: ForceLaw, sample_range: float = 8.0) -> None:
     """Check the structural requirements of a force law by sampling.
 
-    Active laws are sampled on (0, sample_range]; undercooling laws on
-    [-sample_range, sample_range].
+    Active laws are sampled at VALIDATION_POINTS points on
+    (0, sample_range]; undercooling laws on [-sample_range, sample_range].
 
     Raises
     ------
@@ -72,14 +71,15 @@ def validate_force_law(law: ForceLaw, sample_range: float = 8.0,
     if law.kind == "active":
         if abs(law.eval(0.0)) > 1e-14:
             raise ForceLawError("active law must vanish at zero")
-        xs = np.linspace(sample_range / points, sample_range, points)
+        xs = np.linspace(sample_range / VALIDATION_POINTS, sample_range,
+                         VALIDATION_POINTS)
         if np.any(np.asarray(law.d1(xs)) <= 0.0):
             raise ForceLawError("active law must be strictly increasing")
         plateau = law.coefficients.get("l_max")
         if plateau is not None and np.any(np.asarray(law.eval(xs)) >= plateau):
             raise ForceLawError("active law must stay below its plateau")
     elif law.kind == "undercooling":
-        xs = np.linspace(-sample_range, sample_range, points)
+        xs = np.linspace(-sample_range, sample_range, VALIDATION_POINTS)
         odd = np.asarray(law.eval(-xs)) + np.asarray(law.eval(xs))
         scale = 1.0 + np.max(np.abs(np.asarray(law.eval(xs))))
         if np.max(np.abs(odd)) > 1e-12 * scale:

@@ -22,37 +22,35 @@ RESIDUAL_TOL = 1e-9
 #: Roots closer than this are one root.
 DEDUP_TOL = 1e-6
 
+#: Relative forward-difference step of ``fd_jacobian``.
+FD_STEP = 1e-7
 
-def fd_jacobian(fun, x, f0=None, step: float = 1e-7) -> np.ndarray:
-    """Forward-difference Jacobian with per-component step step*(1+|x_i|)."""
+#: ``newton_solve`` gives up after this many iterations, or after this
+#: many step halvings over the whole solve.
+NEWTON_MAX_ITER, NEWTON_MAX_BACKTRACKS = 50, 60
+
+
+def fd_jacobian(fun, x, f0) -> np.ndarray:
+    """Forward-difference Jacobian of fun at x, where fun(x) = f0, with
+    per-component step FD_STEP*(1+|x_i|)."""
     x = np.asarray(x, dtype=float)
-    if f0 is None:
-        f0 = np.asarray(fun(x), dtype=float)
     n = x.size
     jac = np.empty((f0.size, n))
     for i in range(n):
-        h = step * (1.0 + abs(x[i]))
+        h = FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xp[i] += h
         jac[:, i] = (np.asarray(fun(xp), dtype=float) - f0) / h
     return jac
 
 
-def newton_solve(
-    fun,
-    x0,
-    jac=None,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    max_backtracks: int = 60,
-    fd_step: float = 1e-7,
-) -> np.ndarray:
+def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
     """Solve fun(x) = 0 by damped Newton iteration.
 
     Convergence criterion is ||fun(x)||_inf <= tol * (1 + ||x||_inf).  The
     line search halves the step while the residual norm fails to decrease,
-    spending at most ``max_backtracks`` halvings over the whole solve.
+    spending at most NEWTON_MAX_BACKTRACKS halvings over the whole solve,
+    and the solve stops after NEWTON_MAX_ITER iterations.
 
     Parameters
     ----------
@@ -61,8 +59,8 @@ def newton_solve(
     x0 : array_like
         Starting point.
     jac : callable, optional
-        Analytic Jacobian; forward differences with step fd_step*(1+|x_i|)
-        are used when omitted.
+        Analytic Jacobian; ``fd_jacobian`` forward differences are used
+        when omitted.
 
     Returns
     -------
@@ -81,11 +79,11 @@ def newton_solve(
     norm = lambda v: float(np.max(np.abs(v))) if v.size else 0.0
     best_x, best_res = x.copy(), norm(fx)
     backtracks = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = norm(fx)
         if res <= tol * (1.0 + norm(x)):
             return x
-        jmat = jac(x) if jac is not None else fd_jacobian(fun, x, fx, fd_step)
+        jmat = jac(x) if jac is not None else fd_jacobian(fun, x, fx)
         try:
             dx = np.linalg.solve(jmat, -fx)
         except np.linalg.LinAlgError:
@@ -99,7 +97,7 @@ def newton_solve(
                 break
             backtracks += 1
             step *= 0.5
-            if backtracks > max_backtracks:
+            if backtracks > NEWTON_MAX_BACKTRACKS:
                 raise NewtonConvergenceError(
                     f"line search exhausted after {backtracks} halvings "
                     f"(residual {best_res:.3e})",
@@ -111,7 +109,8 @@ def newton_solve(
     if norm(fx) <= tol * (1.0 + norm(x)):
         return x
     raise NewtonConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {best_res:.3e})",
+        f"no convergence in {NEWTON_MAX_ITER} iterations "
+        f"(residual {best_res:.3e})",
         best_x,
         best_res,
     )
@@ -186,22 +185,16 @@ def _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half):
     return xs, ys, zgrid
 
 
-def find_complex_roots(
-    evaluate,
-    region,
-    seeds=(40, 20),
-    *,
-    fun_grid=None,
-    conjugate: bool = False,
-) -> list[tuple[complex, float]]:
+def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
+                       conjugate: bool = False) -> list[tuple[complex, float]]:
     """Locate roots of an analytic function on a rectangle.
 
     The function is sampled on a seed grid, and ``_complex_newton`` runs
     once from every local minimum of |f| on the grid, to
     |f| <= ROOT_TOL * scale.  Its end point is a root when
-    |f| <= RESIDUAL_TOL * scale there and it lies within a 2% margin of
-    the region.  Roots are deduplicated (pairwise distance > DEDUP_TOL,
-    the smaller residual kept).
+    |f| <= RESIDUAL_TOL * scale there.  Roots are deduplicated (pairwise
+    distance > DEDUP_TOL, the smaller residual kept), and every root
+    returned lies in the region enlarged by a 2% margin on each side.
 
     Parameters
     ----------
@@ -218,13 +211,15 @@ def find_complex_roots(
         Declares f(conj z) = conj f(z), so the roots off the real axis come
         in conjugate pairs.  A root found below the axis is replaced by its
         conjugate before the dedup, and every root with Im > DEDUP_TOL is
-        then joined by its exact conjugate with the same residual.  If the
-        rectangle is also symmetric (im_min == -im_max) only its upper
-        half is screened: f is evaluated on the rows of the seed grid with
-        Im >= 0 (the same points as the full grid; for odd ny the middle
-        row is the real axis), |f| is mirrored for the local-minimum scan,
-        and Newton starts only from minima in the upper half.  On an
-        asymmetric rectangle the whole grid is screened.
+        then joined by its exact conjugate with the same residual; on an
+        asymmetric rectangle the member of a pair outside the margin is
+        then dropped.  If the rectangle is also symmetric
+        (im_min == -im_max) only its upper half is screened: f is
+        evaluated on the rows of the seed grid with Im >= 0 (the same
+        points as the full grid; for odd ny the middle row is the real
+        axis), |f| is mirrored for the local-minimum scan, and Newton
+        starts only from minima in the upper half.  On an asymmetric
+        rectangle the whole grid is screened.
 
     Returns
     -------
@@ -252,17 +247,20 @@ def find_complex_roots(
 
     margin_re = 0.02 * (re_max - re_min)
     margin_im = 0.02 * (im_max - im_min)
+
+    def inside(z):
+        return (re_min - margin_re <= z.real <= re_max + margin_re
+                and im_min - margin_im <= z.imag <= im_max + margin_im)
+
     found: list[tuple[complex, float]] = []
     for z0 in starts:
         root, res = _complex_newton(evaluate, z0, ROOT_TOL)
         if not res <= RESIDUAL_TOL:
             continue
-        if not (re_min - margin_re <= root.real <= re_max + margin_re):
-            continue
-        if not (im_min - margin_im <= root.imag <= im_max + margin_im):
-            continue
         if conjugate and root.imag < 0.0:
             root = root.conjugate()
+        if not (inside(root) or conjugate and inside(root.conjugate())):
+            continue
         for k, (other, other_res) in enumerate(found):
             if abs(root - other) <= DEDUP_TOL:
                 if res < other_res:
@@ -273,7 +271,8 @@ def find_complex_roots(
     if conjugate:
         found += [(z.conjugate(), res) for z, res in found
                   if z.imag > DEDUP_TOL]
-    return sorted(found, key=lambda pair: (pair[0].real, pair[0].imag))
+    return sorted((pair for pair in found if inside(pair[0])),
+                  key=lambda pair: (pair[0].real, pair[0].imag))
 
 
 def arclength_continue(
@@ -284,7 +283,6 @@ def arclength_continue(
     ds: float,
     *,
     newton_tol: float = 1e-10,
-    max_iter: int = 50,
     jac=None,
 ) -> list[np.ndarray]:
     """Pseudo-arclength predictor-corrector for fun: R^{n+1} -> R^n.
@@ -344,10 +342,9 @@ def arclength_continue(
                 return np.vstack([jac(v), _t])
 
             try:
-                sol = newton_solve(
-                    extended, pred, None if jac is None else extended_jac,
-                    tol=newton_tol, max_iter=max_iter
-                )
+                sol = newton_solve(extended, pred,
+                                   None if jac is None else extended_jac,
+                                   tol=newton_tol)
                 break
             except NewtonConvergenceError:
                 h *= 0.5

@@ -41,7 +41,14 @@ CLASSIFY_TOL = 1e-9
 #: |lambda| below this is treated as the structural zero.
 ZERO_RADIUS = 1e-12
 
+#: (nx, ny) resolution of the root search's seed grid.
 DEFAULT_SEEDS = (40, 20)
+
+#: ``classify`` scans modes 0..DEFAULT_MODE_MAX.
+DEFAULT_MODE_MAX = 8
+
+#: ``refine_threshold`` bisects to this absolute width in chi_c.
+THRESHOLD_TOL = 1e-8
 
 
 def default_root_region(params: ModelParams) -> tuple[float, float, float, float]:
@@ -126,19 +133,15 @@ class ModeSpectrum:
 
     ``principal`` is the located root with the largest real part; the
     structural zero at the origin is never included (for m in {0, 1} it is
-    a genuine neutral eigenvalue, recorded via ``zero_eigenspace_dim``; for
-    m >= 2 it only admits the zero eigenfunction and is not an eigenvalue).
+    a genuine neutral eigenvalue, whose dimension
+    ``zero_eigenspace_dimension`` gives; for m >= 2 it only admits the zero
+    eigenfunction and is not an eigenvalue).
     """
 
     m: int
     roots: tuple
     residuals: tuple
     principal: complex | None
-    zero_eigenspace_dim: int
-
-    @property
-    def has_structural_zero(self) -> bool:
-        return self.zero_eigenspace_dim > 0
 
 
 def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
@@ -167,7 +170,6 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         residuals=tuple(res for _, res in found),
         principal=max(roots, key=lambda z: (z.real, -abs(z.imag), z.imag),
                       default=None),
-        zero_eigenspace_dim=zero_eigenspace_dimension(m, params, f_act, f_und),
     )
 
 
@@ -361,9 +363,10 @@ class SweepPoint:
 
 
 def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
-                               f_und: ForceLaw, chi_c_grid, region=None,
-                               seeds=DEFAULT_SEEDS) -> list[SweepPoint]:
-    """Principal growth rate of mode m along an ascending chi_c grid.
+                               f_und: ForceLaw,
+                               chi_c_grid) -> list[SweepPoint]:
+    """Principal growth rate of mode m along an ascending chi_c grid, each
+    spectrum searched on the default rectangle and seed grid.
 
     Tracking between consecutive grid points is by nearest-neighbour
     matching; a point is flagged ambiguous when the two largest-real-part
@@ -378,7 +381,7 @@ def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
     prev_jump = None
     for chi in grid:
         p = params.with_chi_c(chi)
-        spec = mode_spectrum(m, p, f_act, f_und, region=region, seeds=seeds)
+        spec = mode_spectrum(m, p, f_act, f_und)
         principal = spec.principal
         ambiguous = False
         if principal is not None and len(spec.roots) >= 2:
@@ -396,43 +399,37 @@ def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
     return out
 
 
-def _principal_root(m, params, f_act, f_und, warm=None, region=None,
-                    seeds=DEFAULT_SEEDS):
+def _principal_root(m, params, f_act, f_und, warm=None):
     """Principal root of mode m, warm-started when a previous root is known."""
     if warm is not None:
         _, kernel = _kernel_closures(m, params, f_act, f_und)
         z, rel = _complex_newton(kernel, warm, ROOT_TOL)
         if rel <= WARM_TOL:
             return z
-    spec = mode_spectrum(m, params, f_act, f_und, region=region, seeds=seeds)
+    spec = mode_spectrum(m, params, f_act, f_und)
     if spec.principal is None:
         raise SolverError(f"no mode-{m} roots located in the search region")
     return spec.principal
 
 
 def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
-                     *, m: int = 1, bracket=None, tol: float = 1e-8,
-                     region=None) -> float:
+                     *, m: int = 1, tol: float = THRESHOLD_TOL) -> float:
     """Active strength where the principal mode-m growth rate crosses zero.
 
     Bisection on the sign of Re(principal root), warm-starting the root
-    Newton across bisection steps; the bracket defaults to an interval
-    around the closed-form threshold, expanded until the sign changes.
+    Newton across bisection steps; the bracket starts at half and 1.5
+    times the closed-form threshold and is expanded until the sign changes.
 
     Returns the crossing to ``tol`` absolute in chi_c.
     """
-    if bracket is None:
-        guess = chi_c_star(params, f_act, f_und)
-        lo, hi = 0.5 * guess, 1.5 * guess
-    else:
-        lo, hi = map(float, bracket)
+    guess = chi_c_star(params, f_act, f_und)
+    lo, hi = 0.5 * guess, 1.5 * guess
 
     warm_cache: dict[str, complex] = {}
 
     def principal_re(chi):
         p = params.with_chi_c(chi)
-        root = _principal_root(m, p, f_act, f_und, warm=warm_cache.get("z"),
-                               region=region)
+        root = _principal_root(m, p, f_act, f_und, warm=warm_cache.get("z"))
         warm_cache["z"] = root
         return root.real
 
@@ -472,7 +469,8 @@ class StabilityReport:
 
 
 def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
-             m_max: int = 8, region=None, seeds=DEFAULT_SEEDS) -> StabilityReport:
+             m_max: int = DEFAULT_MODE_MAX, region=None,
+             seeds=DEFAULT_SEEDS) -> StabilityReport:
     """Stable/unstable verdict over modes 0..m_max.
 
     Unstable iff any located nonzero root has Re(lambda) > CLASSIFY_TOL;
@@ -501,7 +499,7 @@ def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
 
 def threshold_slope_report(params: ModelParams, f_act: ForceLaw,
-                           f_und: ForceLaw, *, delta: float = 1e-4) -> dict:
+                           f_und: ForceLaw) -> dict:
     """Measure d Re(lambda_1)/d chi_c at the threshold and identify which
     closed-form linearisation it matches.
 
@@ -522,7 +520,7 @@ def threshold_slope_report(params: ModelParams, f_act: ForceLaw,
         "quadratic_expansion": base / b1,
         "displayed_leading_rate": base,
     }
-    h = delta * star
+    h = 1e-4 * star
     warm = None
     rates = {}
     for sign in (+1.0, -1.0):

@@ -41,6 +41,9 @@ DEFAULT_N = 64
 #: Newton tolerance for traveling-wave solves.
 SOLVE_TOL = 1e-12
 
+#: Largest speed ``bifurcation_report`` solves at.
+REPORT_STEP = 0.04
+
 #: Resolution certificate: a branch state is resolved when its spectral
 #: tail max_{k > 3N/4} |rho_k| / max_k |rho_k| is at most this.  The
 #: default config stays below 1e-13; gamma = 0.1 passes it near V = 0.85
@@ -478,18 +481,17 @@ def _unpack(u: np.ndarray, V: float, params: ModelParams) -> TravelingWaveState:
                               chi_c=float(u[-1]), c1=c1)
 
 
-@lru_cache(maxsize=4)
-def _unit_radial_rule(points: int):
-    """Read-only Gauss-Legendre nodes and weights on [0, 1]."""
-    rule = gauss_legendre(points, 0.0, 1.0)
+@lru_cache(maxsize=1)
+def _unit_radial_rule():
+    """Read-only 32-point Gauss-Legendre nodes and weights on [0, 1]."""
+    rule = gauss_legendre(32, 0.0, 1.0)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule.nodes, rule.weights
 
 
 def state_diagnostics(state: TravelingWaveState, params: ModelParams,
-                      f_act: ForceLaw, f_und: ForceLaw,
-                      radial_points: int = 32) -> dict:
+                      f_act: ForceLaw, f_und: ForceLaw) -> dict:
     """Independent invariant checks of a traveling-wave state.
 
     The curvature-equation defect is reassembled pointwise from the
@@ -515,7 +517,7 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
 
     fine = np.linspace(0.0, 2.0 * np.pi, 4 * n, endpoint=False)
     radii = _radius_on_grid(shape.rho_cos, shape.R0, fine.size)
-    nodes, weights = _unit_radial_rule(radial_points)
+    nodes, weights = _unit_radial_rule()
     rr = np.outer(radii, nodes)
     vals = np.exp(-params.a * state.V * np.cos(fine)[:, None] * rr) * rr
     mass = (state.c1 * 2.0 * np.pi / fine.size
@@ -807,7 +809,7 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
 # ---------------------------------------------------------------------------
 
 def bifurcation_jacobian(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
-                         n: int = DEFAULT_N, step: float = 1e-6) -> np.ndarray:
+                         n: int = DEFAULT_N) -> np.ndarray:
     """Central-difference Jacobian of the residual in (rho, V, p1) at the
     bifurcation point (chi_c_star, disk, 0, 0)."""
     star = chi_c_star(params, f_act, f_und)
@@ -818,8 +820,8 @@ def bifurcation_jacobian(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
     x0 = np.zeros(n + 3)
     cols = []
+    h = 1e-6
     for i in range(n + 3):
-        h = step
         xp = x0.copy()
         xm = x0.copy()
         xp[i] += h
@@ -852,8 +854,7 @@ def kernel_alignment(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
 
 def transversality_product(params: ModelParams, f_act: ForceLaw,
-                           f_und: ForceLaw, n: int = DEFAULT_N,
-                           dv: float = 1e-4, dchi: float = 1e-2) -> float:
+                           f_und: ForceLaw, n: int = DEFAULT_N) -> float:
     """Mixed chi_c/V derivative of the residual at the bifurcation point,
     projected on cos(theta).
 
@@ -866,6 +867,7 @@ def transversality_product(params: ModelParams, f_act: ForceLaw,
     """
     star = chi_c_star(params, f_act, f_und)
     zeros = np.zeros(n + 1)
+    dv, dchi = 1e-4, 1e-2
 
     def v_column_cos1(chi):
         rp = _residual_vector(zeros, dv, 0.0, chi, params, f_act, f_und)
@@ -920,7 +922,7 @@ def chi_second_derivative_candidates(params: ModelParams, f_act: ForceLaw,
 
 
 def bifurcation_report(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
-                       *, n: int = DEFAULT_N, h: float = 0.04,
+                       *, n: int = DEFAULT_N, h: float = REPORT_STEP,
                        tol: float = SOLVE_TOL) -> BifurcationReport:
     """Estimate chi_c'(0) and chi_c''(0) along the branch and compare the
     curvature against the closed-form candidates.
