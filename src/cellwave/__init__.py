@@ -48,6 +48,7 @@ from .stability import (
     dispersion_H,
     dispersion_kernel,
     eigenmode,
+    mode_spectra,
     mode_spectrum,
     principal_eigenvalue_sweep,
     refine_threshold,

@@ -4,13 +4,16 @@ The hot inner loops of the package live here: modified-Bessel evaluation for
 complex arguments (ascending series plus Miller downward recurrence), the real
 Bessel-J evaluation used by the root oracle, and the per-mode dispersion
 kernel.  Single-point kernels are scalar Python, which is what the root
-Newton and the ``bessel_I``/``bessel_J`` references call; the scalar mode
-kernel takes every Bessel order it reads, and its analytic slope, from one
-pass.  The seed screen, ``phi_mode_grid``, evaluates the whole grid at once
-from one read-only table of psi_0..psi_top per rest radius and grid, shared
-by every mode whose orders fit under the same power-of-two top: inside the
-series radius each order sums its series, elsewhere one Miller chain per
-point yields every order.
+Newton of one spectrum and the ``bessel_I``/``bessel_J`` references call;
+the scalar mode kernel takes every Bessel order it reads, and its analytic
+slope, from one pass.  The seed screen, ``phi_mode_grid``, evaluates the
+whole grid at once from one read-only table of psi_0..psi_top per rest
+radius and grid, shared by every mode whose orders fit under the same
+power-of-two top: inside the series radius each order sums its series,
+elsewhere one Miller chain per point yields every order.  The lockstep
+Newton of a sweep calls ``phi_mode_slope_points``: value, scale and slope
+at arbitrary points, each with its own mode, from the same series and a
+Miller chain that each point starts at its own order.
 """
 
 from __future__ import annotations
@@ -174,19 +177,23 @@ def _psi_scalar(ks, u):
 def _psi_series_grid(ks, u):
     """Ascending series of psi_k(u), one row per order in ks.
 
-    Accurate for |u| <= PSI_SERIES_RADIUS; summed until every point's last
-    term is below 1e-18 of its total.
+    Row i holds order ks[i] at every point, or, for a 2-D ks, order
+    ks[i, p] at point p.  Accurate for |u| <= PSI_SERIES_RADIUS; summed
+    until every point's last term is below 1e-18 of its total.
     """
-    term = np.empty((ks.size, u.size), dtype=np.complex128)
-    for i, k in enumerate(ks):
+    ks = ks.reshape(ks.shape[0], -1)
+    first = np.empty(int(ks.max()) + 1)      # 2^-k / k!, as _psi_series
+    for k in range(first.size):
         t0 = 0.5 ** k
         for j in range(1, k + 1):
             t0 /= j
-        term[i] = t0
+        first[k] = t0
+    term = np.empty((ks.shape[0], u.size), dtype=np.complex128)
+    term[:] = first[ks]
     total = term.copy()
     q = 0.25 * u
     for j in range(1, 301):
-        term *= q / (j * (j + ks[:, None]))
+        term *= q / (j * (j + ks))
         total += term
         if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
             break
@@ -226,18 +233,73 @@ def _psi_chain_grid(top, u):
     return np.divide(out, wk, out=np.zeros_like(out), where=np.isfinite(wk))
 
 
+def _psi_chain_points(ms, u):
+    """psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point's own m.
+
+    The array form of ``iv_chain`` at w = sqrt(u), one chain per point,
+    each run down from its own ``_miller_start(m + 2, |w|)`` and normalised
+    with its own running sum, so a point's values never depend on which
+    other points share the call (``_psi_chain_grid`` starts every point of
+    the seed grid at one order, and its table stays as the screen reads
+    it).  A chain holds zeros until its start order comes up.  Orders
+    whose w^k leaves the double range are NaN.  Returns a (4, n) array.
+    """
+    w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
+    aw = np.abs(w)
+    begins = {}              # start order -> the points whose chain it is
+    for i, (m, a) in enumerate(zip(ms.tolist(), aw.tolist())):
+        begins.setdefault(_miller_start(m + 2, a), []).append(i)
+    # From 1e-250 a chain grows by at most 1 + 2k/|w| a step, so unless
+    # that product can pass 1e500 no step reaches the 1e250 rescaling.
+    steps = np.arange(1, max(begins) + 1)
+    rescale = np.log1p(2.0 * steps / aw.min()).sum() > 500.0 * np.log(10.0)
+    lo = np.maximum(ms - 1, 0)
+    top = int(lo.max()) + 3
+    two_over_w = 2.0 / w
+    ip = np.zeros(u.size, dtype=np.complex128)
+    ic = np.zeros(u.size, dtype=np.complex128)
+    total = np.zeros(u.size, dtype=np.complex128)   # unnormalised I_k, k >= 1
+    out = np.zeros((top + 1, u.size), dtype=np.complex128)
+    for k in range(max(begins), 0, -1):
+        new = begins.get(k)
+        if new is not None:
+            ic[new] = 1e-250
+            total[new] = 1e-250
+        ip, ic = ic, ip + k * two_over_w * ic
+        if k > 1:
+            total += ic
+        if k <= top + 1:
+            out[k - 1] = ic
+        if not rescale:
+            continue
+        huge = np.abs(ic) > 1e250
+        if huge.any():
+            ip[huge] *= 1e-250
+            ic[huge] *= 1e-250
+            total[huge] *= 1e-250
+            out[:, huge] *= 1e-250
+    orders = lo + np.arange(4)[:, None]
+    kept = out[orders, np.arange(u.size)] * (np.exp(w) / (2.0 * total + ic))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wk = w ** orders
+    return np.divide(kept, wk, out=np.full_like(kept, np.nan),
+                     where=np.isfinite(wk))
+
+
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
     """(value, scale) of the mode-m kernel from psi at max(m-1, 0)..m+1.
 
     The one transcription of the kernel, shared by ``phi_mode_slope``
-    (scalars, ``maximum=max``) and ``phi_mode_grid`` (arrays,
-    ``maximum=np.maximum``).
+    (scalars, ``maximum=max``), ``phi_mode_grid`` and
+    ``phi_mode_slope_points`` (arrays, ``maximum=np.maximum``).  ``m`` is
+    one mode, or an int array of modes >= 2 with one per point.
     """
-    if m == 0:
+    one_mode = not isinstance(m, np.ndarray)
+    if one_mode and m == 0:
         val = -r0 * psi[1]
         return val, maximum(r0 * abs(psi[0]), abs(val))
     pm1, pm, pp1 = psi
-    if m == 1:
+    if one_mode and m == 1:
         t1 = -r0 * coef_c * pm
         bracket = 0.5 * b_m
     else:
@@ -252,14 +314,15 @@ def _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi):
     """d/dz of the ``_phi_from_psi`` value, from psi at max(m-1, 0)..m+2.
 
     Term by term with d psi_k/du = psi_{k+1}/2 (DLMF 10.29.4) and
-    du/dz = r0^2.
+    du/dz = r0^2.  ``m`` as there.
     """
     r2 = r0 * r0
-    if m == 0:
+    one_mode = not isinstance(m, np.ndarray)
+    if one_mode and m == 0:
         return -0.5 * r0 * r2 * psi[2]
     pm1, pm, pp1, pp2 = psi
     dsum = r2 * (0.5 * pm + pp1 + 0.5 * u * pp2)     # d/dz (pm1 + u pp1)
-    if m == 1:
+    if one_mode and m == 1:
         return -0.5 * r0 * r2 * coef_c * pp1 + 0.5 * b_m * dsum
     dt1 = m * coef_c * (-r0) ** m * (pm + 0.5 * r2 * z * pp1)
     half = 0.5 * (-r0) ** (m - 1)
@@ -290,6 +353,53 @@ def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
             "the double range")
     val, scale = _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi[:-1], max)
     return val, scale, _phi_slope_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi)
+
+
+def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
+    """``phi_mode_slope`` at many points at once, each with its own mode
+    and constants (equal-length arrays); returns (values, scales, slopes).
+
+    psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point comes from
+    ``_psi_series_grid`` where |u| <= PSI_SERIES_RADIUS and from
+    ``_psi_chain_points`` elsewhere, both point by point; the points of
+    modes 0, 1 and >= 2 then read ``_phi_from_psi`` and
+    ``_phi_slope_from_psi`` once each.
+
+    Raises
+    ------
+    AccuracyError
+        As ``phi_mode_slope``, naming the first point whose psi_{m+1} is
+        below the smallest normal double or whose psi is not finite.
+    """
+    u = r0s * r0s * zs
+    orders = np.maximum(ms - 1, 0) + np.arange(4)[:, None]
+    psi = np.empty((4, zs.size), dtype=np.complex128)
+    small = np.abs(u) <= PSI_SERIES_RADIUS
+    if small.any():
+        psi[:, small] = _psi_series_grid(orders[:, small], u[small])
+    if not small.all():
+        psi[:, ~small] = _psi_chain_points(ms[~small], u[~small])
+    bad = ~(np.abs(psi[np.where(ms > 0, 2, 1), np.arange(zs.size)])
+            >= _DOUBLE_MIN)
+    bad |= ~np.isfinite(psi).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AccuracyError(
+            f"mode {ms[i]} kernel at z={zs[i]:.6g}: psi_{ms[i] + 1} "
+            "underflows or w^k leaves the double range")
+    vals = np.empty(zs.size, dtype=np.complex128)
+    scales = np.empty(zs.size)
+    slopes = np.empty(zs.size, dtype=np.complex128)
+    for group, m in ((ms == 0, 0), (ms == 1, 1), (ms >= 2, None)):
+        if not group.any():
+            continue
+        g = np.flatnonzero(group)
+        args = (ms[g] if m is None else m, zs[g], u[g], r0s[g], coef_cs[g],
+                b_ms[g], d_ms[g])
+        rows = psi[:3 if m == 0 else 4, g]
+        vals[g], scales[g] = _phi_from_psi(*args, rows[:-1], np.maximum)
+        slopes[g] = _phi_slope_from_psi(*args, rows)
+    return vals, scales, slopes
 
 
 def phi_mode(m, z, r0, coef_c, b_m, d_m):

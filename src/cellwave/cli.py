@@ -29,7 +29,7 @@ from .errors import (
     SolverError,
 )
 from .model import chi_c_star, resting_state, tw_concentration
-from .stability import classify, mode_spectrum
+from .stability import classify, mode_spectra
 from .waves import (
     _checked_boundary,
     bifurcation_report,
@@ -123,16 +123,19 @@ def cmd_resting_state(config: RunConfig, outdir: Path) -> int:
 def cmd_dispersion(config: RunConfig, outdir: Path) -> int:
     """Emit located growth rates over the mode range and chi_c grid."""
     params = config.params
+    keys = [(m, chi)
+            for m in range(config.analysis["mode_min"],
+                           config.analysis["mode_max"] + 1)
+            for chi in config.analysis["chi_c_grid"]]
+    spectra = mode_spectra([(m, params.with_chi_c(chi), config.f_act,
+                             config.f_und) for m, chi in keys],
+                           region=config.analysis["root_region"],
+                           seeds=config.analysis["seed_grid"])
     rows = []
-    for m in range(config.analysis["mode_min"], config.analysis["mode_max"] + 1):
-        for chi in config.analysis["chi_c_grid"]:
-            spec = mode_spectrum(m, params.with_chi_c(chi), config.f_act,
-                                 config.f_und,
-                                 region=config.analysis["root_region"],
-                                 seeds=config.analysis["seed_grid"])
-            for root, resid in zip(spec.roots, spec.residuals):
-                rows.append([m, chi, root.real, root.imag,
-                             root == spec.principal, resid])
+    for (m, chi), spec in zip(keys, spectra):
+        for root, resid in zip(spec.roots, spec.residuals):
+            rows.append([m, chi, root.real, root.imag,
+                         root == spec.principal, resid])
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     path = outdir / "dispersion.csv"
     _write_csv(path, ["m", "chi_c", "re_lambda", "im_lambda",

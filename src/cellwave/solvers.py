@@ -1,7 +1,11 @@
 """Damped Newton, complex root search and pseudo-arclength continuation.
 
-``newton_solve`` solves real vector systems; ``_complex_newton`` is the one
-scalar complex Newton, run once from each seed start of the root search.
+``newton_solve`` solves real vector systems.  The root search's complex
+Newton rule is written once, ``_newton_rule``, and driven two ways: one run
+at a time by ``_complex_newton`` (one spectrum, a warm start), or every seed
+start of a sweep in lockstep by ``_lockstep_newton``, one array evaluation
+per round.  ``find_complex_roots`` screens the seed grid (``_seed_starts``),
+runs Newton from each start and keeps the roots (``_accept_roots``).
 """
 
 from __future__ import annotations
@@ -116,11 +120,12 @@ def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
     )
 
 
-def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
-    """Damped Newton for a scalar analytic function; returns (z, residual).
+def _newton_rule(z0, tol, max_iter=80, max_backtracks=50):
+    """Damped Newton for a scalar analytic function, as a step generator.
 
-    ``evaluate`` maps z to (f(z), scale, f'(z)) from one evaluation, and
-    the residual is |f| / scale.  A step is halved until |f| falls (or the
+    The generator yields each point it needs evaluated and is sent back
+    (f(z), scale, f'(z)) there; it returns (z, residual), with the
+    residual |f| / scale.  A step is halved until |f| falls (or the
     residual reaches ``tol``), spending at most ``max_backtracks``
     halvings over the whole run.  The line search tests |f| and not the
     residual: the scale can fall faster than |f| along a good step, and a
@@ -128,10 +133,11 @@ def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
     at residual <= tol, at a zero or non-finite slope, or when the
     halvings run out.  The returned z is the last accepted iterate, the
     one with the smallest |f|; the caller compares the residual with its
-    own tolerance.
+    own tolerance.  ``_complex_newton`` drives one run point by point,
+    ``_lockstep_newton`` many runs together.
     """
     z = complex(z0)
-    f, scale, d = evaluate(z)
+    f, scale, d = yield z
     res = abs(f) / max(scale, 1e-300)
     backtracks = 0
     for _ in range(max_iter):
@@ -141,7 +147,7 @@ def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
         step = 1.0
         while True:
             zn = z + step * dz
-            fn, sn, dn = evaluate(zn)
+            fn, sn, dn = yield zn
             rn = abs(fn) / max(sn, 1e-300)
             if abs(fn) < abs(f) or rn <= tol:
                 z, f, res, d = zn, fn, rn, dn
@@ -151,6 +157,46 @@ def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
             if backtracks > max_backtracks:
                 return z, res
     return z, res
+
+
+def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
+    """``_newton_rule`` from z0, one evaluation at a time; returns
+    (z, residual).  ``evaluate`` maps z to (f(z), scale, f'(z))."""
+    run = _newton_rule(z0, tol, max_iter, max_backtracks)
+    z = next(run)
+    while True:
+        try:
+            z = run.send(evaluate(z))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _lockstep_newton(evaluate, starts, tol):
+    """``_newton_rule`` from every start at once; [(z, residual)] in order.
+
+    Each round evaluates the next point of every run still going in one
+    call, ``evaluate(live, zs) -> (f, scale, f')`` arrays, where ``live``
+    holds the indices into ``starts`` of those runs and ``zs`` their
+    points.  The values are handed to the rule as Python numbers, so a run
+    takes the same steps as under ``_complex_newton`` given the same
+    values.
+    """
+    runs = [_newton_rule(z0, tol) for z0 in starts]
+    points = [next(run) for run in runs]
+    live = list(range(len(runs)))
+    ends = [None] * len(runs)
+    while live:
+        f, scale, d = evaluate(np.array(live), np.array(points))
+        going, points = [], []
+        for i, fi, si, di in zip(live, f.tolist(), scale.tolist(),
+                                 d.tolist()):
+            try:
+                points.append(runs[i].send((fi, si, di)))
+                going.append(i)
+            except StopIteration as stop:
+                ends[i] = stop.value
+        live = going
+    return ends
 
 
 def _local_minima(mag):
@@ -189,12 +235,13 @@ def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
                        conjugate: bool = False) -> list[tuple[complex, float]]:
     """Locate roots of an analytic function on a rectangle.
 
-    The function is sampled on a seed grid, and ``_complex_newton`` runs
-    once from every local minimum of |f| on the grid, to
-    |f| <= ROOT_TOL * scale.  Its end point is a root when
-    |f| <= RESIDUAL_TOL * scale there.  Roots are deduplicated (pairwise
-    distance > DEDUP_TOL, the smaller residual kept), and every root
-    returned lies in the region enlarged by a 2% margin on each side.
+    The function is sampled on a seed grid (``_seed_starts``), and
+    ``_complex_newton`` runs once from every local minimum of |f| on the
+    grid, to |f| <= ROOT_TOL * scale.  ``_accept_roots`` then keeps the end
+    points with |f| <= RESIDUAL_TOL * scale there, deduplicated (pairwise
+    distance > DEDUP_TOL, the smaller residual kept), inside the region
+    enlarged by a 2% margin on each side.  A sweep over many functions
+    runs the same three steps with ``_lockstep_newton`` in the middle.
 
     Parameters
     ----------
@@ -228,23 +275,37 @@ def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
         sorted by (real, imag) of the root.  Possibly empty; no
         convergence anywhere is not an error.
     """
+    if fun_grid is None:
+        def fun_grid(zs):
+            return np.array([evaluate(z)[0] for z in zs])
+    starts = _seed_starts(fun_grid, region, seeds, conjugate=conjugate)
+    ends = [_complex_newton(evaluate, z0, ROOT_TOL) for z0 in starts]
+    return _accept_roots(ends, region, conjugate=conjugate)
+
+
+def _seed_starts(fun_grid, region, seeds, *,
+                 conjugate: bool = False) -> np.ndarray:
+    """Newton starts of ``find_complex_roots``: the seed-grid local minima
+    of |f|, in row-major grid order (arguments as there)."""
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = seeds
     half = conjugate and im_min == -im_max
     xs, ys, zgrid = _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half)
-    if fun_grid is not None:
-        fvals = np.asarray(fun_grid(zgrid))
-    else:
-        fvals = np.array([evaluate(z)[0] for z in zgrid])
-    mag = np.abs(fvals).reshape(nx, ys.size)
+    mag = np.abs(np.asarray(fun_grid(zgrid))).reshape(nx, ys.size)
     low = ny - ys.size        # rows below the axis, mirrored from above
     if low:
         mag = np.concatenate([mag[:, :-low - 1:-1], mag], axis=1)
 
     i, j = _local_minima(mag)
     upper = j >= low
-    starts = xs[i[upper]] + 1j * ys[j[upper] - low]
+    return xs[i[upper]] + 1j * ys[j[upper] - low]
 
+
+def _accept_roots(ends, region, *, conjugate: bool = False
+                 ) -> list[tuple[complex, float]]:
+    """The roots among Newton end points [(z, residual)], taken in order,
+    as ``find_complex_roots`` returns them (arguments as there)."""
+    re_min, re_max, im_min, im_max = map(float, region)
     margin_re = 0.02 * (re_max - re_min)
     margin_im = 0.02 * (im_max - im_min)
 
@@ -253,8 +314,7 @@ def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
                 and im_min - margin_im <= z.imag <= im_max + margin_im)
 
     found: list[tuple[complex, float]] = []
-    for z0 in starts:
-        root, res = _complex_newton(evaluate, z0, ROOT_TOL)
+    for root, res in ends:
         if not res <= RESIDUAL_TOL:
             continue
         if conjugate and root.imag < 0.0:

@@ -27,7 +27,10 @@ from .solvers import (
     DEDUP_TOL,
     RESIDUAL_TOL,
     ROOT_TOL,
+    _accept_roots,
     _complex_newton,
+    _lockstep_newton,
+    _seed_starts,
     find_complex_roots,
 )
 from .special import bessel_I
@@ -112,10 +115,11 @@ def dispersion_kernel(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
     return complex(val), float(scale)
 
 
-def _kernel_closures(m, params, f_act, f_und):
+def _kernel_closures(m, params, f_act, f_und, consts=None):
     """Mode-m kernel as values over the seed grid, and as
-    (value, scale, slope) for Newton."""
-    coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
+    (value, scale, slope) for Newton; ``consts`` are its
+    ``_mode_constants`` when the caller has them."""
+    coef_c, b_m, d_m = consts or _mode_constants(m, params, f_act, f_und)
     r0 = params.R0
 
     def kernel(z):
@@ -144,6 +148,18 @@ class ModeSpectrum:
     principal: complex | None
 
 
+def _spectrum(m, found) -> ModeSpectrum:
+    """ModeSpectrum of the (root, residual) pairs a root search returned."""
+    roots = tuple(z for z, _ in found)
+    return ModeSpectrum(
+        m=m,
+        roots=roots,
+        residuals=tuple(res for _, res in found),
+        principal=max(roots, key=lambda z: (z.real, -abs(z.imag), z.imag),
+                      default=None),
+    )
+
+
 def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                   region=None, seeds=DEFAULT_SEEDS) -> ModeSpectrum:
     """Locate the nonzero growth rates of mode m inside a rectangle.
@@ -157,20 +173,56 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     only), and the roots off the real axis come out in exact conjugate
     pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of
     ``dispersion_kernel`` at ``roots[i]``, as its Newton run computed it.
+
+    This is the entry point for one spectrum: its one to three Newton runs
+    go one point at a time.  ``mode_spectra`` finds many spectra at once.
     """
     if region is None:
         region = default_root_region(params)
     fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
-    found = find_complex_roots(kernel, region, seeds, fun_grid=fun_grid,
-                               conjugate=True)
-    roots = tuple(z for z, _ in found)
-    return ModeSpectrum(
-        m=m,
-        roots=roots,
-        residuals=tuple(res for _, res in found),
-        principal=max(roots, key=lambda z: (z.real, -abs(z.imag), z.imag),
-                      default=None),
-    )
+    return _spectrum(m, find_complex_roots(kernel, region, seeds,
+                                           fun_grid=fun_grid, conjugate=True))
+
+
+def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
+    """``mode_spectrum`` of every (m, params, f_act, f_und) job of a sweep.
+
+    Each job's seed grid is screened in turn exactly as ``mode_spectrum``
+    screens it, so its Newton starts are the same; then one
+    ``_lockstep_newton`` runs every start of every job together, each
+    round evaluating all live points in one ``_kernels.phi_mode_slope_points``
+    call.  Each start's kernel chain is its own, so a spectrum does not
+    depend on the jobs it shares the sweep with; its roots agree with
+    ``mode_spectrum``'s to rounding, and its residuals are those of the
+    array kernel.  ``region=None`` takes each job's default rectangle.
+
+    Raises
+    ------
+    AccuracyError
+        If a start's kernel leaves the double range (see
+        ``_kernels.phi_mode_slope``).
+    """
+    regions, spans, starts = [], [], []
+    kernel_args = []         # (m, R0, coef_c, b_m, d_m) of each start
+    for m, params, f_act, f_und in jobs:
+        job_region = default_root_region(params) if region is None else region
+        consts = _mode_constants(m, params, f_act, f_und)
+        fun_grid, _ = _kernel_closures(m, params, f_act, f_und, consts)
+        job_starts = _seed_starts(fun_grid, job_region, seeds, conjugate=True)
+        regions.append((m, job_region))
+        spans.append((len(starts), len(starts) + job_starts.size))
+        starts += job_starts.tolist()
+        kernel_args += [(m, params.R0, *consts)] * job_starts.size
+    ms, r0s, coef_cs, b_ms, d_ms = np.array(kernel_args).reshape(-1, 5).T
+    ms = ms.astype(int)
+
+    def evaluate(live, zs):
+        return _kernels.phi_mode_slope_points(
+            ms[live], zs, r0s[live], coef_cs[live], b_ms[live], d_ms[live])
+
+    ends = _lockstep_newton(evaluate, starts, ROOT_TOL)
+    return [_spectrum(m, _accept_roots(ends[a:b], job_region, conjugate=True))
+            for (m, job_region), (a, b) in zip(regions, spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +417,9 @@ class SweepPoint:
 def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
                                f_und: ForceLaw,
                                chi_c_grid) -> list[SweepPoint]:
-    """Principal growth rate of mode m along an ascending chi_c grid, each
-    spectrum searched on the default rectangle and seed grid.
+    """Principal growth rate of mode m along an ascending chi_c grid, the
+    spectra found together by ``mode_spectra`` on the default rectangle and
+    seed grid.
 
     Tracking between consecutive grid points is by nearest-neighbour
     matching; a point is flagged ambiguous when the two largest-real-part
@@ -376,12 +429,12 @@ def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
     grid = [float(c) for c in chi_c_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("chi_c grid must be strictly ascending")
+    spectra = mode_spectra([(m, params.with_chi_c(chi), f_act, f_und)
+                            for chi in grid])
     out: list[SweepPoint] = []
     prev: complex | None = None
     prev_jump = None
-    for chi in grid:
-        p = params.with_chi_c(chi)
-        spec = mode_spectrum(m, p, f_act, f_und)
+    for chi, spec in zip(grid, spectra):
         principal = spec.principal
         ambiguous = False
         if principal is not None and len(spec.roots) >= 2:
@@ -477,16 +530,16 @@ def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     the margin is the largest real part over all located nonzero roots.
     The curvature term stiffens high modes, which is what makes a finite
     m_max meaningful; the margin report shows how far below zero the
-    higher modes sit.
+    higher modes sit.  The m_max + 1 spectra are found together by
+    ``mode_spectra``.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
-    spectra = []
+    spectra = mode_spectra([(m, params, f_act, f_und)
+                            for m in range(m_max + 1)], region, seeds)
     margin = -math.inf
     margin_mode = -1
-    for m in range(m_max + 1):
-        spec = mode_spectrum(m, params, f_act, f_und, region=region, seeds=seeds)
-        spectra.append(spec)
+    for m, spec in enumerate(spectra):
         if spec.principal is not None and spec.principal.real > margin:
             margin = spec.principal.real
             margin_mode = m

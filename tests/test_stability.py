@@ -21,6 +21,7 @@ from cellwave import (
     eigenmode,
     hill_active,
     linear_undercooling,
+    mode_spectra,
     mode_spectrum,
     principal_eigenvalue_sweep,
     refine_threshold,
@@ -28,10 +29,16 @@ from cellwave import (
     zero_eigenspace_dimension,
     zero_mode_basis,
 )
-from cellwave import _kernels
+from cellwave import _kernels, solvers, stability
 from cellwave.acceptance import _sample_params
+from cellwave.cli import main
 from cellwave.config import load_config
-from cellwave.solvers import _seed_grid, find_complex_roots
+from cellwave.solvers import (
+    _accept_roots,
+    _complex_newton,
+    _seed_grid,
+    find_complex_roots,
+)
 from cellwave.stability import (
     DEFAULT_SEEDS,
     _mode_constants,
@@ -518,6 +525,132 @@ class TestHalfPlaneScreen:
             assert len(odd.roots) == len(even.roots) > 0
             for a, b in zip(odd.roots, even.roots):
                 assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+
+def _default_sweep_jobs(cfg):
+    """The (m, params, f_act, f_und) jobs of ``dispersion`` on a config."""
+    return [(m, cfg.params.with_chi_c(chi), cfg.f_act, cfg.f_und)
+            for m in range(cfg.analysis["mode_min"],
+                           cfg.analysis["mode_max"] + 1)
+            for chi in cfg.analysis["chi_c_grid"]]
+
+
+class TestLockstepSweep:
+    """``mode_spectra`` runs the Newton rule of every start in lockstep."""
+
+    @staticmethod
+    def _both_drives(jobs, monkeypatch):
+        """Per job: its starts and end points under the one-point drive
+        (``mode_spectrum``) and under the lockstep (``mode_spectra``), and
+        the two spectra lists."""
+        single = []
+
+        def one_point(evaluate, z0, tol):
+            end = _complex_newton(evaluate, z0, tol)
+            single.append((complex(z0), end))
+            return end
+
+        locked = []
+
+        def lockstep(evaluate, starts, tol):
+            ends = solvers._lockstep_newton(evaluate, starts, tol)
+            locked.append((list(starts), ends))
+            return ends
+
+        monkeypatch.setattr(solvers, "_complex_newton", one_point)
+        counts, one = [], []
+        for job in jobs:
+            one.append(mode_spectrum(*job))
+            counts.append(len(single) - sum(counts))
+        monkeypatch.setattr(stability, "_lockstep_newton", lockstep)
+        sweep = mode_spectra(jobs)
+        assert len(locked) == 1
+        starts, ends = locked[0]
+        # The screen is the same: the lockstep starts are bitwise the ones
+        # find_complex_roots ran Newton from, job by job.
+        assert (np.array(starts).tobytes()
+                == np.array([z0 for z0, _ in single]).tobytes())
+        pairs = list(zip(starts, ends))
+        per_job, k = [], 0
+        for n in counts:
+            per_job.append((single[k:k + n], pairs[k:k + n]))
+            k += n
+        return per_job, one, sweep
+
+    @pytest.mark.parametrize("source", ["criterion4", "criterion4-held-out",
+                                        "default-sweep"])
+    def test_drives_agree_on_every_start(self, source, f_act, f_und,
+                                         monkeypatch):
+        cfg = load_config(DEFAULT_CONFIG)
+        if source == "default-sweep":
+            jobs = _default_sweep_jobs(cfg)
+        else:
+            seed = cfg.analysis["seed"] if source == "criterion4" else 11
+            jobs = [(m, p, f_act, f_und)
+                    for p in _subcritical_draws(seed + 2)
+                    for m in range(1, 7)]
+        per_job, one, sweep = self._both_drives(jobs, monkeypatch)
+        starts = 0
+        for (_, p, _, _), (single, locked), a, b in zip(jobs, per_job, one,
+                                                        sweep):
+            region = default_root_region(p)
+            for (_, (z1, r1)), (_, (z2, r2)) in zip(single, locked):
+                kept1 = bool(_accept_roots([(z1, r1)], region, conjugate=True))
+                kept2 = bool(_accept_roots([(z2, r2)], region, conjugate=True))
+                assert kept1 == kept2
+                assert abs(z1 - z2) <= 1e-13 * abs(z1)
+                starts += 1
+            assert len(a.roots) == len(b.roots)
+            assert (a.principal is None) == (b.principal is None)
+            if a.principal is not None:
+                assert a.roots.index(a.principal) == b.roots.index(b.principal)
+                assert abs(a.principal - b.principal) <= 1e-13 * abs(a.principal)
+            for za, zb in zip(a.roots, b.roots):
+                assert abs(za - zb) <= 1e-13 * abs(za)
+        assert starts == sum(len(single) for single, _ in per_job) > len(jobs)
+
+    def test_spectrum_independent_of_its_sweep(self, tmp_path):
+        # Each start runs its own kernel chain, so the m <= 2 spectra of a
+        # mode_max = 2 sweep are those of the mode_max = 8 sweep.
+        rows = {}
+        for mode_max in (2, 8):
+            out = tmp_path / f"m{mode_max}"
+            assert main(["dispersion", "-c", str(DEFAULT_CONFIG), "-o",
+                         str(out), "--set",
+                         f"analysis.mode_max={mode_max}"]) == 0
+            lines = (out / "dispersion.csv").read_text().splitlines()[1:]
+            rows[mode_max] = [line.split(",") for line in lines
+                              if int(line.split(",")[0]) <= 2]
+        assert len(rows[2]) == len(rows[8]) > 0
+        for a, b in zip(rows[2], rows[8]):
+            assert a[:2] == b[:2] and a[4] == b[4]
+            za = complex(float(a[2]), float(a[3]))
+            zb = complex(float(b[2]), float(b[3]))
+            assert abs(za - zb) <= 1e-13 * abs(za)
+
+    @pytest.mark.parametrize("modes", [(141,), (148,), (141, 148), (1, 148)])
+    def test_mode_beyond_double_range_raises(self, params, f_act, f_und,
+                                             modes):
+        with pytest.raises(AccuracyError, match="double range"):
+            mode_spectra([(m, params, f_act, f_und) for m in modes])
+
+    def test_principal_sweep_matches_single_spectra(self, params, f_act,
+                                                    f_und, monkeypatch):
+        star = chi_c_star(params, f_act, f_und)
+        grid = list(np.linspace(0.2 * star, 2.0 * star, 13))
+        sweep = principal_eigenvalue_sweep(1, params, f_act, f_und, grid)
+        monkeypatch.setattr(stability, "mode_spectra",
+                            lambda jobs: [mode_spectrum(*job) for job in jobs])
+        loop = principal_eigenvalue_sweep(1, params, f_act, f_und, grid)
+        assert len(sweep) == len(loop) == len(grid)
+        for got, ref in zip(sweep, loop):
+            assert got.chi_c == ref.chi_c
+            assert got.ambiguous == ref.ambiguous
+            assert abs(got.principal - ref.principal) <= 1e-12 * abs(
+                ref.principal)
+
+    def test_empty_sweep(self):
+        assert mode_spectra([]) == []
 
 
 class TestZeroModes:
