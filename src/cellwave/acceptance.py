@@ -1,7 +1,8 @@
 """Acceptance suite: the exit criteria of the package, runnable as a library.
 
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
-executes the whole battery.  The CLI ``verify`` subcommand prints one
+executes the whole battery, with criterion 9 (the 40-digit oracle) in a
+forked child process beside criteria 1-8.  The CLI ``verify`` subcommand prints one
 pass/fail line per criterion and serialises the results; the pytest module
 ``tests/test_acceptance.py`` asserts each criterion individually.
 
@@ -13,11 +14,14 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationStalledError
+from .errors import ContinuationStalledError, SolverError
 from .forces import hill_active, linear_undercooling, tanh_undercooling
 from .model import ModelParams, chi_c_star
 from .special import bessel_I, bessel_J_roots
@@ -302,5 +306,68 @@ CRITERIA = (
 
 def run_all(config) -> list[CriterionResult]:
     """Run criteria 1..9 (10, byte-identical verify reruns, is checked by
-    running the CLI twice and comparing outputs)."""
-    return [crit(config) for crit in CRITERIA]
+    running the CLI twice and comparing outputs).
+
+    The last entry of ``CRITERIA`` (read at call time) runs in one child
+    process made with ``os.fork`` while this process runs the others in
+    order; the results are returned in ``CRITERIA`` order.  The child is
+    reaped before this function returns or raises.  An exception the child
+    raises is raised here with its type; a child that ends without sending
+    a result raises :class:`SolverError`.  Where ``os.fork`` does not exist
+    the criteria run one after another.
+    """
+    *serial, last = CRITERIA
+    if not hasattr(os, "fork"):
+        return [crit(config) for crit in (*serial, last)]
+    # Imported here, before the fork, so that every child inherits it
+    # instead of importing it anew.
+    import mpmath  # noqa: F401
+
+    index = len(serial) + 1
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _run_in_child(last, config, index, write_fd)
+    os.close(write_fd)
+    payload = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            results = [crit(config) for crit in serial]
+            payload = pipe.read()
+    finally:
+        if payload is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise SolverError(
+            f"criterion {index} worker ended without a result "
+            f"(wait status {status}, exit code "
+            f"{os.waitstatus_to_exitcode(status)})")
+    sent, value = pickle.loads(payload)
+    if not sent:
+        raise value
+    return [*results, value]
+
+
+def _run_in_child(crit, config, index, write_fd):
+    """Body of ``run_all``'s forked child: run ``crit``, write
+    ``(True, result)`` or ``(False, exception)`` to the pipe, and leave with
+    ``os._exit``, so that the child never returns into its caller."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, crit(config)))
+        except Exception as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, SolverError(
+                    f"criterion {index} raised {type(exc).__name__}: {exc} "
+                    "(the exception cannot be sent back from its worker)")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)

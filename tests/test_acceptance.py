@@ -2,16 +2,26 @@
 
 Criteria 1-9 run through :mod:`cellwave.acceptance`; criterion 10 runs the
 CLI ``verify`` twice and compares the emitted reports byte for byte.
+The tests at the end pin ``run_all``'s forked worker for criterion 9.
 """
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from cellwave import acceptance
 from cellwave.cli import main
-from cellwave.config import validate_config
+from cellwave.config import load_config, validate_config
+from cellwave.errors import AccuracyError, SolverError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG_DICT = {
     "model": {"a": 0.8, "gamma": 10.0, "chi_c": 1.0, "chi_u": 0.25,
@@ -108,3 +118,120 @@ def test_criterion_10_verify_determinism(tmp_path):
     print()
     print("PASS  10  verify reruns byte-identical "
           f"[bytes={len(b1)}]")
+
+
+# --------------------------------------------------------------------------
+# run_all: criterion 9 in a forked child, criteria 1-8 in this process.
+# --------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="run_all runs serially without fork")
+
+
+def _pid_criterion(index):
+    def crit(config):
+        return acceptance.CriterionResult(index, f"stub {index}", True,
+                                          {"pid": os.getpid()})
+    return crit
+
+
+def _stub_criteria(monkeypatch, last, first=None):
+    """Replace CRITERIA by eight pid-recording stubs and ``last``."""
+    stubs = [_pid_criterion(i) for i in range(1, 9)]
+    if first is not None:
+        stubs[0] = first
+    monkeypatch.setattr(acceptance, "CRITERIA", (*stubs, last))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_equals_serial_run():
+    config = load_config(ROOT / "configs" / "default.json")
+    serial = [crit(config) for crit in acceptance.CRITERIA]
+    assert acceptance.run_all(config) == serial
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_all_runs_last_criterion_in_a_child(monkeypatch):
+    _stub_criteria(monkeypatch, _pid_criterion(9))
+    results = acceptance.run_all(None)
+    assert [r.index for r in results] == list(range(1, 10))
+    assert all(r.details["pid"] == os.getpid() for r in results[:8])
+    assert results[8].details["pid"] != os.getpid()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_all_reraises_the_child_exception(monkeypatch):
+    def crit(config):
+        raise AccuracyError("oracle out of range")
+    _stub_criteria(monkeypatch, crit)
+    with pytest.raises(AccuracyError, match="oracle out of range"):
+        acceptance.run_all(None)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_all_unpicklable_child_exception(monkeypatch):
+    class LocalError(Exception):
+        pass
+
+    def crit(config):
+        raise LocalError("cannot cross the pipe")
+    _stub_criteria(monkeypatch, crit)
+    with pytest.raises(SolverError, match="criterion 9 raised LocalError") \
+            as info:
+        acceptance.run_all(None)
+    assert type(info.value) is SolverError
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("end, code", [
+    (lambda: os._exit(1), 1),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["exit-1", "sigkill"])
+def test_run_all_child_without_result(monkeypatch, end, code):
+    def crit(config):
+        end()
+    _stub_criteria(monkeypatch, crit)
+    with pytest.raises(SolverError,
+                       match=f"criterion 9 worker ended without a result "
+                             rf"\(wait status \d+, exit code {code}\)"):
+        acceptance.run_all(None)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_all_reaps_the_child_when_the_parent_fails(monkeypatch):
+    # The child would sleep for a minute; a failure among criteria 1-8
+    # kills and reaps it instead of waiting for it.
+    def first(config):
+        raise AccuracyError("criterion 1 failed")
+
+    def slow(config):
+        time.sleep(60.0)
+    _stub_criteria(monkeypatch, slow, first=first)
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError, match="criterion 1 failed"):
+        acceptance.run_all(None)
+    assert time.perf_counter() - t0 < 30.0
+    _assert_no_child_left()
+
+
+def test_cli_setup_imports_neither_mpmath_nor_multiprocessing():
+    # mpmath is imported by run_all, not at module level, so that loading
+    # the CLI and its config does not pay for it.
+    code = ("import sys, cellwave.cli\n"
+            "from cellwave.config import load_config\n"
+            f"load_config({str(ROOT / 'configs' / 'default.json')!r})\n"
+            "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
