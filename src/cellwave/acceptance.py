@@ -316,16 +316,22 @@ def run_all(config) -> list[CriterionResult]:
     a result raises :class:`SolverError`.  Where ``os.fork`` does not exist
     the criteria run one after another.
     """
-    *serial, last = CRITERIA
+    criteria = CRITERIA
     if not hasattr(os, "fork"):
-        return [crit(config) for crit in (*serial, last)]
+        return [crit(config) for crit in criteria]
     # Imported here, before the fork, so that every child inherits it
     # instead of importing it anew.
     import mpmath  # noqa: F401
 
-    index = len(serial) + 1
+    *serial, last = criteria
+    index = len(criteria)
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         os.close(read_fd)
         _run_in_child(last, config, index, write_fd)
@@ -353,7 +359,11 @@ def run_all(config) -> list[CriterionResult]:
 def _run_in_child(crit, config, index, write_fd):
     """Body of ``run_all``'s forked child: run ``crit``, write
     ``(True, result)`` or ``(False, exception)`` to the pipe, and leave with
-    ``os._exit``, so that the child never returns into its caller."""
+    ``os._exit``, so that the child never returns into its caller.
+
+    The parent may hold BLAS worker threads at the fork; criterion 9 is pure
+    Python and mpmath and makes no BLAS call in the child.
+    """
     code = 1
     try:
         try:
