@@ -2,9 +2,10 @@
 
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
 executes the whole battery, with criterion 9 (the 40-digit oracle) in a
-forked child process beside criteria 1-8.  The CLI ``verify`` subcommand prints one
-pass/fail line per criterion and serialises the results; the pytest module
-``tests/test_acceptance.py`` asserts each criterion individually.
+forked child process beside criteria 1-8.  The CLI ``verify`` subcommand
+prints one pass/fail line per criterion and serialises the results; the
+pytest module ``tests/test_acceptance.py`` asserts each criterion
+individually.
 
 Everything here is deterministic for a fixed config (seeded RNG draws,
 no wall-clock content), which is what makes repeated ``verify`` runs
