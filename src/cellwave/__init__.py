@@ -12,7 +12,6 @@ from .errors import (
     GeometryError,
     NewtonConvergenceError,
     ParamError,
-    ResidualError,
     SolverError,
 )
 from .forces import (
@@ -41,20 +40,15 @@ from .special import (
     periodic_trapezoid,
 )
 from .stability import (
-    EigenMode,
     ModeSpectrum,
     StabilityReport,
     classify,
     dispersion_H,
     dispersion_kernel,
-    eigenmode,
     mode_spectra,
     mode_spectrum,
-    principal_eigenvalue_sweep,
     refine_threshold,
-    threshold_slope_report,
     zero_eigenspace_dimension,
-    zero_mode_basis,
 )
 from .waves import (
     BifurcationReport,
@@ -65,9 +59,6 @@ from .waves import (
     continue_branch,
     disk_shape,
     marker_normalization,
-    mean_curvature,
-    normal_vector,
-    normal_x,
     residual_F,
     solve_at_velocity,
 )

@@ -84,7 +84,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _outdir(config: RunConfig, override) -> Path:
     directory = Path(override) if override else Path(config.output["directory"])
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return directory
 
 
@@ -305,11 +308,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
+        outdir = _outdir(config, args.outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        outdir = _outdir(config, args.outdir)
         if args.command == "resting-state":
             return cmd_resting_state(config, outdir)
         if args.command == "dispersion":

@@ -25,10 +25,6 @@ class GeometryError(CellWaveError):
     """A boundary shape is degenerate (non-positive radius)."""
 
 
-class ResidualError(CellWaveError):
-    """A value that was required to be a root fails the residual check."""
-
-
 class SolverError(CellWaveError):
     """Generic nonlinear-solver failure."""
 

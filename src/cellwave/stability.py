@@ -7,8 +7,8 @@ square root).  Root finding instead operates on ``dispersion_kernel``: the
 same function with its structural zero at the origin factored out and written
 in terms of even Bessel ratios, which makes it entire in the growth rate and
 removes the square-root branch entirely.  The structural zero modes
-(translation and the two mass/concentration neutral modes) are handled by
-closed-form algebra in ``zero_mode_basis``.
+(translation and the two mass/concentration neutral modes) are counted by
+``zero_eigenspace_dimension`` from the lambda = 0 constraint rows.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ResidualError, SolverError
+from .errors import SolverError
 from .forces import ForceLaw
 from .model import ModelParams, chi_c_star
 from .solvers import (
-    DEDUP_TOL,
-    RESIDUAL_TOL,
     ROOT_TOL,
     _accept_roots,
     _complex_newton,
@@ -40,9 +38,6 @@ WARM_TOL = 1e-11
 
 #: Re(lambda) above this counts as unstable.
 CLASSIFY_TOL = 1e-9
-
-#: |lambda| below this is treated as the structural zero.
-ZERO_RADIUS = 1e-12
 
 #: (nx, ny) resolution of the root search's seed grid.
 DEFAULT_SEEDS = (40, 20)
@@ -226,111 +221,8 @@ def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
 
 
 # ---------------------------------------------------------------------------
-# Eigenmodes.
+# Neutral modes.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenMode:
-    """Modal amplitudes (rho_hat, c_hat, P_hat) for one growth rate.
-
-    The boundary perturbation is rho_hat * cos(m theta); the concentration
-    and pressure radial profiles follow from ``concentration_profile`` and
-    ``pressure_profile``.
-    """
-
-    m: int
-    lam: complex
-    rho_hat: complex
-    c_hat: complex
-    P_hat: complex
-
-    def concentration_profile(self, r):
-        """Radial concentration profile at radius r (scalar or array)."""
-        if self.lam == 0:
-            return self.c_hat * np.power(np.asarray(r, dtype=float), self.m)
-        sq = cmath.sqrt(self.lam)
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = np.array([bessel_I(self.m, -ri * sq) for ri in rs])
-        out = self.c_hat * vals
-        return out[0] if np.isscalar(r) else out
-
-    def pressure_profile(self, r):
-        """Radial pressure profile P_hat * r^m."""
-        return self.P_hat * np.power(np.asarray(r, dtype=float), self.m)
-
-
-def _eigen_matrix(m: int, lam: complex, params: ModelParams, f_act: ForceLaw,
-                  f_und: ForceLaw) -> np.ndarray:
-    """3x3 homogeneous system for (rho_hat, c_hat, P_hat) at growth rate lam."""
-    r0 = params.R0
-    c0 = params.c0
-    fp = float(f_act.d1(c0))
-    fu = float(f_und.d1(0.0))
-    sq = cmath.sqrt(complex(lam))
-    w = -r0 * sq
-    i_m = bessel_I(m, w)
-    i_lo = bessel_I(1, w) if m == 0 else bessel_I(m - 1, w)
-    i_hi = bessel_I(m + 1, w)
-    return np.array(
-        [
-            [lam, 0.0, m * r0 ** (m - 1)],
-            [-(params.gamma / r0 ** 2 * (m * m - 1) + lam * params.chi_u * fu),
-             -params.chi_c * fp * i_m,
-             r0 ** m],
-            [-lam * params.a * c0, 0.5 * sq * (i_lo + i_hi), 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-def eigenmode_residual(mode: EigenMode, params: ModelParams, f_act: ForceLaw,
-                       f_und: ForceLaw) -> float:
-    """Largest row residual of the 3x3 system, each row normalised."""
-    mat = _eigen_matrix(mode.m, mode.lam, params, f_act, f_und)
-    vec = np.array([mode.rho_hat, mode.c_hat, mode.P_hat])
-    worst = 0.0
-    for row in mat:
-        scale = np.max(np.abs(row)) * np.max(np.abs(vec))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(row @ vec) / scale)
-    return worst
-
-
-def zero_mode_basis(m: int, params: ModelParams, f_act: ForceLaw,
-                    f_und: ForceLaw) -> list[EigenMode]:
-    """Neutral (lambda = 0) eigenmodes of mode m.
-
-    At lambda = 0 the radial profiles degenerate to powers of r, and the
-    algebra reduces to: P_hat forced to zero for m >= 1 by the kinematic
-    row, c_hat tied to P_hat by the flux row, and the pressure row closing
-    the system.  The result: a two-dimensional kernel for m = 0 (area and
-    concentration modes), the translation mode for m = 1, and nothing for
-    m >= 2.  Each returned basis vector is verified against the assembled
-    constraint matrix.
-    """
-    c0 = params.c0
-    fp = float(f_act.d1(c0))
-    dim = zero_eigenspace_dimension(m, params, f_act, f_und)
-    if dim == 0:
-        return []
-    if m == 0:
-        basis = [
-            EigenMode(0, 0j, 1.0, 0.0, -params.gamma / params.R0 ** 2),
-            EigenMode(0, 0j, 0.0, 1.0, params.chi_c * fp),
-        ]
-    else:
-        basis = [EigenMode(1, 0j, 1.0, 0.0, 0.0)]
-    mat = _zero_constraint_matrix(m, params, f_act, f_und)
-    for mode in basis:
-        vec = np.array([mode.rho_hat, mode.c_hat, mode.P_hat])
-        resid = np.max(np.abs(mat @ vec)) / max(np.max(np.abs(mat)), 1.0)
-        if resid > 1e-12:
-            raise ResidualError(
-                f"zero-mode basis fails the m={m} constraint rows ({resid:.2e})"
-            )
-    return basis
-
 
 def _zero_constraint_matrix(m: int, params: ModelParams, f_act: ForceLaw,
                             f_und: ForceLaw) -> np.ndarray:
@@ -365,92 +257,9 @@ def zero_eigenspace_dimension(m: int, params: ModelParams, f_act: ForceLaw,
     return 3 - rank
 
 
-def eigenmode(m: int, lam: complex, params: ModelParams, f_act: ForceLaw,
-              f_und: ForceLaw) -> list[EigenMode]:
-    """Eigenmode amplitudes for a located growth rate.
-
-    For lam = 0 this returns the closed-form neutral basis (two modes for
-    m = 0, one for m = 1, none for m >= 2).  Otherwise lam must satisfy the
-    dispersion residual check; the returned single mode is the null vector
-    of the 3x3 system, normalised so max(|rho_hat|, |c_hat|, |P_hat|) = 1
-    with the largest component rotated to the positive real axis.
-
-    Raises
-    ------
-    ResidualError
-        If lam is not a root of the mode-m dispersion function.
-    """
-    lam = complex(lam)
-    if abs(lam) <= ZERO_RADIUS:
-        return zero_mode_basis(m, params, f_act, f_und)
-    val, scale = dispersion_kernel(m, lam, params, f_act, f_und)
-    if abs(val) > 100.0 * RESIDUAL_TOL * max(scale, 1e-300):
-        raise ResidualError(
-            f"lambda = {lam!r} is not a root of the mode-{m} dispersion "
-            f"function (normalised residual {abs(val) / max(scale, 1e-300):.2e})"
-        )
-    mat = _eigen_matrix(m, lam, params, f_act, f_und)
-    # Normalise rows to balance scales before extracting the null vector.
-    norms = np.max(np.abs(mat), axis=1)
-    norms[norms == 0.0] = 1.0
-    _, _, vh = np.linalg.svd(mat / norms[:, None])
-    vec = vh[-1].conj()
-    idx = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[idx]
-    vec = vec / np.max(np.abs(vec))
-    return [EigenMode(m, lam, complex(vec[0]), complex(vec[1]), complex(vec[2]))]
-
-
 # ---------------------------------------------------------------------------
-# Sweeps, threshold location, classification.
+# Threshold location, classification.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Principal growth rate at one active-strength value."""
-
-    chi_c: float
-    principal: complex | None
-    ambiguous: bool
-
-
-def principal_eigenvalue_sweep(m: int, params: ModelParams, f_act: ForceLaw,
-                               f_und: ForceLaw,
-                               chi_c_grid) -> list[SweepPoint]:
-    """Principal growth rate of mode m along an ascending chi_c grid, the
-    spectra found together by ``mode_spectra`` on the default rectangle and
-    seed grid.
-
-    Tracking between consecutive grid points is by nearest-neighbour
-    matching; a point is flagged ambiguous when the two largest-real-part
-    roots are closer than the dedup tolerance or when the matched root
-    jumps by more than 5x the recent path scale.
-    """
-    grid = [float(c) for c in chi_c_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("chi_c grid must be strictly ascending")
-    spectra = mode_spectra([(m, params.with_chi_c(chi), f_act, f_und)
-                            for chi in grid])
-    out: list[SweepPoint] = []
-    prev: complex | None = None
-    prev_jump = None
-    for chi, spec in zip(grid, spectra):
-        principal = spec.principal
-        ambiguous = False
-        if principal is not None and len(spec.roots) >= 2:
-            ordered = sorted(spec.roots, key=lambda z: -z.real)
-            if abs(ordered[0] - ordered[1]) <= DEDUP_TOL:
-                ambiguous = True
-        if principal is not None and prev is not None:
-            jump = abs(principal - prev)
-            scale = max(prev_jump or 0.0, 1e-3 * (1.0 + abs(prev)))
-            if jump > 5.0 * scale and prev_jump is not None:
-                ambiguous = True
-            prev_jump = jump
-        prev = principal
-        out.append(SweepPoint(chi_c=chi, principal=principal, ambiguous=ambiguous))
-    return out
-
 
 def _principal_root(m, params, f_act, f_und, warm=None):
     """Principal root of mode m, warm-started when a previous root is known."""
@@ -550,50 +359,3 @@ def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         spectra=tuple(spectra),
     )
 
-
-def threshold_slope_report(params: ModelParams, f_act: ForceLaw,
-                           f_und: ForceLaw) -> dict:
-    """Measure d Re(lambda_1)/d chi_c at the threshold and identify which
-    closed-form linearisation it matches.
-
-    Two closed forms circulate for the near-threshold principal rate: the
-    quadratic-in-z expansion of the mode-1 dispersion function gives slope
-    4 a c0 f_act'(c0) / (R0^2 * (1 + chi_u f_und'(0)/R0)), while the
-    displayed leading-order rate omits the undercooling factor in the
-    denominator (and flips its sign inside the bracket).  The two coincide
-    when chi_u = 0.  The slope is fitted numerically; nothing is assumed.
-    """
-    star = chi_c_star(params, f_act, f_und)
-    c0 = params.c0
-    fp = float(f_act.d1(c0))
-    fu = float(f_und.d1(0.0))
-    b1 = 1.0 + params.chi_u * fu / params.R0
-    base = 4.0 * params.a * c0 * fp / params.R0 ** 2
-    candidates = {
-        "quadratic_expansion": base / b1,
-        "displayed_leading_rate": base,
-    }
-    h = 1e-4 * star
-    warm = None
-    rates = {}
-    for sign in (+1.0, -1.0):
-        p = params.with_chi_c(star + sign * h)
-        root = _principal_root(1, p, f_act, f_und, warm=warm)
-        warm = root
-        rates[sign] = root.real
-    slope = (rates[1.0] - rates[-1.0]) / (2.0 * h)
-    rel = {
-        name: abs(slope - cand) / abs(cand) for name, cand in candidates.items()
-    }
-    if abs(candidates["quadratic_expansion"]
-           - candidates["displayed_leading_rate"]) < 1e-12 * abs(base):
-        verdict = "indistinguishable"
-    else:
-        verdict = min(rel, key=rel.get)
-    return {
-        "chi_c_star": star,
-        "numeric_slope": slope,
-        "candidates": candidates,
-        "relative_mismatch": rel,
-        "verdict": verdict,
-    }

@@ -110,8 +110,8 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Boundary:
     """Polar boundary r = R0 + rho sampled at a set of angles, with its
-    derivatives, curvature and outward unit normal (see ``_boundary``);
-    ``cos``/``sin`` are those of the angles."""
+    derivatives, curvature and the x component ``n1`` of its outward unit
+    normal (see ``_boundary``); ``cos``/``sin`` are those of the angles."""
 
     cos: np.ndarray
     sin: np.ndarray
@@ -121,7 +121,6 @@ class _Boundary:
     q: np.ndarray
     kappa: np.ndarray
     n1: np.ndarray
-    n2: np.ndarray
 
 
 def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
@@ -129,7 +128,8 @@ def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
     at the given angles; the derivatives are spectral (exact for the
     stored cosine series).  With q = r^2 + r'^2 the curvature is
     kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the outward unit normal
-    is (r cos + r' sin, r sin - r' cos) / sqrt(q).
+    is (r cos + r' sin, r sin - r' cos) / sqrt(q), of which ``n1`` is the
+    first component.
 
     The one evaluator of the cosine series and its derivatives at given
     angles: every reader of boundary geometry calls it.
@@ -141,12 +141,10 @@ def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
     rp = -(rho_cos * k) @ sin_t
     rpp = -(rho_cos * k * k) @ cos_t
     q = r * r + rp * rp
-    root_q = np.sqrt(q)
     return _Boundary(
         cos=cos_th, sin=sin_th, r=r, rp=rp, rpp=rpp, q=q,
         kappa=(r * r + 2.0 * rp * rp - r * rpp) / q ** 1.5,
-        n1=(r * cos_th + rp * sin_th) / root_q,
-        n2=(r * sin_th - rp * cos_th) / root_q,
+        n1=(r * cos_th + rp * sin_th) / np.sqrt(q),
     )
 
 
@@ -195,23 +193,6 @@ def _checked_boundary(shape: Shape, theta=None) -> _Boundary:
     if np.min(b.r) <= 0.0:
         raise GeometryError("degenerate radius")
     return b
-
-
-def normal_vector(shape: Shape, theta):
-    """Outward unit normal (n_1, n_2) of the boundary at angle theta."""
-    b = _checked_boundary(shape, theta)
-    return _like_theta(b.n1, theta), _like_theta(b.n2, theta)
-
-
-def normal_x(shape: Shape, theta):
-    """First component of the outward unit normal."""
-    return normal_vector(shape, theta)[0]
-
-
-def mean_curvature(shape: Shape, theta):
-    """Curvature of the polar boundary (positive for a disk), as
-    ``_boundary`` defines it."""
-    return _like_theta(_checked_boundary(shape, theta).kappa, theta)
 
 
 #: Taylor coefficients 1/(k! (k+2)), k = 8 down to 0, of
@@ -663,7 +644,7 @@ class Branch:
 
     def state_nearest(self, V: float) -> TravelingWaveState:
         vs = self.velocities()
-        if V > vs[-1] + 1e-12 or V < vs[0] - 1e-12:
+        if not vs[0] - 1e-12 <= V <= vs[-1] + 1e-12:    # NaN fails too
             raise BranchRangeError(
                 f"V={V:g} outside computed branch [{vs[0]:g}, {vs[-1]:g}]"
             )

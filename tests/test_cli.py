@@ -16,8 +16,6 @@ from cellwave.waves import (
     _boundary,
     collocation_nodes,
     continue_branch,
-    mean_curvature,
-    normal_x,
     project_cosine,
 )
 
@@ -84,6 +82,16 @@ class TestConfig:
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main([command, "-c", path, "--set", override]) == 2
         assert key in capsys.readouterr().err
+
+    def test_output_directory_not_creatable(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for outdir in (blocker, blocker / "sub"):
+            assert main(["resting-state", "-c", path, "-o", str(outdir)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(outdir) in err
+            assert "Traceback" not in err
 
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -307,8 +315,9 @@ class TestShapeCommand:
         rho = project_cosine(radius - run.params.R0)
         shape = Shape(rho, run.params.R0)
         thetas = 2.0 * np.pi * np.arange(len(lines)) / len(lines)
-        assert np.max(np.abs(normal_x(shape, thetas) - n1)) <= 1e-9
-        assert np.max(np.abs(mean_curvature(shape, thetas) - kappa)) <= 1e-8
+        b = _boundary(shape.rho_cos, shape.R0, thetas)
+        assert np.max(np.abs(b.n1 - n1)) <= 1e-9
+        assert np.max(np.abs(b.kappa - kappa)) <= 1e-8
 
     def test_columns_are_one_boundary_evaluation(self, tmp_path):
         # radius, n1 and kappa are the fields of one _boundary evaluation
@@ -355,8 +364,10 @@ class TestShapeCommand:
         out = tmp_path / "out"
         cfg = base_config(out)
         path = write_config(tmp_path, cfg)
-        assert main(["shape", "-c", path, "--velocity", "0.5"]) == 2
-        assert "range error" in capsys.readouterr().err
+        for velocity in ("0.5", "nan"):
+            assert main(["shape", "-c", path, "--velocity", velocity]) == 2
+            assert "range error" in capsys.readouterr().err
+            assert not (out / "shape.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["resting-state"],

@@ -1,4 +1,4 @@
-"""Dispersion function, mode spectra, eigenmodes, threshold and verdicts."""
+"""Dispersion function, mode spectra, neutral modes, threshold and verdicts."""
 
 import cmath
 import math
@@ -10,24 +10,18 @@ import pytest
 from cellwave import (
     AccuracyError,
     ModelParams,
-    ResidualError,
     bessel_I,
-    bessel_J,
     bessel_J_roots,
     chi_c_star,
     classify,
     dispersion_H,
     dispersion_kernel,
-    eigenmode,
     hill_active,
     linear_undercooling,
     mode_spectra,
     mode_spectrum,
-    principal_eigenvalue_sweep,
     refine_threshold,
-    threshold_slope_report,
     zero_eigenspace_dimension,
-    zero_mode_basis,
 )
 from cellwave import _kernels, solvers, stability
 from cellwave.acceptance import _sample_params
@@ -43,8 +37,8 @@ from cellwave.stability import (
     DEFAULT_SEEDS,
     _mode_constants,
     _kernel_closures,
+    _zero_constraint_matrix,
     default_root_region,
-    eigenmode_residual,
     structural_exponent,
 )
 
@@ -634,21 +628,6 @@ class TestLockstepSweep:
         with pytest.raises(AccuracyError, match="double range"):
             mode_spectra([(m, params, f_act, f_und) for m in modes])
 
-    def test_principal_sweep_matches_single_spectra(self, params, f_act,
-                                                    f_und, monkeypatch):
-        star = chi_c_star(params, f_act, f_und)
-        grid = list(np.linspace(0.2 * star, 2.0 * star, 13))
-        sweep = principal_eigenvalue_sweep(1, params, f_act, f_und, grid)
-        monkeypatch.setattr(stability, "mode_spectra",
-                            lambda jobs: [mode_spectrum(*job) for job in jobs])
-        loop = principal_eigenvalue_sweep(1, params, f_act, f_und, grid)
-        assert len(sweep) == len(loop) == len(grid)
-        for got, ref in zip(sweep, loop):
-            assert got.chi_c == ref.chi_c
-            assert got.ambiguous == ref.ambiguous
-            assert abs(got.principal - ref.principal) <= 1e-12 * abs(
-                ref.principal)
-
     def test_empty_sweep(self):
         assert mode_spectra([]) == []
 
@@ -669,56 +648,27 @@ class TestZeroModes:
             assert total == 3
 
     def test_mode0_basis(self, params, f_act, f_und):
-        modes = zero_mode_basis(0, params, f_act, f_und)
-        assert len(modes) == 2
-        rho_mode, c_mode = modes
-        assert (rho_mode.rho_hat, rho_mode.c_hat) == (1.0, 0.0)
-        assert abs(rho_mode.P_hat + params.gamma / params.R0 ** 2) <= 1e-15
-        assert (c_mode.rho_hat, c_mode.c_hat) == (0.0, 1.0)
-        assert abs(c_mode.P_hat
-                   - params.chi_c * float(f_act.d1(params.c0))) <= 1e-15
+        # The area and concentration modes (rho_hat, c_hat, P_hat) are
+        # null vectors of the mode-0 constraint rows.
+        mat = _zero_constraint_matrix(0, params, f_act, f_und)
+        fp = float(f_act.d1(params.c0))
+        for vec in ([1.0, 0.0, -params.gamma / params.R0 ** 2],
+                    [0.0, 1.0, params.chi_c * fp]):
+            assert np.max(np.abs(mat @ vec)) <= 1e-12 * max(
+                np.max(np.abs(mat)), 1.0)
 
     def test_mode1_translation(self, params, f_act, f_und):
-        modes = eigenmode(1, 0.0, params, f_act, f_und)
-        assert len(modes) == 1
-        assert (modes[0].rho_hat, modes[0].c_hat, modes[0].P_hat) == (1, 0, 0)
+        mat = _zero_constraint_matrix(1, params, f_act, f_und)
+        assert np.array_equal(mat @ [1.0, 0.0, 0.0], np.zeros(3))
 
     def test_mode2_empty(self, params, f_act, f_und):
-        assert eigenmode(2, 0.0, params, f_act, f_und) == []
-
-
-class TestEigenmodes:
-    def test_mode0_profile_is_bessel_j(self, params, f_act, f_und):
-        j1 = bessel_J_roots(1, 1)[0]
-        lam = -(j1 / params.R0) ** 2
-        mode = eigenmode(0, lam, params, f_act, f_und)[0]
-        rr = np.linspace(0.0, params.R0, 17)
-        prof = mode.concentration_profile(rr)
-        ref = np.array([bessel_J(0, j1 * r / params.R0) for r in rr])
-        scale = prof[0] / ref[0]
-        assert np.max(np.abs(prof - scale * ref)) <= 1e-9
-        # rho amplitude vanishes; pressure amplitude is chi_c f'(c0) J0(x11)
-        assert abs(mode.rho_hat) <= 1e-12
-        pred = params.chi_c * float(f_act.d1(params.c0)) * bessel_J(0, j1)
-        assert abs(mode.P_hat - pred * mode.c_hat) <= 1e-10
-
-    def test_relations_hold(self, params, f_act, f_und):
-        for m in (0, 1, 2, 3):
-            spec = mode_spectrum(m, params, f_act, f_und)
-            for lam in spec.roots[:3]:
-                for mode in eigenmode(m, lam, params, f_act, f_und):
-                    assert eigenmode_residual(mode, params, f_act,
-                                              f_und) <= 1e-9
-
-    def test_normalisation(self, params, f_act, f_und):
-        spec = mode_spectrum(1, params, f_act, f_und)
-        mode = eigenmode(1, spec.principal, params, f_act, f_und)[0]
-        mags = [abs(mode.rho_hat), abs(mode.c_hat), abs(mode.P_hat)]
-        assert abs(max(mags) - 1.0) <= 1e-12
-
-    def test_non_root_rejected(self, params, f_act, f_und):
-        with pytest.raises(ResidualError):
-            eigenmode(1, 3.7 + 0.1j, params, f_act, f_und)
+        # For m >= 2 the rows are nonsingular, det = -m^2 (m^2 - 1) gamma
+        # / R0^2, so no nonzero (rho_hat, c_hat, P_hat) is neutral.
+        for m in range(2, 9):
+            det = np.linalg.det(_zero_constraint_matrix(m, params, f_act,
+                                                        f_und))
+            ref = -m * m * (m * m - 1) * params.gamma / params.R0 ** 2
+            assert abs(det - ref) <= 1e-12 * abs(ref)
 
 
 class TestSweepAndThreshold:
@@ -742,8 +692,9 @@ class TestSweepAndThreshold:
     def test_sweep_sign_change_brackets_threshold(self, params, f_act, f_und):
         star = chi_c_star(params, f_act, f_und)
         grid = list(np.linspace(0.8 * star, 1.2 * star, 9))
-        points = principal_eigenvalue_sweep(1, params, f_act, f_und, grid)
-        res = [p.principal.real for p in points]
+        spectra = mode_spectra([(1, params.with_chi_c(chi), f_act, f_und)
+                                for chi in grid])
+        res = [spec.principal.real for spec in spectra]
         signs = np.sign(res)
         flips = np.nonzero(np.diff(signs))[0]
         assert len(flips) == 1
@@ -751,15 +702,9 @@ class TestSweepAndThreshold:
         assert lo <= star <= hi
 
     def test_sweep_at_zero_activity(self, params, f_act, f_und):
-        points = principal_eigenvalue_sweep(1, params.with_chi_c(0.0),
-                                            f_act, f_und, [0.0, 0.5])
-        first = points[0].principal
+        first = mode_spectrum(1, params.with_chi_c(0.0), f_act, f_und).principal
         assert first is not None
         assert first.real < 0 and abs(first.imag) <= 1e-8
-
-    def test_sweep_requires_sorted_grid(self, params, f_act, f_und):
-        with pytest.raises(ValueError):
-            principal_eigenvalue_sweep(1, params, f_act, f_und, [1.0, 0.5])
 
 
 class TestClassify:
@@ -787,20 +732,30 @@ class TestClassify:
 
 class TestOpenQuestions:
     def test_slope_matches_quadratic_expansion(self, params, f_act, f_und):
-        # Two closed forms circulate for the near-threshold principal rate;
-        # with chi_u > 0 they differ by the undercooling factor and the
-        # numerics resolve the discrepancy (frozen empirical outcome).
-        report = threshold_slope_report(params, f_act, f_und)
-        assert report["verdict"] == "quadratic_expansion"
-        assert report["relative_mismatch"]["quadratic_expansion"] <= 1e-4
-        assert report["relative_mismatch"]["displayed_leading_rate"] >= 0.1
+        # The stabilising effect of undercooling, in numbers: at the
+        # threshold d Re(lambda_1)/d chi_c is the quadratic-in-z expansion
+        # of the mode-1 dispersion function,
+        # 4 a c0 f_act'(c0) / (R0^2 (1 + chi_u f_und'(0)/R0)); the form
+        # without the undercooling factor misses it, and the two coincide
+        # at chi_u = 0.
+        def slope_and_forms(p):
+            star = chi_c_star(p, f_act, f_und)
+            h = 1e-4 * star
+            up, down = (mode_spectrum(1, p.with_chi_c(star + sign * h), f_act,
+                                      f_und).principal.real
+                        for sign in (1.0, -1.0))
+            base = 4.0 * p.a * p.c0 * float(f_act.d1(p.c0)) / p.R0 ** 2
+            b1 = 1.0 + p.chi_u * float(f_und.d1(0.0)) / p.R0
+            return (up - down) / (2.0 * h), base / b1, base
 
-    def test_slope_candidates_coincide_without_undercooling(self, f_act,
-                                                            f_und):
+        slope, undercooled, free = slope_and_forms(params)
+        assert abs(slope - undercooled) <= 1e-4 * abs(undercooled)
+        assert abs(slope - free) >= 0.1 * abs(free)
         p = ModelParams(a=0.8, gamma=2.0, chi_c=0.5, chi_u=0.0, R0=1.0,
                         M=math.pi)
-        report = threshold_slope_report(p, f_act, f_und)
-        assert report["verdict"] == "indistinguishable"
+        slope, undercooled, free = slope_and_forms(p)
+        assert undercooled == free
+        assert abs(slope - undercooled) <= 1e-4 * abs(undercooled)
 
     def test_extended_range_report(self, f_act, f_und):
         # The proven non-positive-spectrum range stops at 1/(a c0 f'(c0));

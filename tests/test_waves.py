@@ -2,11 +2,14 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cellwave import (
+    Branch,
+    BranchRangeError,
     ContinuationStalledError,
     GeometryError,
     ModelParams,
@@ -19,8 +22,6 @@ from cellwave import (
     disk_shape,
     linear_undercooling,
     marker_normalization,
-    mean_curvature,
-    normal_x,
     residual_F,
     solve_at_velocity,
     tanh_undercooling,
@@ -28,6 +29,7 @@ from cellwave import (
 from cellwave import waves
 from cellwave.waves import (
     _boundary,
+    _checked_boundary,
     _radius_on_grid,
     _residual_jacobian,
     _residual_vector,
@@ -47,20 +49,22 @@ class TestGeometry:
     def test_disk_normal(self):
         sh = disk_shape(1.0, N_TEST)
         th = np.linspace(0.0, 2.0 * np.pi, 11)
-        assert np.allclose(normal_x(sh, th), np.cos(th), atol=1e-14)
-        assert abs(normal_x(sh, math.pi / 2)) <= 1e-14
+        assert np.allclose(_checked_boundary(sh, th).n1, np.cos(th),
+                           atol=1e-14)
+        assert abs(_checked_boundary(sh, math.pi / 2).n1[0]) <= 1e-14
 
     def test_symmetry_axis(self):
         rho = np.zeros(N_TEST + 1)
         rho[2] = 0.1
         sh = Shape(rho, 1.0)
-        assert abs(normal_x(sh, 0.0) - 1.0) <= 1e-14
+        assert abs(_checked_boundary(sh, 0.0).n1[0] - 1.0) <= 1e-14
 
     def test_disk_curvature(self):
         for r0 in (0.5, 1.0, 2.3):
             sh = disk_shape(r0, N_TEST)
             th = np.linspace(0.0, 2.0 * np.pi, 7)
-            assert np.allclose(mean_curvature(sh, th), 1.0 / r0, atol=1e-13)
+            assert np.allclose(_checked_boundary(sh, th).kappa, 1.0 / r0,
+                               atol=1e-13)
 
     def test_linearised_curvature(self):
         # kappa(eps cos 2theta) = 1/R0 + eps (4-1)/R0^2 cos 2theta + O(eps^2),
@@ -71,14 +75,14 @@ class TestGeometry:
         sh = Shape(rho, 1.0)
         th = np.linspace(0.0, 2.0 * np.pi, 41)
         lin = 1.0 + eps * 3.0 * np.cos(2 * th)
-        assert np.max(np.abs(mean_curvature(sh, th) - lin)) <= 1e-10
+        assert np.max(np.abs(_checked_boundary(sh, th).kappa - lin)) <= 1e-10
 
     def test_gauss_bonnet(self):
         rho = np.zeros(64 + 1)
         rho[0], rho[2], rho[3] = 0.02, 0.22, 0.05
         sh = Shape(rho, 1.0)
         th = 2.0 * np.pi * np.arange(4096) / 4096
-        kappa = mean_curvature(sh, th)
+        kappa = _checked_boundary(sh, th).kappa
         r, rp, _ = _polar_series(rho, 1.0, th)
         arc = np.sqrt(r * r + rp * rp)
         total = float(np.mean(kappa * arc)) * 2.0 * np.pi
@@ -86,15 +90,16 @@ class TestGeometry:
 
     def test_boundary_fields_match_shape(self):
         # The one geometry helper, on the collocation tables and at
-        # arbitrary angles, against a term-by-term sum of the series and
-        # the polar formulas.
+        # arbitrary angles, unchecked and through the shape, against a
+        # term-by-term sum of the series and the polar formulas.
         rng = np.random.default_rng(53)
         rho = _smooth_shape(rng, N_TEST, 0.1)
         sh = Shape(rho, 1.3)
         nodes = waves.collocation_nodes(N_TEST)
         angles = rng.uniform(-7.0, 7.0, 25)
-        for theta, fields in ((nodes, _boundary(rho, 1.3)),
-                              (angles, _boundary(rho, 1.3, angles))):
+        for theta, arg in ((nodes, None), (angles, angles)):
+            fields = _boundary(rho, 1.3, arg)
+            checked = _checked_boundary(sh, arg)
             r, rp, rpp = _polar_series(rho, 1.3, theta)
             kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
             n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
@@ -102,8 +107,8 @@ class TestGeometry:
                              (fields.rpp, rpp), (fields.kappa, kappa),
                              (fields.n1, n1),
                              (sh.radius(theta), r),
-                             (mean_curvature(sh, theta), kappa),
-                             (normal_x(sh, theta), n1)):
+                             (checked.kappa, kappa),
+                             (checked.n1, n1)):
                 assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("n", [5, 64, 128])
@@ -323,6 +328,15 @@ class TestBranch:
         vs = branch.velocities()
         assert np.all(np.diff(vs) > 0)
         assert abs(vs[-1] - 0.1) <= 1e-12
+
+    def test_state_nearest_rejects_speeds_off_the_branch(self):
+        states = tuple(SimpleNamespace(V=v) for v in (0.0, 0.02, 0.04))
+        branch = Branch(states)
+        assert branch.state_nearest(0.025) is states[1]
+        assert branch.state_nearest(0.04) is states[2]
+        for V in (-0.01, 0.05, math.nan):
+            with pytest.raises(BranchRangeError):
+                branch.state_nearest(V)
 
     def test_even_in_speed_near_onset(self, params, f_act, f_und):
         branch = continue_branch(params, f_act, f_und, V_max=0.05, ds=0.01,
