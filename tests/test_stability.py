@@ -730,30 +730,38 @@ class TestClassify:
             classify(params, f_act, f_und, m_max=1)
 
 
+def _slope_and_forms(p, f_act, f_und):
+    # d Re(lambda_1)/d chi_c at the threshold by central differences of
+    # mode_spectrum, beside the two closed forms it is weighed against:
+    # with the undercooling factor 1 + chi_u f_und'(0)/R0 and without it.
+    star = chi_c_star(p, f_act, f_und)
+    h = 1e-4 * star
+    up, down = (mode_spectrum(1, p.with_chi_c(star + sign * h), f_act,
+                              f_und).principal.real
+                for sign in (1.0, -1.0))
+    base = 4.0 * p.a * p.c0 * float(f_act.d1(p.c0)) / p.R0 ** 2
+    b1 = 1.0 + p.chi_u * float(f_und.d1(0.0)) / p.R0
+    return (up - down) / (2.0 * h), base / b1, base
+
+
 class TestOpenQuestions:
     def test_slope_matches_quadratic_expansion(self, params, f_act, f_und):
         # The stabilising effect of undercooling, in numbers: at the
         # threshold d Re(lambda_1)/d chi_c is the quadratic-in-z expansion
         # of the mode-1 dispersion function,
         # 4 a c0 f_act'(c0) / (R0^2 (1 + chi_u f_und'(0)/R0)); the form
-        # without the undercooling factor misses it, and the two coincide
-        # at chi_u = 0.
-        def slope_and_forms(p):
-            star = chi_c_star(p, f_act, f_und)
-            h = 1e-4 * star
-            up, down = (mode_spectrum(1, p.with_chi_c(star + sign * h), f_act,
-                                      f_und).principal.real
-                        for sign in (1.0, -1.0))
-            base = 4.0 * p.a * p.c0 * float(f_act.d1(p.c0)) / p.R0 ** 2
-            b1 = 1.0 + p.chi_u * float(f_und.d1(0.0)) / p.R0
-            return (up - down) / (2.0 * h), base / b1, base
-
-        slope, undercooled, free = slope_and_forms(params)
+        # without the undercooling factor misses it.
+        slope, undercooled, free = _slope_and_forms(params, f_act, f_und)
         assert abs(slope - undercooled) <= 1e-4 * abs(undercooled)
         assert abs(slope - free) >= 0.1 * abs(free)
+
+    def test_slope_candidates_coincide_without_undercooling(self, f_act,
+                                                            f_und):
+        # At chi_u = 0 the two closed forms are one, and the measured
+        # slope matches it.
         p = ModelParams(a=0.8, gamma=2.0, chi_c=0.5, chi_u=0.0, R0=1.0,
                         M=math.pi)
-        slope, undercooled, free = slope_and_forms(p)
+        slope, undercooled, free = _slope_and_forms(p, f_act, f_und)
         assert undercooled == free
         assert abs(slope - undercooled) <= 1e-4 * abs(undercooled)
 
