@@ -31,14 +31,7 @@ from .model import (
     tw_pressure,
 )
 from .solvers import arclength_continue, find_complex_roots, newton_solve
-from .special import (
-    QuadratureRule,
-    bessel_I,
-    bessel_J,
-    bessel_J_roots,
-    gauss_legendre,
-    periodic_trapezoid,
-)
+from .special import bessel_I
 from .stability import (
     ModeSpectrum,
     StabilityReport,

@@ -1,10 +1,9 @@
 """Low-level numeric kernels in plain Python and numpy.
 
 The hot inner loops of the package live here: modified-Bessel evaluation for
-complex arguments (ascending series plus Miller downward recurrence), the real
-Bessel-J evaluation used by the root oracle, and the per-mode dispersion
-kernel.  Single-point kernels are scalar Python, which is what the root
-Newton of one spectrum and the ``bessel_I``/``bessel_J`` references call;
+complex arguments (ascending series plus Miller downward recurrence) and the
+per-mode dispersion kernel.  Single-point kernels are scalar Python, which
+is what the root Newton of one spectrum and the ``bessel_I`` reference call;
 the scalar mode kernel takes every Bessel order it reads, and its analytic
 slope, from one pass.  The seed screen, ``phi_mode_grid``, evaluates the
 whole grid at once from one read-only table of psi_0..psi_top per rest
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import AccuracyError
 
-#: Radius below which the ascending power series is used for I_m(z), J_m(x).
+#: Radius below which the ascending power series is used for I_m(z).
 SERIES_RADIUS = 4.0
 
 #: Radius (in u = R0^2 * z) below which the even series is used for psi_tilde.
@@ -108,18 +107,6 @@ def iv_chain(mmax, z):
             out = [v * 1e-250 for v in out]
     factor = cmath.exp(z) / (2.0 * (upper + sum(out[:-1])) + ic)
     return [v * factor for v in reversed(out)]
-
-
-def bessel_i_kernel(m, z):
-    """I_m(z) for integer m >= 0 and complex z (parity-reduced dispatch)."""
-    sign = 1.0
-    if z.real < 0.0:
-        z = -z
-        if m % 2 == 1:
-            sign = -1.0
-    if abs(z) <= SERIES_RADIUS:
-        return sign * iv_series(m, z)
-    return sign * iv_chain(m, z)[m]
 
 
 def psi_tilde(k, u):
@@ -459,73 +446,3 @@ def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
     psi = _psi_table(_psi_top(m), r0, zs.tobytes())[max(m - 1, 0):m + 2]
     return _phi_from_psi(m, zs, r0 * r0 * zs, r0, coef_c, b_m, d_m, psi,
                          np.maximum)
-
-
-# ---------------------------------------------------------------------------
-# Real Bessel J for the root oracle.
-# ---------------------------------------------------------------------------
-
-def jv_series(m, x):
-    """Alternating ascending series for J_m(x); accurate for |x| <= 4."""
-    half = 0.5 * x
-    term = 1.0
-    for j in range(1, m + 1):
-        term *= half / j
-    total = term
-    u = -half * half
-    k = 0
-    while k < 300:
-        k += 1
-        term *= u / (k * (k + m))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-def jv_chain(mmax, x):
-    """J_0(x)..J_mmax(x) by Miller's recurrence; requires x > 0.
-
-    Normalised with 1 = J_0 + 2 * sum_{k>=1} J_{2k}.
-    """
-    out = np.zeros(mmax + 1, dtype=np.float64)
-    start = mmax + 40 + int(1.5 * x)
-    if start % 2 == 1:
-        start += 1
-    jp = 0.0
-    jc = 1e-250
-    ssum = 2.0 * jc          # start order is even and >= 2
-    for k in range(start, 0, -1):
-        jm1 = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm1
-        if (k - 1) % 2 == 0:
-            if k - 1 == 0:
-                ssum += jm1
-            else:
-                ssum += 2.0 * jm1
-        if k - 1 <= mmax:
-            out[k - 1] = jm1
-        if abs(jm1) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            ssum *= 1e-250
-            for i in range(mmax + 1):
-                out[i] *= 1e-250
-    for i in range(mmax + 1):
-        out[i] /= ssum
-    return out
-
-
-def bessel_j_kernel(m, x):
-    """J_m(x) for integer m >= 0 and real x."""
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if m % 2 == 1:
-            sign = -1.0
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= SERIES_RADIUS:
-        return sign * jv_series(m, x)
-    return sign * jv_chain(m, x)[m]

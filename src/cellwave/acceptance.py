@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContinuationStalledError, SolverError
 from .forces import hill_active, linear_undercooling, tanh_undercooling
 from .model import ModelParams, chi_c_star
-from .special import bessel_I, bessel_J_roots
+from .special import bessel_I
 from .stability import (
     mode_spectra,
     mode_spectrum,
@@ -90,10 +90,14 @@ def criterion_threshold_agreement(config) -> CriterionResult:
 
 def criterion_mode0_spectrum(config) -> CriterionResult:
     """2: nonzero mode-0 rates match -x_{1k}^2/R0^2 for the first four
-    positive J_1 roots (1e-9 absolute, independent bisection oracle)."""
+    positive J_1 roots (1e-9 absolute, 40-digit ``mpmath.besseljzero``
+    oracle)."""
+    import mpmath as mp
+
     params = config.params
     r0 = params.R0
-    oracle = bessel_J_roots(1, 4)
+    with mp.workdps(40):
+        oracle = [float(mp.besseljzero(1, k)) for k in range(1, 5)]
     expected = sorted(-(x * x) / (r0 * r0) for x in oracle)
     region = (1.05 * expected[0], 0.5 / r0 ** 2, -2.0, 2.0)
     spec = mode_spectrum(0, params, config.f_act, config.f_und, region=region)
@@ -320,8 +324,8 @@ def run_all(config) -> list[CriterionResult]:
     criteria = CRITERIA
     if not hasattr(os, "fork"):
         return [crit(config) for crit in criteria]
-    # Imported here, before the fork, so that every child inherits it
-    # instead of importing it anew.
+    # Imported here, before the fork, so that criterion 2 in this process
+    # and the child's criterion 9 share one import.
     import mpmath  # noqa: F401
 
     *serial, last = criteria

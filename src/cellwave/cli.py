@@ -70,16 +70,23 @@ def _jsonable(obj):
     return obj
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    path.write_text(text, newline="\n")
+    _write_text(path, text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _outdir(config: RunConfig, override) -> Path:
@@ -309,10 +316,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.overrides)
         outdir = _outdir(config, args.outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if args.command == "resting-state":
             return cmd_resting_state(config, outdir)
         if args.command == "dispersion":
@@ -323,6 +326,9 @@ def main(argv=None) -> int:
             return cmd_shape(config, outdir, args.velocity)
         if args.command == "verify":
             return cmd_verify(config, outdir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BranchRangeError as exc:
         print(f"range error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -168,6 +168,8 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError("analysis mode range must satisfy 0 <= mode_min <= mode_max")
     if analysis["N"] < 4:
         raise ConfigError("analysis.N must be >= 4")
+    if analysis["seed"] < 0:
+        raise ConfigError("analysis.seed must be >= 0")
     region = analysis["root_region"]
     if region is not None:
         if (not isinstance(region, list) or len(region) != 4):

@@ -33,7 +33,6 @@ from .errors import (
 from .forces import ForceLaw
 from .model import ModelParams, chi_c_star, tw_concentration, tw_pressure
 from .solvers import arclength_continue, newton_solve
-from .special import gauss_legendre
 
 #: Default truncation order of the cosine series.
 DEFAULT_N = 64
@@ -465,10 +464,11 @@ def _unpack(u: np.ndarray, V: float, params: ModelParams) -> TravelingWaveState:
 @lru_cache(maxsize=1)
 def _unit_radial_rule():
     """Read-only 32-point Gauss-Legendre nodes and weights on [0, 1]."""
-    rule = gauss_legendre(32, 0.0, 1.0)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule.nodes, rule.weights
+    x, w = np.polynomial.legendre.leggauss(32)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def state_diagnostics(state: TravelingWaveState, params: ModelParams,

@@ -55,6 +55,19 @@ def test_criterion_02_mode0_spectrum(config):
     _check(acceptance.criterion_mode0_spectrum(config))
 
 
+def test_criterion_02_oracle_is_exact(config, j1_roots):
+    # The mpmath oracle gives the frozen roots, so the located rates sit
+    # within the root Newton's own accuracy of the exact -j_1k^2 / R0^2;
+    # the caller's mpmath precision is kept.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(23):
+        result = acceptance.criterion_mode0_spectrum(config)
+        assert mp.mp.dps == 23
+        assert [float(mp.besseljzero(1, k)) for k in range(1, 5)] == list(
+            j1_roots)
+    assert result.passed and result.details["worst_abs_err"] <= 1e-12
+
+
 def test_criterion_03_neutral_modes(config):
     _check(acceptance.criterion_neutral_modes(config))
 

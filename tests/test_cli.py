@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellwave import Shape, _kernels, bessel_J_roots, chi_c_star
+from cellwave import Shape, _kernels, chi_c_star
 from cellwave.cli import main
 from cellwave.config import load_config
 from cellwave.model import tw_concentration
@@ -93,6 +93,24 @@ class TestConfig:
             assert err.startswith("config error: ") and str(outdir) in err
             assert "Traceback" not in err
 
+    def test_output_file_not_writable(self, tmp_path, capsys):
+        # The run completes, then its report cannot be written because a
+        # directory holds the report's name.
+        out = tmp_path / "out"
+        (out / "resting_state.json").mkdir(parents=True)
+        path = write_config(tmp_path, base_config(out))
+        assert main(["resting-state", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output file: ")
+        assert "resting_state.json" in err and "Traceback" not in err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["verify", "-c", path, "--set", "analysis.seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "analysis.seed" in err
+        assert not (tmp_path / "out" / "verify_report.json").exists()
+
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -135,7 +153,7 @@ class TestDispersion:
         lines = (out / "dispersion.csv").read_text().splitlines()
         assert lines == ["m,chi_c,re_lambda,im_lambda,is_principal,residual"]
 
-    def test_rows_sorted_and_mode0_values(self, tmp_path):
+    def test_rows_sorted_and_mode0_values(self, tmp_path, j1_roots):
         out = tmp_path / "out"
         cfg = base_config(out)
         cfg["analysis"]["chi_c_grid"] = [1.0]
@@ -147,7 +165,7 @@ class TestDispersion:
         keys = [(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
                 for r in rows]
         assert keys == sorted(keys)
-        j1 = bessel_J_roots(1, 2)
+        j1 = j1_roots[:2]
         mode0 = [float(r[2]) for r in rows if r[0] == "0"]
         principal0 = [r for r in rows if r[0] == "0" and r[4] == "1"]
         for x in j1:

@@ -9,10 +9,8 @@ from cellwave import (
     ModelParams,
     ParamError,
     chi_c_star,
-    gauss_legendre,
     hill_active,
     linear_undercooling,
-    periodic_trapezoid,
     resting_state,
     tw_concentration,
     tw_pressure,
@@ -161,18 +159,21 @@ class TestClosedForms:
         p = ModelParams(a=0.7, gamma=1.0, chi_c=0.0, chi_u=0.0, R0=1.3,
                         M=5.0)
         V = 0.8
-        ang = periodic_trapezoid(256)
-        rad = gauss_legendre(64, 0.0, p.R0)
+        # Periodic trapezoid in angle, Gauss-Legendre on [0, R0] in radius.
+        thetas = 2.0 * math.pi * np.arange(256) / 256
+        w_theta = 2.0 * math.pi / 256
+        x, w = np.polynomial.legendre.leggauss(64)
+        radii, w_r = 0.5 * p.R0 * (x + 1.0), 0.5 * p.R0 * w
         denom = 0.0
-        for th, w in zip(ang.nodes, ang.weights):
-            vals = np.exp(-p.a * V * rad.nodes * math.cos(th)) * rad.nodes
-            denom += w * float(np.dot(rad.weights, vals))
+        for th in thetas:
+            vals = np.exp(-p.a * V * radii * math.cos(th)) * radii
+            denom += w_theta * float(np.dot(w_r, vals))
         c1 = p.M / denom
         mass = 0.0
-        for th, w in zip(ang.nodes, ang.weights):
+        for th in thetas:
             vals = np.array([
                 tw_concentration(p, V, c1, (r * math.cos(th), r * math.sin(th)))
-                * r for r in rad.nodes
+                * r for r in radii
             ])
-            mass += w * float(np.dot(rad.weights, vals))
+            mass += w_theta * float(np.dot(w_r, vals))
         assert abs(mass - p.M) <= 1e-10 * p.M

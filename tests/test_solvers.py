@@ -9,7 +9,6 @@ from cellwave import (
     ContinuationStalledError,
     NewtonConvergenceError,
     arclength_continue,
-    bessel_J_roots,
     find_complex_roots,
     newton_solve,
 )
@@ -95,12 +94,12 @@ class TestComplexRoots:
         for got, ref in zip(roots, expected):
             assert abs(got - ref) <= 1e-8
 
-    def test_dispersion_mode0_region(self, params, f_act, f_und):
+    def test_dispersion_mode0_region(self, params, f_act, f_und, j1_roots):
         # The raw mode-0 dispersion function on [-60, 1] x [-1, 1] has the
         # structural double zero at the origin plus the two J_1-root values.
         fun = lambda z: dispersion_H(0, z, params, f_act, f_und)
         roots = _roots(_central_difference(fun), (-60, 1, -1, 1), (50, 11))
-        j1 = bessel_J_roots(1, 2)
+        j1 = j1_roots[:2]
         expected = sorted([-j1[1] ** 2, -j1[0] ** 2, 0.0])
         assert len(roots) == 3
         for got, ref, tol in zip(roots, expected, (1e-6, 1e-6, 1e-4)):

@@ -11,7 +11,6 @@ from cellwave import (
     AccuracyError,
     ModelParams,
     bessel_I,
-    bessel_J_roots,
     chi_c_star,
     classify,
     dispersion_H,
@@ -354,20 +353,19 @@ class TestPsiGridMemo:
 
 
 class TestModeSpectrum:
-    def test_mode0_matches_j1_roots(self, params, f_act, f_und):
-        j1 = bessel_J_roots(1, 4)
+    def test_mode0_matches_j1_roots(self, params, f_act, f_und, j1_roots):
         r2 = params.R0 ** 2
-        region = (-1.05 * j1[3] ** 2 / r2, 0.5 / r2, -2.0, 2.0)
+        region = (-1.05 * j1_roots[3] ** 2 / r2, 0.5 / r2, -2.0, 2.0)
         spec = mode_spectrum(0, params, f_act, f_und, region=region)
-        expected = sorted(-x * x / r2 for x in j1)
+        expected = sorted(-x * x / r2 for x in j1_roots)
         assert len(spec.roots) == 4
         for got, ref in zip(spec.roots, expected):
             assert abs(got - ref) <= 1e-9
 
-    def test_mode0_scaled_radius(self, f_act, f_und):
+    def test_mode0_scaled_radius(self, f_act, f_und, j1_roots):
         p = ModelParams(a=0.6, gamma=2.0, chi_c=0.5, chi_u=1.0, R0=1.6,
                         M=2.0 * math.pi)
-        j1 = bessel_J_roots(1, 2)
+        j1 = j1_roots[:2]
         spec = mode_spectrum(0, p, f_act, f_und)
         expected = sorted(-x * x / p.R0 ** 2 for x in j1)
         got = [z for z in spec.roots if z.real >= expected[0] - 1.0]
@@ -494,9 +492,8 @@ class TestHalfPlaneScreen:
             assert min(abs(z - w) for w in pairs) <= 1e-10
 
     def test_asymmetric_region_screens_whole_grid(self, params, f_act,
-                                                  f_und):
-        j1 = bessel_J_roots(1, 4)
-        region = (-1.05 * j1[3] ** 2, 0.5, -1.0, 2.0)
+                                                  f_und, j1_roots):
+        region = (-1.05 * j1_roots[3] ** 2, 0.5, -1.0, 2.0)
         fun_grid, kernel = _kernel_closures(0, params, f_act, f_und)
         seen = []
         fun_grid_log = lambda zs: seen.append(zs.size) or fun_grid(zs)
@@ -505,7 +502,7 @@ class TestHalfPlaneScreen:
         assert seen == [DEFAULT_SEEDS[0] * DEFAULT_SEEDS[1]]
         spec = mode_spectrum(0, params, f_act, f_und, region=region)
         assert len(spec.roots) == 4
-        for got, x in zip(spec.roots, j1[::-1]):
+        for got, x in zip(spec.roots, j1_roots[::-1]):
             assert abs(got + x * x) <= 1e-9
 
     def test_odd_ny_reads_real_axis_row(self, params, f_act, f_und):
