@@ -5,14 +5,15 @@ complex arguments (ascending series plus Miller downward recurrence) and the
 per-mode dispersion kernel.  Single-point kernels are scalar Python, which
 is what the root Newton of one spectrum and the ``bessel_I`` reference call;
 the scalar mode kernel takes every Bessel order it reads, and its analytic
-slope, from one pass.  The seed screen, ``phi_mode_grid``, evaluates the
-whole grid at once from one read-only table of psi_0..psi_top per rest
-radius and grid, shared by every mode whose orders fit under the same
-power-of-two top: inside the series radius each order sums its series,
-elsewhere one Miller chain per point yields every order.  The lockstep
-Newton of a sweep calls ``phi_mode_slope_points``: value, scale and slope
-at arbitrary points, each with its own mode, from the same series and a
-Miller chain that each point starts at its own order.
+slope, from one pass.  The array kernels read psi_0..psi_T from
+``_psi_rows``: inside the series radius each order sums its series,
+elsewhere ``_psi_chain`` runs one Miller chain per point from that
+point's own start order, so a point's values never depend on the points
+it shares a call with.  The seed screen, ``phi_mode_grid``, reads one
+read-only table per rest radius and grid, shared by every mode whose
+orders fit under the same power-of-two top; the lockstep Newton of a
+sweep calls ``phi_mode_slope_points`` for value, scale and slope at
+arbitrary points, each with its own mode.
 """
 
 from __future__ import annotations
@@ -161,22 +162,21 @@ def _psi_scalar(ks, u):
             "range") from None
 
 
-def _psi_series_grid(ks, u):
-    """Ascending series of psi_k(u), one row per order in ks.
+def _psi_series_grid(top, u):
+    """Ascending series of psi_0(u)..psi_top(u), one row per order.
 
-    Row i holds order ks[i] at every point, or, for a 2-D ks, order
-    ks[i, p] at point p.  Accurate for |u| <= PSI_SERIES_RADIUS; summed
-    until every point's last term is below 1e-18 of its total.
+    Accurate for |u| <= PSI_SERIES_RADIUS; summed until every point's last
+    term is below 1e-18 of its total.
     """
-    ks = ks.reshape(ks.shape[0], -1)
-    first = np.empty(int(ks.max()) + 1)      # 2^-k / k!, as _psi_series
-    for k in range(first.size):
+    ks = np.arange(top + 1)[:, None]
+    first = np.empty(top + 1)                # 2^-k / k!, as _psi_series
+    for k in range(top + 1):
         t0 = 0.5 ** k
         for j in range(1, k + 1):
             t0 /= j
         first[k] = t0
-    term = np.empty((ks.shape[0], u.size), dtype=np.complex128)
-    term[:] = first[ks]
+    term = np.empty((top + 1, u.size), dtype=np.complex128)
+    term[:] = first[:, None]
     total = term.copy()
     q = 0.25 * u
     for j in range(1, 301):
@@ -187,61 +187,26 @@ def _psi_series_grid(ks, u):
     return total
 
 
-def _psi_chain_grid(top, u):
+def _psi_chain(tops, u, top):
     """psi_0(u)..psi_top(u) by one Miller chain per point.
 
-    The array form of ``iv_chain`` at w = sqrt(u), with every point started
-    at ``_miller_start(top, max |w|)``, the highest order any of them
-    needs, and normalised with e^w.  Orders whose w^k overflows are
-    returned as 0.
-    """
-    w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
-    start = _miller_start(top, float(np.abs(w).max()))
-    two_over_w = 2.0 / w
-    ip = np.zeros(u.size, dtype=np.complex128)
-    ic = np.full(u.size, 1e-250 + 0.0j)
-    upper = ic.copy()        # sum of the unnormalised I_k, k > top
-    out = np.zeros((top + 1, u.size), dtype=np.complex128)
-    for k in range(start, 0, -1):
-        ip, ic = ic, ip + k * two_over_w * ic
-        if k > top + 1:
-            upper += ic
-        else:
-            out[k - 1] = ic
-        huge = np.abs(ic) > 1e250
-        if huge.any():
-            ip[huge] *= 1e-250
-            ic[huge] *= 1e-250
-            upper[huge] *= 1e-250
-            out[:, huge] *= 1e-250
-    out *= np.exp(w) / (2.0 * (upper + out[1:].sum(axis=0)) + out[0])
-    with np.errstate(over="ignore"):
-        wk = w ** np.arange(top + 1)[:, None]
-    return np.divide(out, wk, out=np.zeros_like(out), where=np.isfinite(wk))
-
-
-def _psi_chain_points(ms, u):
-    """psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point's own m.
-
-    The array form of ``iv_chain`` at w = sqrt(u), one chain per point,
-    each run down from its own ``_miller_start(m + 2, |w|)`` and normalised
-    with its own running sum, so a point's values never depend on which
-    other points share the call (``_psi_chain_grid`` starts every point of
-    the seed grid at one order, and its table stays as the screen reads
-    it).  A chain holds zeros until its start order comes up.  Orders
-    whose w^k leaves the double range are NaN.  Returns a (4, n) array.
+    The array form of ``iv_chain`` at w = sqrt(u): point i runs down from
+    its own ``_miller_start(tops[i], |w_i|)`` and is normalised with e^w by
+    its own running sum, so its values never depend on which other points
+    share the call.  A chain holds zeros until its start order comes up.
+    Orders whose w^k leaves the double range are NaN.
     """
     w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
     aw = np.abs(w)
-    begins = {}              # start order -> the points whose chain it is
-    for i, (m, a) in enumerate(zip(ms.tolist(), aw.tolist())):
-        begins.setdefault(_miller_start(m + 2, a), []).append(i)
+    # _miller_start(tops[i], aw[i]) point by point
+    starts = np.maximum(tops, aw.astype(int)) + 30 + aw.astype(int) // 2
+    order = np.argsort(starts, kind="stable")
+    firsts, at = np.unique(starts[order], return_index=True)
+    begins = dict(zip(firsts.tolist(), np.split(order, at[1:])))
     # From 1e-250 a chain grows by at most 1 + 2k/|w| a step, so unless
     # that product can pass 1e500 no step reaches the 1e250 rescaling.
     steps = np.arange(1, max(begins) + 1)
     rescale = np.log1p(2.0 * steps / aw.min()).sum() > 500.0 * np.log(10.0)
-    lo = np.maximum(ms - 1, 0)
-    top = int(lo.max()) + 3
     two_over_w = 2.0 / w
     ip = np.zeros(u.size, dtype=np.complex128)
     ic = np.zeros(u.size, dtype=np.complex128)
@@ -265,12 +230,28 @@ def _psi_chain_points(ms, u):
             ic[huge] *= 1e-250
             total[huge] *= 1e-250
             out[:, huge] *= 1e-250
-    orders = lo + np.arange(4)[:, None]
-    kept = out[orders, np.arange(u.size)] * (np.exp(w) / (2.0 * total + ic))
+    out *= np.exp(w) / (2.0 * total + ic)
     with np.errstate(over="ignore", invalid="ignore"):
-        wk = w ** orders
-    return np.divide(kept, wk, out=np.full_like(kept, np.nan),
+        wk = w ** np.arange(top + 1)[:, None]
+    return np.divide(out, wk, out=np.full_like(out, np.nan),
                      where=np.isfinite(wk))
+
+
+def _psi_rows(tops, u):
+    """psi_0(u)..psi_T(u), T = max(tops), one row per order, one column
+    per point.
+
+    The series where |u| <= PSI_SERIES_RADIUS, else ``_psi_chain``, whose
+    point i is accurate up to order tops[i] and NaN where w^k overflows.
+    """
+    top = int(tops.max())
+    psi = np.empty((top + 1, u.size), dtype=np.complex128)
+    small = np.abs(u) <= PSI_SERIES_RADIUS
+    if small.any():
+        psi[:, small] = _psi_series_grid(top, u[small])
+    if not small.all():
+        psi[:, ~small] = _psi_chain(tops[~small], u[~small], top)
+    return psi
 
 
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
@@ -346,11 +327,10 @@ def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
     """``phi_mode_slope`` at many points at once, each with its own mode
     and constants (equal-length arrays); returns (values, scales, slopes).
 
-    psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point comes from
-    ``_psi_series_grid`` where |u| <= PSI_SERIES_RADIUS and from
-    ``_psi_chain_points`` elsewhere, both point by point; the points of
-    modes 0, 1 and >= 2 then read ``_phi_from_psi`` and
-    ``_phi_slope_from_psi`` once each.
+    psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point comes from one
+    ``_psi_rows`` call whose chains keep those orders; the points of modes
+    0, 1 and >= 2 then read ``_phi_from_psi`` and ``_phi_slope_from_psi``
+    once each.
 
     Raises
     ------
@@ -359,13 +339,8 @@ def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
         below the smallest normal double or whose psi is not finite.
     """
     u = r0s * r0s * zs
-    orders = np.maximum(ms - 1, 0) + np.arange(4)[:, None]
-    psi = np.empty((4, zs.size), dtype=np.complex128)
-    small = np.abs(u) <= PSI_SERIES_RADIUS
-    if small.any():
-        psi[:, small] = _psi_series_grid(orders[:, small], u[small])
-    if not small.all():
-        psi[:, ~small] = _psi_chain_points(ms[~small], u[~small])
+    lo = np.maximum(ms - 1, 0)
+    psi = _psi_rows(lo + 3, u)[lo + np.arange(4)[:, None], np.arange(zs.size)]
     bad = ~(np.abs(psi[np.where(ms > 0, 2, 1), np.arange(zs.size)])
             >= _DOUBLE_MIN)
     bad |= ~np.isfinite(psi).all(axis=0)
@@ -419,16 +394,13 @@ def _psi_table(top, r0, zs_bytes):
 
     The rows depend only on (top, r0, the exact grid points), never on m or
     the force constants, so every mode of one rest radius with the same top,
-    and every chi_c of those modes, reads this single entry.  Points with
-    |u| <= PSI_SERIES_RADIUS sum every order's series; the others take one
-    Miller chain each.
+    and every chi_c of those modes, reads this single entry.  The rows are
+    ``_psi_rows`` with every point kept up to top, so a point's column does
+    not depend on the rest of the grid; orders whose w^k overflows are 0.
     """
     u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
-    psi = np.empty((top + 1, u.size), dtype=np.complex128)
-    small = np.abs(u) <= PSI_SERIES_RADIUS
-    psi[:, small] = _psi_series_grid(np.arange(top + 1), u[small])
-    if not small.all():
-        psi[:, ~small] = _psi_chain_grid(top, u[~small])
+    psi = _psi_rows(np.full(u.size, top), u)
+    psi[np.isnan(psi)] = 0.0
     psi.flags.writeable = False
     return psi
 

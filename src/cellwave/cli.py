@@ -100,6 +100,9 @@ def _outdir(config: RunConfig, override) -> Path:
 
 def cmd_resting_state(config: RunConfig, outdir: Path) -> int:
     """Emit the resting state, the threshold and the stability verdict."""
+    if config.analysis["mode_max"] < 2:
+        raise ConfigError("analysis.mode_max must be >= 2 for resting-state, "
+                          f"got {config.analysis['mode_max']}")
     params = config.params
     rest = resting_state(params, config.f_act)
     star = chi_c_star(params, config.f_act, config.f_und)

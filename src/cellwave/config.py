@@ -74,6 +74,12 @@ def _require_number(section: str, key: str, value) -> float:
     return number
 
 
+def _require_int(key: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _check_unknown(section: str, block: dict, allowed) -> None:
     for key in block:
         if key not in allowed:
@@ -89,13 +95,11 @@ def _chi_grid(spec) -> list[float]:
         try:
             start = _require_number("analysis.chi_c_grid", "start", spec["start"])
             stop = _require_number("analysis.chi_c_grid", "stop", spec["stop"])
-            count = spec["count"]
+            count = _require_int("analysis.chi_c_grid.count", spec["count"], 0)
         except KeyError as exc:
             raise ConfigError(
                 f"missing key analysis.chi_c_grid.{exc.args[0]}"
             ) from None
-        if not isinstance(count, int) or count < 0:
-            raise ConfigError("analysis.chi_c_grid.count must be an int >= 0")
         grid = list(np.linspace(start, stop, count)) if count else []
     else:
         raise ConfigError("analysis.chi_c_grid must be a list or {start,stop,count}")
@@ -161,15 +165,9 @@ def validate_config(data: dict) -> RunConfig:
         if val <= 0:
             raise ConfigError(f"analysis.{key} must be positive, got {val!r}")
         analysis[key] = val
-    for key in ("mode_min", "mode_max", "N", "seed"):
-        if not isinstance(analysis[key], int) or isinstance(analysis[key], bool):
-            raise ConfigError(f"analysis.{key} must be an integer")
-    if analysis["mode_min"] < 0 or analysis["mode_max"] < analysis["mode_min"]:
-        raise ConfigError("analysis mode range must satisfy 0 <= mode_min <= mode_max")
-    if analysis["N"] < 4:
-        raise ConfigError("analysis.N must be >= 4")
-    if analysis["seed"] < 0:
-        raise ConfigError("analysis.seed must be >= 0")
+    for key, minimum in (("mode_min", 0), ("mode_max", analysis["mode_min"]),
+                         ("N", 4), ("seed", 0)):
+        _require_int(f"analysis.{key}", analysis[key], minimum)
     region = analysis["root_region"]
     if region is not None:
         if (not isinstance(region, list) or len(region) != 4):
@@ -180,10 +178,10 @@ def validate_config(data: dict) -> RunConfig:
             raise ConfigError("analysis.root_region must be a nonempty rectangle")
         analysis["root_region"] = tuple(region)
     seeds = analysis["seed_grid"]
-    if (not isinstance(seeds, list) or len(seeds) != 2
-            or not all(isinstance(s, int) and s >= 2 for s in seeds)):
+    if not isinstance(seeds, list) or len(seeds) != 2:
         raise ConfigError("analysis.seed_grid must be [nx, ny] with ints >= 2")
-    analysis["seed_grid"] = tuple(seeds)
+    analysis["seed_grid"] = tuple(_require_int(f"analysis.seed_grid.{i}", s, 2)
+                                  for i, s in enumerate(seeds))
 
     output = dict(_OUTPUT_DEFAULTS)
     block = data.get("output", {})
@@ -193,8 +191,7 @@ def validate_config(data: dict) -> RunConfig:
     output.update(block)
     if not isinstance(output["directory"], str):
         raise ConfigError("output.directory must be a string")
-    if not isinstance(output["rho_width"], int) or output["rho_width"] < 1:
-        raise ConfigError("output.rho_width must be a positive integer")
+    _require_int("output.rho_width", output["rho_width"], 1)
 
     return RunConfig(params=params, f_act=built["active"],
                      f_und=built["undercooling"], analysis=analysis,

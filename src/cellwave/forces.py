@@ -97,10 +97,13 @@ def hill_active(l_max: float = 2.0, k_half: float = 0.75,
     """Saturating Hill law f(c) = l_max * c^n / (k_half^n + c^n).
 
     Vanishes at zero, is strictly increasing on the positive axis and
-    saturates at l_max.
+    saturates at l_max.  The exponent may be a float with an integral
+    value, such as 2.0.
     """
-    if l_max <= 0 or k_half <= 0 or exponent < 1:
-        raise ForceLawError("hill law needs l_max > 0, k_half > 0, exponent >= 1")
+    if (l_max <= 0 or k_half <= 0 or exponent < 1
+            or not float(exponent).is_integer()):
+        raise ForceLawError(
+            "hill law needs l_max > 0, k_half > 0 and an integer exponent >= 1")
     n = int(exponent)
     kn = k_half ** n
 

@@ -111,6 +111,23 @@ class TestConfig:
         assert err.startswith("config error: ") and "analysis.seed" in err
         assert not (tmp_path / "out" / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("override, key", [
+        ("output.rho_width=true", "output.rho_width"),
+        ('analysis.chi_c_grid={"start": 0.5, "stop": 1.5, "count": true}',
+         "analysis.chi_c_grid.count"),
+        ("analysis.seed_grid=[40, true]", "analysis.seed_grid.1"),
+        ("force_laws.active.exponent=2.5", "force_laws.active"),
+        ("analysis.mode_max=1", "analysis.mode_max"),
+    ])
+    def test_bad_integer_rejected(self, tmp_path, capsys, override, key):
+        # A bool is not an integer, an exponent of 2.5 is not run as 2,
+        # and resting-state needs modes up to 2 for its verdict.
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["resting-state", "-c", path, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert "Traceback" not in err
+
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -152,6 +169,16 @@ class TestDispersion:
         assert main(["dispersion", "-c", path]) == 0
         lines = (out / "dispersion.csv").read_text().splitlines()
         assert lines == ["m,chi_c,re_lambda,im_lambda,is_principal,residual"]
+
+    @pytest.mark.parametrize("mode_max", [0, 1])
+    def test_low_mode_max_accepted(self, tmp_path, mode_max):
+        cfg = base_config(tmp_path / "out", mode_max=mode_max,
+                          chi_c_grid=[1.0])
+        path = write_config(tmp_path, cfg)
+        assert main(["dispersion", "-c", path]) == 0
+        lines = (tmp_path / "out" / "dispersion.csv").read_text().splitlines()
+        modes = {int(line.split(",")[0]) for line in lines[1:]}
+        assert 0 in modes and modes <= set(range(mode_max + 1))
 
     def test_rows_sorted_and_mode0_values(self, tmp_path, j1_roots):
         out = tmp_path / "out"

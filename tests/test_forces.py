@@ -1,5 +1,7 @@
 """Force-law families and their structural validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,14 @@ def test_constructor_validation():
         linear_undercooling(0.0)
     with pytest.raises(ForceLawError):
         tanh_undercooling(-0.5)
+
+
+def test_hill_exponent_must_be_integral():
+    # 2.5 must not run as exponent 2; 2.0 is the integer 2.
+    for exponent in (2.5, 0.5, math.inf, math.nan):
+        with pytest.raises(ForceLawError):
+            hill_active(2.0, 0.75, exponent)
+    assert hill_active(2.0, 0.75, 2.0).coefficients["exponent"] == 2
 
 
 def test_from_config():

@@ -228,8 +228,7 @@ class TestDispersionFunction:
         # with the same points and scales as the single-point pass above:
         # both sides of the series radius, where the table sums every
         # order's series, and the negative real axis.  The wide set
-        # reaches |u| = 1e5: there the chain starts so far above the order
-        # of its smallest points that they pass 1e250 and are rescaled.
+        # reaches |u| = 1e5, where a chain starts some 500 orders up.
         rng = np.random.default_rng(48)
         edge = _kernels.PSI_SERIES_RADIUS * np.exp(
             2j * np.pi * np.arange(16) / 16 + 0.05j)
@@ -277,11 +276,26 @@ class TestDispersionFunction:
             assert np.all(np.abs(got[k, n:] - ref[n:])
                           <= 1e-13 * np.abs(ref[n:]))
 
+    def test_table_column_independent_of_grid(self, params):
+        # Each point's chain starts at its own order, so a table column is
+        # the same, bit for bit, whether the point sits in the seed grid
+        # or stands alone; inside the series radius too.
+        zs = _seed_grid(*default_root_region(params), *DEFAULT_SEEDS,
+                        True)[2].ravel()
+        assert np.any(np.abs(zs[::7]) <= _kernels.PSI_SERIES_RADIUS)
+        for top in (2, 4, 8, 16):
+            _kernels._psi_table.cache_clear()
+            grid = _kernels._psi_table(top, params.R0, zs.tobytes())
+            for i in range(0, zs.size, 7):
+                _kernels._psi_table.cache_clear()
+                one = _kernels._psi_table(top, params.R0, zs[i].tobytes())
+                assert np.array_equal(one[:, 0], grid[:, i])
+
     def test_chain_rescale_inside_kept_orders(self):
         # With orders up to 300 kept, the chain passes 1e250 while rows are
         # being stored, so the stored rows are rescaled with the sum.
         us = np.array([17.0, 20.0 + 5.0j, -30.0 + 1.0j])
-        got = _kernels._psi_chain_grid(300, us)
+        got = _kernels._psi_chain(np.full(us.size, 300), us, 300)
         for k in range(9):
             ref = np.array([_kernels.psi_tilde(k, complex(u)) for u in us])
             assert np.all(np.abs(got[k] - ref) <= 1e-14 * np.abs(ref))
