@@ -45,7 +45,7 @@ class NewtonConvergenceError(SolverError):
 class ContinuationStalledError(SolverError):
     """Arclength/parameter continuation stalled after step underflow.
 
-    Carries the partial branch accepted so far (``points``).
+    Carries the partial ``Branch`` accepted so far (``points``).
     """
 
     def __init__(self, message, points):

@@ -6,6 +6,8 @@ at a time by ``_complex_newton`` (one spectrum, a warm start), or every seed
 start of a sweep in lockstep by ``_lockstep_newton``, one array evaluation
 per round.  ``find_complex_roots`` screens the seed grid (``_seed_starts``),
 runs Newton from each start and keeps the roots (``_accept_roots``).
+``arclength_continue`` takes one pseudo-arclength step; the branch tail
+(``waves._arclength_tail``) runs the loop and keeps the secant.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContinuationStalledError, NewtonConvergenceError, SolverError
+from .errors import NewtonConvergenceError, SolverError
 
 #: The root-search Newton stops at |f(z)| <= ROOT_TOL * scale(z).
 ROOT_TOL = 1e-13
@@ -335,87 +337,24 @@ def _accept_roots(ends, region, *, conjugate: bool = False
                   key=lambda pair: (pair[0].real, pair[0].imag))
 
 
-def arclength_continue(
-    fun,
-    start,
-    tangent,
-    steps: int,
-    ds: float,
-    *,
-    newton_tol: float = 1e-10,
-    jac=None,
-) -> list[np.ndarray]:
-    """Pseudo-arclength predictor-corrector for fun: R^{n+1} -> R^n.
+def arclength_continue(fun, jac, u, tangent, ds: float, *,
+                       tol: float) -> np.ndarray:
+    """One pseudo-arclength step from u, a solution of fun: R^{n+1} -> R^n.
 
-    Each accepted point solves [fun(u); t.(u - predictor)] = 0 to the Newton
-    tolerance.  On corrector failure the step is halved, down to ds/64.
-
-    Parameters
-    ----------
-    fun : callable
-        Underdetermined system with a one-parameter solution set.
-    start : array_like
-        Point with ||fun(start)|| within tolerance.
-    tangent : array_like
-        Initial tangent direction (need not be normalised).
-    steps : int
-        Number of points to append beyond the start.
-    ds : float
-        Arclength step.
-    jac : callable, optional
-        Analytic n x (n+1) Jacobian of fun; the corrector appends the
-        tangent row.  Forward differences are used when omitted.
-
-    Returns
-    -------
-    list of ndarray
-        [start, u_1, ..., u_steps].
-
-    Raises
-    ------
-    ContinuationStalledError
-        On step underflow; carries the partial branch.
+    With t the normalised tangent, ``newton_solve`` on the n x (n+1)
+    Jacobian ``jac`` plus the row t solves [fun(v); t.(v - u - h t)] = 0
+    from u + h t.  On failure h is halved, from ds down to ds/64, and then
+    SolverError is raised.  Returns the new point.
     """
-    u = np.array(start, dtype=float)
-    f0 = np.asarray(fun(u), dtype=float)
-    if f0.size != u.size - 1:
-        raise SolverError(
-            f"expected map R^{u.size} -> R^{u.size - 1}, got R^{f0.size}"
-        )
-    if np.max(np.abs(f0)) > newton_tol * (1.0 + np.max(np.abs(u))):
-        raise SolverError("continuation start does not satisfy the system")
     t = np.array(tangent, dtype=float)
     t /= np.linalg.norm(t)
-    points = [u.copy()]
-    ds_min = ds / 64.0
-    for _ in range(steps):
-        h = ds
-        while True:
-            pred = u + h * t
-
-            def extended(v, _pred=pred, _t=t):
-                return np.concatenate(
-                    [np.asarray(fun(v), dtype=float), [_t @ (v - _pred)]]
-                )
-
-            def extended_jac(v, _t=t):
-                return np.vstack([jac(v), _t])
-
-            try:
-                sol = newton_solve(extended, pred,
-                                   None if jac is None else extended_jac,
-                                   tol=newton_tol)
-                break
-            except NewtonConvergenceError:
-                h *= 0.5
-                if h < ds_min:
-                    raise ContinuationStalledError(
-                        f"corrector failed down to step {h:.3e}", points
-                    ) from None
-        secant = sol - u
-        norm = np.linalg.norm(secant)
-        if norm > 0:
-            t = secant / norm
-        u = sol
-        points.append(u.copy())
-    return points
+    h = ds
+    while h >= ds / 64.0:
+        pred = u + h * t
+        try:
+            return newton_solve(lambda v: np.append(fun(v), t @ (v - pred)),
+                                pred, lambda v: np.vstack([jac(v), t]),
+                                tol=tol)
+        except NewtonConvergenceError:
+            h *= 0.5
+    raise SolverError(f"corrector failed down to step {h:.3e}")

@@ -261,22 +261,22 @@ def zero_eigenspace_dimension(m: int, params: ModelParams, f_act: ForceLaw,
 # Threshold location, classification.
 # ---------------------------------------------------------------------------
 
-def _principal_root(m, params, f_act, f_und, warm=None):
-    """Principal root of mode m, warm-started when a previous root is known."""
+def _principal_root(params, f_act, f_und, warm=None):
+    """Principal root of mode 1, warm-started when a previous root is known."""
     if warm is not None:
-        _, kernel = _kernel_closures(m, params, f_act, f_und)
+        _, kernel = _kernel_closures(1, params, f_act, f_und)
         z, rel = _complex_newton(kernel, warm, ROOT_TOL)
         if rel <= WARM_TOL:
             return z
-    spec = mode_spectrum(m, params, f_act, f_und)
+    spec = mode_spectrum(1, params, f_act, f_und)
     if spec.principal is None:
-        raise SolverError(f"no mode-{m} roots located in the search region")
+        raise SolverError("no mode-1 roots located in the search region")
     return spec.principal
 
 
 def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
-                     *, m: int = 1, tol: float = THRESHOLD_TOL) -> float:
-    """Active strength where the principal mode-m growth rate crosses zero.
+                     *, tol: float = THRESHOLD_TOL) -> float:
+    """Active strength where the principal mode-1 growth rate crosses zero.
 
     Bisection on the sign of Re(principal root), warm-starting the root
     Newton across bisection steps; the bracket starts at half and 1.5
@@ -291,7 +291,7 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
     def principal_re(chi):
         p = params.with_chi_c(chi)
-        root = _principal_root(m, p, f_act, f_und, warm=warm_cache.get("z"))
+        root = _principal_root(p, f_act, f_und, warm=warm_cache.get("z"))
         warm_cache["z"] = root
         return root.real
 
@@ -340,7 +340,8 @@ def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     The curvature term stiffens high modes, which is what makes a finite
     m_max meaningful; the margin report shows how far below zero the
     higher modes sit.  The m_max + 1 spectra are found together by
-    ``mode_spectra``.
+    ``mode_spectra``.  With no root located in any mode there is no
+    verdict, and SolverError is raised.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
@@ -352,6 +353,9 @@ def classify(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         if spec.principal is not None and spec.principal.real > margin:
             margin = spec.principal.real
             margin_mode = m
+    if margin_mode < 0:
+        raise SolverError(f"no roots located in modes 0..{m_max}: the "
+                          "stability verdict is not certified")
     return StabilityReport(
         stable=not margin > CLASSIFY_TOL,
         margin=margin,

@@ -639,9 +639,6 @@ class Branch:
     def velocities(self) -> np.ndarray:
         return np.array([s.V for s in self.states])
 
-    def chi_values(self) -> np.ndarray:
-        return np.array([s.chi_c for s in self.states])
-
     def state_nearest(self, V: float) -> TravelingWaveState:
         vs = self.velocities()
         if not vs[0] - 1e-12 <= V <= vs[-1] + 1e-12:    # NaN fails too
@@ -735,12 +732,13 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 
 
 def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
-    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max,
-    starting along the secant of the last two states.
+    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max.
 
-    The Jacobian is the analytic (rho, p1, chi_c) block plus a central
-    difference in V; every accepted point passes the same invariant checks
-    as a fixed-speed solve, and the resolution certificate.
+    Each step is one ``arclength_continue`` call along the secant of the
+    last two points; a failed one raises ContinuationStalledError with the
+    branch so far.  The Jacobian is the analytic (rho, p1, chi_c) block
+    plus a central difference in V; every accepted point passes the same
+    invariant checks as a fixed-speed solve, and the resolution certificate.
     """
 
     def fun(u_ext):
@@ -762,16 +760,13 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
         return Branch(states=tuple(states), arclength_from_V=handover)
 
     u_prev, u_last = (np.concatenate([_pack(s), [s.V]]) for s in states[-2:])
-    tangent = u_last - u_prev
     while states[-1].V < V_max - 1e-12:
         try:
-            points = arclength_continue(fun, u_last, tangent, 1, ds,
-                                        newton_tol=tol, jac=jac)
-        except ContinuationStalledError as exc:
+            new = arclength_continue(fun, jac, u_last, u_last - u_prev, ds,
+                                     tol=tol)
+        except SolverError as exc:
             raise ContinuationStalledError(str(exc), partial()) from exc
-        new = points[-1]
-        tangent = new - u_last
-        u_last = new
+        u_prev, u_last = u_last, new
         if new[-1] >= V_max:
             # Overshot the requested endpoint: land exactly on V_max with a
             # fixed-speed solve warm-started from the overshoot point.

@@ -159,6 +159,16 @@ class TestRestingState:
         assert payload["classification"]["stable"] is False
         assert payload["classification"]["unstable_mode"] == 1
 
+    def test_no_located_root_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["resting-state", "-c", path,
+                     "--set", "analysis.root_region=[0,1,0,1]"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: no roots located")
+        assert "Traceback" not in err
+        assert not (out / "resting_state.json").exists()
+
 
 class TestDispersion:
     def test_empty_grid_header_only(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from cellwave import (
     ContinuationStalledError,
     NewtonConvergenceError,
+    SolverError,
     arclength_continue,
     find_complex_roots,
     newton_solve,
@@ -245,55 +246,49 @@ class TestLocalMinima:
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
+def _trace(fun, jac, u, tangent, steps, ds):
+    """Points of ``steps`` one-step calls from u, each along the secant of
+    the last two points (the given tangent at first)."""
+    points = [np.array(u, dtype=float)]
+    tangent = np.array(tangent, dtype=float)
+    for _ in range(steps):
+        points.append(arclength_continue(fun, jac, points[-1], tangent, ds,
+                                         tol=1e-10))
+        tangent = points[-1] - points[-2]
+    return points
+
+
 class TestArclength:
     def test_circle(self):
         fun = lambda u: np.array([u[0] ** 2 + u[1] ** 2 - 1.0])
-        pts = arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 50, 0.2)
+        jac = lambda u: np.array([[2.0 * u[0], 2.0 * u[1]]])
+        pts = _trace(fun, jac, [1.0, 0.0], [0.0, 1.0], 50, 0.2)
         devs = [abs(p[0] ** 2 + p[1] ** 2 - 1.0) for p in pts]
         assert max(devs) <= 1e-8
         # The path actually moves around the circle.
         angles = np.unwrap([math.atan2(p[1], p[0]) for p in pts])
         assert angles[-1] - angles[0] > 2.0 * math.pi
 
-    def test_analytic_jacobian(self):
-        # With jac given the corrector uses it (plus the tangent row) and
-        # evaluates fun only for residuals, never for difference quotients.
-        calls = []
-
-        def fun(u):
-            calls.append(1)
-            return np.array([u[0] ** 2 + u[1] ** 2 - 1.0])
-
-        jac = lambda u: np.array([[2.0 * u[0], 2.0 * u[1]]])
-        pts = arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 10, 0.2,
-                                 jac=jac)
-        with_jac = len(calls)
-        calls.clear()
-        fd_pts = arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 10, 0.2)
-        assert with_jac < len(calls)
-        assert max(abs(p[0] ** 2 + p[1] ** 2 - 1.0) for p in pts) <= 1e-8
-        assert np.max(np.abs(np.array(pts) - np.array(fd_pts))) <= 1e-8
-
     def test_fold(self):
         fun = lambda u: np.array([u[0] ** 2 - u[1]])
-        pts = arclength_continue(fun, [1.0, 1.0], [-1.0, -2.0], 30, 0.15)
+        jac = lambda u: np.array([[2.0 * u[0], -1.0]])
+        pts = _trace(fun, jac, [1.0, 1.0], [-1.0, -2.0], 30, 0.15)
         xs = [p[0] for p in pts]
         mus = [p[1] for p in pts]
         assert min(mus) < 0.01          # reaches the fold neighbourhood
         assert min(xs) < -0.5           # and continues through it
         assert max(abs(p[0] ** 2 - p[1]) for p in pts) <= 1e-8
 
-    def test_stall_carries_partial(self):
+    def test_stall_raises_solver_error(self):
         # A one-sided obstruction: no solutions for u[1] > 1.
         def fun(u):
             return np.array([u[0] - math.sqrt(max(1.0 - u[1], -1.0))
                              if u[1] <= 1.0 else 1e3])
 
-        with pytest.raises(ContinuationStalledError) as info:
-            arclength_continue(fun, [1.0, 0.0], [0.0, 1.0], 50, 0.3)
-        assert len(info.value.points) >= 1
+        def jac(u):
+            slope = 0.5 / math.sqrt(1.0 - u[1]) if u[1] < 1.0 else 0.0
+            return np.array([[1.0, slope]])
 
-    def test_bad_start_rejected(self):
-        fun = lambda u: np.array([u[0] ** 2 + u[1] ** 2 - 1.0])
-        with pytest.raises(Exception):
-            arclength_continue(fun, [2.0, 0.0], [0.0, 1.0], 3, 0.1)
+        with pytest.raises(SolverError, match="corrector failed") as info:
+            _trace(fun, jac, [1.0, 0.0], [0.0, 1.0], 50, 0.3)
+        assert not isinstance(info.value, ContinuationStalledError)

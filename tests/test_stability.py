@@ -10,6 +10,7 @@ import pytest
 from cellwave import (
     AccuracyError,
     ModelParams,
+    SolverError,
     bessel_I,
     chi_c_star,
     classify,
@@ -739,6 +740,12 @@ class TestClassify:
     def test_mmax_validation(self, params, f_act, f_und):
         with pytest.raises(ValueError):
             classify(params, f_act, f_und, m_max=1)
+
+    def test_no_located_root_is_no_verdict(self, params, f_act, f_und):
+        # Every root of these parameters has Re < 0, so none lies in this
+        # rectangle; "stable" would then rest on nothing.
+        with pytest.raises(SolverError, match="no roots located"):
+            classify(params, f_act, f_und, region=(0.0, 1.0, 0.0, 1.0))
 
 
 def _slope_and_forms(p, f_act, f_und):

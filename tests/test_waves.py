@@ -13,6 +13,7 @@ from cellwave import (
     ContinuationStalledError,
     GeometryError,
     ModelParams,
+    NewtonConvergenceError,
     Shape,
     SolverError,
     TravelingWaveState,
@@ -26,7 +27,7 @@ from cellwave import (
     solve_at_velocity,
     tanh_undercooling,
 )
-from cellwave import waves
+from cellwave import solvers, waves
 from cellwave.waves import (
     _boundary,
     _checked_boundary,
@@ -343,7 +344,7 @@ class TestBranch:
                                  n=N_TEST)
         star = chi_c_star(params, f_act, f_und)
         vs = branch.velocities()
-        dchi = branch.chi_values() - star
+        dchi = np.array([s.chi_c for s in branch.states]) - star
         design = np.column_stack([vs ** 2, vs ** 3])
         coef, *_ = np.linalg.lstsq(design, dchi, rcond=None)
         assert abs(coef[1] * 0.05) <= 0.05 * abs(coef[0])
@@ -479,6 +480,31 @@ class TestBranch:
         partial = info.value.points
         assert partial.velocities().tolist() == [0.0, 0.02]
         assert partial.arclength_from_V == 0.02
+
+    def test_corrector_failure_carries_the_tail(self, params, f_act, f_und,
+                                                monkeypatch):
+        # The corrector fails for every predictor past V = 0.0401: the
+        # tail accepts one point near 0.04, and the next step fails at
+        # every step size down to ds/64.
+        _stall_between(monkeypatch, 0.02, 0.1)
+        real_newton = solvers.newton_solve
+
+        def failing(fun, x0, *args, **kwargs):
+            if x0[-1] > 0.0401:
+                raise NewtonConvergenceError("forced", x0, 1.0)
+            return real_newton(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "newton_solve", failing)
+        with pytest.raises(ContinuationStalledError,
+                           match="corrector failed down to step") as info:
+            continue_branch(params, f_act, f_und, V_max=0.1, ds=0.02,
+                            n=N_TEST)
+        partial = info.value.points
+        assert isinstance(partial, Branch)
+        assert partial.arclength_from_V == 0.02
+        vs = partial.velocities()
+        assert vs[:2].tolist() == [0.0, 0.02]
+        assert len(vs) == 3 and 0.039 < vs[2] <= 0.0401
 
     def test_stall_at_the_first_step_raises(self, params, f_act, f_und,
                                             monkeypatch):
