@@ -2,10 +2,12 @@
 
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
 executes the whole battery, with criterion 9 (the 40-digit oracle) in a
-forked child process beside criteria 1-8.  The CLI ``verify`` subcommand
-prints one pass/fail line per criterion and serialises the results; the
-pytest module ``tests/test_acceptance.py`` asserts each criterion
-individually.
+forked child process beside criteria 1-8.  While the child runs, numpy's
+OpenBLAS runs on one thread, which the child inherits; a BLAS whose
+thread-count setter is not found is left as it is.  The CLI ``verify``
+subcommand prints one pass/fail line per criterion and serialises the
+results; the pytest module ``tests/test_acceptance.py`` asserts each
+criterion individually.
 
 Everything here is deterministic for a fixed config (seeded RNG draws,
 no wall-clock content), which is what makes repeated ``verify`` runs
@@ -14,6 +16,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -318,8 +321,10 @@ def run_all(config) -> list[CriterionResult]:
     order; the results are returned in ``CRITERIA`` order.  The child is
     reaped before this function returns or raises.  An exception the child
     raises is raised here with its type; a child that ends without sending
-    a result raises :class:`SolverError`.  Where ``os.fork`` does not exist
-    the criteria run one after another.
+    a result raises :class:`SolverError`.  From just before the fork until
+    the child is reaped, numpy's OpenBLAS runs on one thread (see
+    ``_one_blas_thread``).  Where ``os.fork`` does not exist the criteria
+    run one after another.
     """
     criteria = CRITERIA
     if not hasattr(os, "fork"):
@@ -330,26 +335,27 @@ def run_all(config) -> list[CriterionResult]:
 
     *serial, last = criteria
     index = len(criteria)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
+    with _one_blas_thread():
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _run_in_child(last, config, index, write_fd)
         os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _run_in_child(last, config, index, write_fd)
-    os.close(write_fd)
-    payload = None
-    try:
-        with open(read_fd, "rb") as pipe:
-            results = [crit(config) for crit in serial]
-            payload = pipe.read()
-    finally:
-        if payload is None:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
+        payload = None
+        try:
+            with open(read_fd, "rb") as pipe:
+                results = [crit(config) for crit in serial]
+                payload = pipe.read()
+        finally:
+            if payload is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
     if not payload:
         raise SolverError(
             f"criterion {index} worker ended without a result "
@@ -361,13 +367,68 @@ def run_all(config) -> list[CriterionResult]:
     return [*results, value]
 
 
+# Thread-count entry points of OpenBLAS, (getter, setter), by the names the
+# numpy wheels' scipy-openblas build and plain OpenBLAS builds export them.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy bundles
+    (``numpy.libs/libscipy_openblas64_-*.so`` beside the numpy package in
+    Linux wheels), or None where no such library or pair of entry points
+    is found (Accelerate, MKL, a system BLAS)."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one OpenBLAS thread and restore the previous
+    count on every exit, also when the body raises.
+
+    ``run_all`` holds this around its fork window: a second BLAS thread
+    (criterion 5's SVD) would share a core with the busy child.  The
+    thread count changes no value, since OpenBLAS splits its products by
+    output blocks.  Where ``_openblas_threads`` finds no setter this does
+    nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
 def _run_in_child(crit, config, index, write_fd):
     """Body of ``run_all``'s forked child: run ``crit``, write
     ``(True, result)`` or ``(False, exception)`` to the pipe, and leave with
     ``os._exit``, so that the child never returns into its caller.
 
-    The parent may hold BLAS worker threads at the fork; criterion 9 is pure
-    Python and mpmath and makes no BLAS call in the child.
+    The child inherits the one OpenBLAS thread that ``run_all`` set for the
+    fork window, and criterion 9 is pure Python and mpmath and makes no BLAS
+    call in it.
     """
     code = 1
     try:

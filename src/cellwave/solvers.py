@@ -349,12 +349,14 @@ def arclength_continue(fun, jac, u, tangent, ds: float, *,
     t = np.array(tangent, dtype=float)
     t /= np.linalg.norm(t)
     h = ds
-    while h >= ds / 64.0:
+    while True:
         pred = u + h * t
         try:
             return newton_solve(lambda v: np.append(fun(v), t @ (v - pred)),
                                 pred, lambda v: np.vstack([jac(v), t]),
                                 tol=tol)
         except NewtonConvergenceError:
+            if h <= ds / 64.0:
+                raise SolverError(
+                    f"corrector failed down to step {h:.3e}") from None
             h *= 0.5
-    raise SolverError(f"corrector failed down to step {h:.3e}")

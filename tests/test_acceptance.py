@@ -236,6 +236,57 @@ def test_run_all_reaps_the_child_when_the_parent_fails(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the count set to 2 for the
+    test and restored after it; skips where no setter is found."""
+    threads = acceptance._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread-count setter found")
+    get, put = threads
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _blas_criterion(index, get):
+    def crit(config):
+        return acceptance.CriterionResult(index, f"stub {index}", True,
+                                          {"blas_threads": get()})
+    return crit
+
+
+@needs_fork
+def test_run_all_fork_window_runs_one_blas_thread(monkeypatch, blas_threads):
+    _stub_criteria(monkeypatch, _blas_criterion(9, blas_threads),
+                   first=_blas_criterion(1, blas_threads))
+    results = acceptance.run_all(None)
+    assert results[0].details["blas_threads"] == 1
+    assert results[8].details["blas_threads"] == 1
+    assert blas_threads() == 2
+    _assert_no_child_left()
+
+
+def _raise_accuracy(config):
+    raise AccuracyError("criterion failed")
+
+
+@needs_fork
+@pytest.mark.parametrize("first, last, error", [
+    (_raise_accuracy, _pid_criterion(9), AccuracyError),
+    (None, _raise_accuracy, AccuracyError),
+    (None, lambda config: os._exit(1), SolverError),
+], ids=["parent-raises", "child-raises", "child-without-result"])
+def test_run_all_restores_blas_threads_on_failure(monkeypatch, blas_threads,
+                                                  first, last, error):
+    _stub_criteria(monkeypatch, last, first=first)
+    with pytest.raises(error):
+        acceptance.run_all(None)
+    assert blas_threads() == 2
+    _assert_no_child_left()
+
+
 def test_cli_setup_imports_neither_mpmath_nor_multiprocessing():
     # mpmath is imported by run_all, not at module level, so that loading
     # the CLI and its config does not pay for it.

@@ -292,3 +292,13 @@ class TestArclength:
         with pytest.raises(SolverError, match="corrector failed") as info:
             _trace(fun, jac, [1.0, 0.0], [0.0, 1.0], 50, 0.3)
         assert not isinstance(info.value, ContinuationStalledError)
+
+    def test_failure_names_the_last_step_tried(self):
+        # No point satisfies fun = 0, so every corrector fails; the message
+        # names the smallest step tried, ds/64, not one more halving.
+        fun = lambda u: np.array([u[0] ** 2 + u[1] ** 2 + 1.0])
+        jac = lambda u: np.array([[2.0 * u[0], 2.0 * u[1]]])
+        with pytest.raises(SolverError,
+                           match=r"corrector failed down to step 3\.125e-04$"):
+            arclength_continue(fun, jac, np.array([1.0, 0.0]), [0.0, 1.0],
+                               0.02, tol=1e-10)
