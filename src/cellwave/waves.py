@@ -606,8 +606,8 @@ def _predict(history, V: float) -> np.ndarray:
     constant through one state, linear through two, quadratic through
     three, at whatever spacing their speeds have.  The result stays a
     vector and is never checked as a ``Shape``: an over-extrapolated,
-    degenerate one fails its Newton solve with a SolverError, which the
-    halving retry of ``continue_branch`` catches.
+    degenerate one fails its Newton solve with a SolverError, on which
+    ``continue_branch`` hands over to pseudo-arclength continuation.
     """
     points = history[-PREDICTOR_POINTS:]
     guess = 0.0
@@ -640,12 +640,18 @@ class Branch:
         return np.array([s.V for s in self.states])
 
     def state_nearest(self, V: float) -> TravelingWaveState:
+        """The state nearest V.  Past a fold, a V that lies on both sheets
+        (at or above the lowest speed after the largest) is refused, and a
+        lower one is taken from the sheet before the fold."""
         vs = self.velocities()
-        if not vs[0] - 1e-12 <= V <= vs[-1] + 1e-12:    # NaN fails too
-            raise BranchRangeError(
-                f"V={V:g} outside computed branch [{vs[0]:g}, {vs[-1]:g}]"
-            )
-        return self.states[int(np.argmin(np.abs(vs - V)))]
+        fold = int(np.argmax(vs))
+        if not vs.min() - 1e-12 <= V <= vs[fold] + 1e-12:    # NaN fails too
+            raise BranchRangeError(f"V={V:g} outside computed branch "
+                                   f"[{vs.min():g}, {vs[fold]:g}]")
+        if fold < len(vs) - 1 and V >= vs[fold + 1:].min() - 1e-12:
+            raise BranchRangeError(f"V={V:g} lies on both sheets of the "
+                                   f"branch, which folds at V={vs[fold]:g}")
+        return self.states[int(np.argmin(np.abs(vs[:fold + 1] - V)))]
 
 
 def _certify(state: TravelingWaveState, resolved: Branch) -> None:
@@ -680,12 +686,11 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     The guess is then O(ds^3) off and most states converge in one Newton
     step, with one Jacobian.
 
-    Failed steps are retried with halved substeps down to ds/64; each
-    substep is predicted through the same history extended by the
-    substeps already accepted, at their uneven spacing.  When the
-    halvings run out, as they do at a fold, pseudo-arclength continuation
-    in (rho, p1, chi_c, V) takes over from the last two accepted states
-    and traces the rest of the branch.
+    A fixed-speed step is not retried: the first one that fails, as one
+    does at a fold, hands over to pseudo-arclength continuation in
+    (rho, p1, chi_c, V) from the last two accepted states, which traces
+    the rest of the branch.  The only retry is the arclength corrector's,
+    which halves its step down to ds/64.
 
     Every accepted state, fixed-speed or arclength, must pass the
     resolution certificate (spectral tail at most ``TAIL_TOL``); the
@@ -704,20 +709,10 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     n_steps = max(1, int(round(V_max / ds)))
     targets = list(np.linspace(V_max / n_steps, V_max, n_steps))
 
-    def advance(history, V_to, depth=0):
-        try:
-            return solve_at_velocity(V_to, _predict(history, V_to), params,
-                                     f_act, f_und, tol=tol)
-        except SolverError:
-            if depth >= 6:          # substeps down to ds/64
-                raise
-            half = history[-1].V + 0.5 * (V_to - history[-1].V)
-            inter = advance(history, half, depth + 1)
-            return advance([*history, inter], V_to, depth + 1)
-
     for V_to in targets:
         try:
-            state = advance(states, V_to)
+            state = solve_at_velocity(V_to, _predict(states, V_to), params,
+                                      f_act, f_und, tol=tol)
         except SolverError as exc:
             if len(states) < 2:
                 raise ContinuationStalledError(

@@ -336,8 +336,22 @@ class TestBranch:
         assert branch.state_nearest(0.025) is states[1]
         assert branch.state_nearest(0.04) is states[2]
         for V in (-0.01, 0.05, math.nan):
-            with pytest.raises(BranchRangeError):
+            with pytest.raises(BranchRangeError, match="outside"):
                 branch.state_nearest(V)
+        # Folded: up to 1.2, then down to 0.9 on the lower sheet.
+        states = tuple(SimpleNamespace(V=v)
+                       for v in (0.0, 0.5, 0.8, 1.0, 1.2, 1.1, 0.9))
+        folded = Branch(states)
+        assert folded.state_nearest(0.5) is states[1]
+        assert folded.state_nearest(0.88) is states[2]
+        for V in (0.9, 1.0, 1.15, 1.2):
+            with pytest.raises(BranchRangeError,
+                               match="both sheets .* folds at V=1.2"):
+                folded.state_nearest(V)
+        for V in (-0.01, 1.25, math.nan):
+            with pytest.raises(BranchRangeError,
+                               match=r"outside .*\[0, 1\.2\]"):
+                folded.state_nearest(V)
 
     def test_even_in_speed_near_onset(self, params, f_act, f_und):
         branch = continue_branch(params, f_act, f_und, V_max=0.05, ds=0.01,
@@ -371,9 +385,10 @@ class TestBranch:
                                      monkeypatch):
         direct = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
                                  n=N_TEST)
-        _stall_between(monkeypatch, 0.02, 0.06)
+        refused = _stall_between(monkeypatch, 0.02, 0.06)
         switched = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
                                    n=N_TEST)
+        assert refused == pytest.approx([0.04])    # no fixed-speed retry
         assert switched.used_arclength
         assert switched.arclength_from_V == direct.states[1].V
         for a, b in zip(direct.states[:2], switched.states):
@@ -522,16 +537,20 @@ def _stall_between(monkeypatch, V_from, V_to):
     """Fail every fixed-speed solve strictly between V_from and V_to.
 
     Fixed-speed stepping then stalls after V_from; a solve at V_to itself,
-    which is how the arclength tail lands on V_max, still runs.
+    which is how the arclength tail lands on V_max, still runs.  Returns
+    the list of speeds refused, in call order.
     """
     real_solve = waves.solve_at_velocity
+    refused = []
 
     def stalling(V, *args, **kwargs):
         if V_from < V < V_to:
+            refused.append(V)
             raise SolverError(f"forced failure at V={V:g}")
         return real_solve(V, *args, **kwargs)
 
     monkeypatch.setattr(waves, "solve_at_velocity", stalling)
+    return refused
 
 
 def _packed_state(V, u, R0=1.0):
@@ -591,50 +610,16 @@ class TestPredictor:
         assert len(per_state) == 30
         assert per_state[2:] == [1] * 28
 
-    def test_substep_halving_matches_small_steps(self, f_act, f_und,
-                                                 monkeypatch):
-        # A solve more than 0.1 in V past the last one fails, as outside a
-        # Newton basin, so each full step of ds = 0.27 is retried in halves
-        # (two levels deep), each predicted through the unevenly
-        # spaced history.  The steps that fail for real, at the gamma = 0.1
-        # fold near V = 1.1755, end on shapes the certificate refuses.
-        p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
-                        M=math.pi)
-        failed = []
-        solved = [0.0]
-        real_solve = waves.solve_at_velocity
-
-        def basin_solve(V, *args, **kwargs):
-            if V - solved[-1] > 0.1:
-                failed.append(V)
-                raise SolverError(f"step to V={V:g} leaves the basin")
-            state = real_solve(V, *args, **kwargs)
-            solved.append(V)
-            return state
-
-        monkeypatch.setattr(waves, "solve_at_velocity", basin_solve)
-        coarse = continue_branch(p, f_act, f_und, V_max=0.81, ds=0.27, n=64)
-        assert np.allclose(failed, [0.27, 0.135, 0.27, 0.54, 0.405, 0.54,
-                                    0.81, 0.675, 0.81], atol=1e-12)
-        assert not coarse.used_arclength
-        monkeypatch.undo()
-        fine = continue_branch(p, f_act, f_und, V_max=0.81, ds=0.01, n=64)
-        vs = fine.velocities()
-        assert len(coarse.states) == 4
-        for state in coarse.states[1:]:
-            match = fine.states[int(np.argmin(np.abs(vs - state.V)))]
-            assert abs(match.V - state.V) <= 1e-12
-            assert np.max(np.abs(waves._pack(state) - waves._pack(match))) \
-                <= 1e-10
-
     def test_degenerate_guess_is_a_solver_error(self, params, f_act, f_und):
         guess = waves._pack(rest_state(params, f_act, f_und, N_TEST))
         guess[0] = -2.0 * params.R0          # radius -R0 all round
         with pytest.raises(SolverError, match="degenerate"):
             solve_at_velocity(0.1, guess, params, f_act, f_und)
 
-    def test_degenerate_prediction_is_halved(self, params, f_act, f_und,
-                                             monkeypatch):
+    def test_degenerate_prediction_hands_over(self, params, f_act, f_und,
+                                              monkeypatch):
+        # A fixed-speed step that fails is not retried: the branch goes on
+        # by pseudo-arclength from the last two accepted states.
         reference = continue_branch(params, f_act, f_und, V_max=0.06,
                                     ds=0.02, n=N_TEST)
         real_predict = waves._predict
@@ -651,10 +636,11 @@ class TestPredictor:
         branch = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
                                  n=N_TEST)
         assert spoiled
-        assert len(branch.states) == len(reference.states)
-        for a, b in zip(reference.states, branch.states):
-            assert a.V == b.V
-            assert np.max(np.abs(waves._pack(a) - waves._pack(b))) <= 1e-10
+        assert branch.used_arclength
+        assert branch.arclength_from_V == reference.states[1].V
+        assert abs(branch.states[-1].V - 0.06) <= 1e-12
+        assert abs(branch.states[-1].chi_c
+                   - reference.states[-1].chi_c) <= 1e-9
 
     def test_fold_stall_pinned(self, f_act, f_und, monkeypatch):
         # At gamma = 0.1 and N = 64 the branch folds near V = 1.1755, but
@@ -686,6 +672,35 @@ class TestPredictor:
         assert all(s.diagnostics["spectral_tail"] <= waves.TAIL_TOL
                    for s in partial.states)
         assert built < 411
+
+    def test_fold_hands_over_to_arclength(self, f_act, f_und, monkeypatch):
+        # At gamma = 0.1 and N = 256 the shapes stay resolved up to the
+        # fold: the fixed-speed step to V = 1.18 fails once, with no
+        # retry, and the arclength tail goes on from V = 1.17 until a
+        # shape just short of the fold (V ~ 1.1763) fails the certificate.
+        p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
+                        M=math.pi)
+        failed = []
+        real_solve = waves.solve_at_velocity
+
+        def recording_solve(V, *args, **kwargs):
+            try:
+                return real_solve(V, *args, **kwargs)
+            except SolverError:
+                failed.append(V)
+                raise
+
+        monkeypatch.setattr(waves, "solve_at_velocity", recording_solve)
+        with pytest.raises(ContinuationStalledError,
+                           match="unresolved shape") as info:
+            continue_branch(p, f_act, f_und, V_max=1.3, ds=0.01, n=256)
+        stop = float(str(info.value).split("V=")[1].split(":")[0])
+        assert 1.175 <= stop <= 1.177
+        partial = info.value.points
+        assert abs(partial.arclength_from_V - 1.17) <= 1e-12
+        assert len(failed) == 1
+        assert all(s.diagnostics["spectral_tail"] <= waves.TAIL_TOL
+                   for s in partial.states)
 
 
 class TestBifurcationStructure:
