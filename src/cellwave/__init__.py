@@ -36,8 +36,6 @@ from .stability import (
     ModeSpectrum,
     StabilityReport,
     classify,
-    dispersion_H,
-    dispersion_kernel,
     mode_spectra,
     mode_spectrum,
     refine_threshold,
@@ -52,7 +50,6 @@ from .waves import (
     continue_branch,
     disk_shape,
     marker_normalization,
-    residual_F,
     solve_at_velocity,
 )
 

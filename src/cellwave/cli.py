@@ -190,8 +190,7 @@ def _branch_summary(branch) -> dict:
 
 
 def _branch_report(config: RunConfig, branch) -> dict:
-    """The expansion report at the branch root, without its ``details``,
-    and the branch summary.
+    """The expansion report at the branch root and the branch summary.
 
     ``bifurcation_report`` solves only at speeds up to ``report_step``, so
     it does not depend on where the branch stopped.
@@ -201,8 +200,7 @@ def _branch_report(config: RunConfig, branch) -> dict:
                                 h=config.analysis["report_step"],
                                 tol=config.analysis["newton_tol"])
     return {
-        **{f.name: getattr(report, f.name)
-           for f in dataclasses.fields(report) if f.name != "details"},
+        **dataclasses.asdict(report),
         "used_arclength": branch.used_arclength,
         "n_states": len(branch.states),
         **_branch_summary(branch),
@@ -244,7 +242,8 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
 
     On a stalled branch the contour comes from the partial branch, with
     exit 4, when the speed lies inside it; otherwise the stall is a
-    solver failure.
+    solver failure whose message also says why the partial branch
+    refused the speed.
     """
     code = EXIT_OK
     try:
@@ -252,8 +251,9 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
     except ContinuationStalledError as exc:
         try:
             state = exc.points.state_nearest(velocity)
-        except BranchRangeError:
-            raise exc from None
+        except BranchRangeError as refused:
+            raise ContinuationStalledError(f"{exc}; {refused}",
+                                           exc.points) from None
         print(f"branch stalled: {exc}", file=sys.stderr)
         code = EXIT_PARTIAL
     b = _checked_boundary(state.shape)

@@ -35,6 +35,10 @@ FD_STEP = 1e-7
 #: many step halvings over the whole solve.
 NEWTON_MAX_ITER, NEWTON_MAX_BACKTRACKS = 50, 60
 
+#: The root-search Newton (``_newton_rule``) gives up after this many
+#: iterations, or after this many step halvings over the whole run.
+ROOT_MAX_ITER, ROOT_MAX_BACKTRACKS = 80, 50
+
 
 def fd_jacobian(fun, x, f0) -> np.ndarray:
     """Forward-difference Jacobian of fun at x, where fun(x) = f0, with
@@ -122,13 +126,13 @@ def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
     )
 
 
-def _newton_rule(z0, tol, max_iter=80, max_backtracks=50):
+def _newton_rule(z0, tol):
     """Damped Newton for a scalar analytic function, as a step generator.
 
     The generator yields each point it needs evaluated and is sent back
     (f(z), scale, f'(z)) there; it returns (z, residual), with the
     residual |f| / scale.  A step is halved until |f| falls (or the
-    residual reaches ``tol``), spending at most ``max_backtracks``
+    residual reaches ``tol``), spending at most ROOT_MAX_BACKTRACKS
     halvings over the whole run.  The line search tests |f| and not the
     residual: the scale can fall faster than |f| along a good step, and a
     search on the residual then stalls far from the root.  Iteration stops
@@ -142,7 +146,7 @@ def _newton_rule(z0, tol, max_iter=80, max_backtracks=50):
     f, scale, d = yield z
     res = abs(f) / max(scale, 1e-300)
     backtracks = 0
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         if res <= tol or d == 0 or not cmath.isfinite(d):
             break
         dz = -f / d
@@ -156,15 +160,15 @@ def _newton_rule(z0, tol, max_iter=80, max_backtracks=50):
                 break
             backtracks += 1
             step *= 0.5
-            if backtracks > max_backtracks:
+            if backtracks > ROOT_MAX_BACKTRACKS:
                 return z, res
     return z, res
 
 
-def _complex_newton(evaluate, z0, tol, max_iter=80, max_backtracks=50):
+def _complex_newton(evaluate, z0, tol):
     """``_newton_rule`` from z0, one evaluation at a time; returns
     (z, residual).  ``evaluate`` maps z to (f(z), scale, f'(z))."""
-    run = _newton_rule(z0, tol, max_iter, max_backtracks)
+    run = _newton_rule(z0, tol)
     z = next(run)
     while True:
         try:
@@ -233,7 +237,7 @@ def _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half):
     return xs, ys, zgrid
 
 
-def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
+def find_complex_roots(evaluate, fun_grid, region, seeds, *,
                        conjugate: bool = False) -> list[tuple[complex, float]]:
     """Locate roots of an analytic function on a rectangle.
 
@@ -250,12 +254,12 @@ def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
     evaluate : callable
         z -> (f(z), scale, f'(z)) from one evaluation, f analytic and
         scale > 0 the magnitude the residual |f| / scale is relative to.
+    fun_grid : callable
+        Vectorised f over a flat complex array; it screens the seed grid.
     region : tuple
         (re_min, re_max, im_min, im_max).
     seeds : tuple
         (nx, ny) seed-grid resolution.
-    fun_grid : callable, optional
-        Vectorised f over a flat complex array (else evaluate is looped).
     conjugate : bool
         Declares f(conj z) = conj f(z), so the roots off the real axis come
         in conjugate pairs.  A root found below the axis is replaced by its
@@ -277,9 +281,6 @@ def find_complex_roots(evaluate, region, seeds, *, fun_grid=None,
         sorted by (real, imag) of the root.  Possibly empty; no
         convergence anywhere is not an error.
     """
-    if fun_grid is None:
-        def fun_grid(zs):
-            return np.array([evaluate(z)[0] for z in zs])
     starts = _seed_starts(fun_grid, region, seeds, conjugate=conjugate)
     ends = [_complex_newton(evaluate, z0, ROOT_TOL) for z0 in starts]
     return _accept_roots(ends, region, conjugate=conjugate)

@@ -1,19 +1,19 @@
 """Linear stability of the resting disk.
 
 For each angular mode m the linearised growth rates are the complex roots of
-a transcendental dispersion function built from modified Bessel functions.
-``dispersion_H`` is the literal transcription of that function (principal
-square root).  Root finding instead operates on ``dispersion_kernel``: the
-same function with its structural zero at the origin factored out and written
-in terms of even Bessel ratios, which makes it entire in the growth rate and
-removes the square-root branch entirely.  The structural zero modes
-(translation and the two mass/concentration neutral modes) are counted by
-``zero_eigenspace_dimension`` from the lambda = 0 constraint rows.
+a transcendental dispersion function H_m built from modified Bessel
+functions.  The root search works on the mode kernel of ``_kernels``: H_m
+with its structural zero at the origin factored out and written in terms of
+even Bessel ratios, which makes it entire in the growth rate and removes the
+square-root branch entirely.  The literal H_m (principal square root) is
+kept as an independent test reference in ``tests/dispersion_reference.py``.
+The structural zero modes (translation and the two mass/concentration
+neutral modes) are counted by ``zero_eigenspace_dimension`` from the
+lambda = 0 constraint rows.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +31,6 @@ from .solvers import (
     _seed_starts,
     find_complex_roots,
 )
-from .special import bessel_I
 
 #: A warm-started Newton within this residual skips the full spectrum.
 WARM_TOL = 1e-11
@@ -62,52 +61,6 @@ def _mode_constants(m: int, params: ModelParams, f_act: ForceLaw,
     b_m = 1.0 + m * params.chi_u * float(f_und.d1(0.0)) / params.R0
     d_m = params.gamma * m * (m * m - 1) / params.R0 ** 3
     return coef_c, b_m, d_m
-
-
-def dispersion_H(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
-                 f_und: ForceLaw) -> complex:
-    """Literal mode-m dispersion function H_m(z), principal square root.
-
-    H_m(z) = z m (a chi_c c0 f_act'(c0) / R0) I_m(-R0 sqrt(z))
-           + (sqrt(z)/2) [z (1 + (m/R0) chi_u f_und'(0))
-                          + (gamma/R0^3) m (m^2 - 1)]
-                        [I_{m-1}(-R0 sqrt(z)) + I_{m+1}(-R0 sqrt(z))]
-
-    with I_{-1} = I_1.  Under the opposite square-root branch the value
-    changes by exactly (-1)^m, so the root set is branch independent.
-    """
-    if m < 0:
-        raise ValueError("mode index must be nonnegative")
-    coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
-    z = complex(z)
-    sq = cmath.sqrt(z)
-    w = -params.R0 * sq
-    i_lo = bessel_I(1, w) if m == 0 else bessel_I(m - 1, w)
-    term1 = z * m * coef_c * bessel_I(m, w)
-    term2 = 0.5 * sq * (z * b_m + d_m) * (i_lo + bessel_I(m + 1, w))
-    return term1 + term2
-
-
-def structural_exponent(m: int) -> float:
-    """Order of the structural zero of H_m at the origin: H_m = z^e * kernel."""
-    if m == 0:
-        return 2.0
-    if m == 1:
-        return 1.5
-    return 0.5 * m
-
-
-def dispersion_kernel(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
-                      f_und: ForceLaw) -> tuple[complex, float]:
-    """Dispersion function with the structural origin zero factored out.
-
-    Returns (value, scale) with scale the magnitude of the largest additive
-    term; the nonzero growth rates of mode m are exactly the roots of the
-    value.  Entire in z (no square-root branch).
-    """
-    coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
-    val, scale = _kernels.phi_mode(int(m), complex(z), params.R0, coef_c, b_m, d_m)
-    return complex(val), float(scale)
 
 
 def _kernel_closures(m, params, f_act, f_und, consts=None):
@@ -166,8 +119,8 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     kernel has real coefficients, so the search runs with
     ``conjugate=True`` (on a symmetric rectangle it screens the upper half
     only), and the roots off the real axis come out in exact conjugate
-    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of
-    ``dispersion_kernel`` at ``roots[i]``, as its Newton run computed it.
+    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of the
+    kernel at ``roots[i]``, as its Newton run computed it.
 
     This is the entry point for one spectrum: its one to three Newton runs
     go one point at a time.  ``mode_spectra`` finds many spectra at once.
@@ -175,8 +128,8 @@ def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     if region is None:
         region = default_root_region(params)
     fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
-    return _spectrum(m, find_complex_roots(kernel, region, seeds,
-                                           fun_grid=fun_grid, conjugate=True))
+    return _spectrum(m, find_complex_roots(kernel, fun_grid, region, seeds,
+                                           conjugate=True))
 
 
 def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:

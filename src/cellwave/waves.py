@@ -7,9 +7,9 @@ A traveling wave at speed V solves the curvature equation
     gamma*kappa + chi_c f_act(c) + chi_u f_und(V n_1) + V r cos(theta) = p1_phys
 
 on the boundary, together with the fixed-area and centering constraints.
-``residual_F`` discretises this by collocation at 2N equispaced angles and
-projection onto cosine modes 0..N.  The pressure constant carried by states
-is measured relative to the resting value, i.e. the physical constant is
+``_residual_vector`` discretises this by collocation at 2N equispaced angles
+and projection onto cosine modes 0..N.  The pressure constant carried by
+states is measured relative to the resting value, i.e. the physical constant is
 ``p1 + gamma/R0 + chi_c f_act(c0)``; with that convention the disk with
 V = 0, p1 = 0 is an exact root of the residual for every chi_c, which is
 what makes (chi_c_star, disk, 0, 0) the bifurcation point of the branch.
@@ -59,15 +59,9 @@ def _grid(n: int):
     """Collocation tables for truncation order n (2n equispaced angles)."""
     nc = 2 * n
     thetas = 2.0 * np.pi * np.arange(nc) / nc
-    return _trig_tables(n, thetas)
-
-
-def _trig_tables(n: int, theta):
-    """(theta, k, cos(k theta), sin(k theta)) for k = 0..n at the angles."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     k = np.arange(n + 1)
-    ang = np.outer(k, theta)
-    return theta, k, np.cos(ang), np.sin(ang)
+    ang = np.outer(k, thetas)
+    return thetas, k, np.cos(ang), np.sin(ang)
 
 
 def collocation_nodes(n: int) -> np.ndarray:
@@ -108,9 +102,10 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Boundary:
-    """Polar boundary r = R0 + rho sampled at a set of angles, with its
-    derivatives, curvature and the x component ``n1`` of its outward unit
-    normal (see ``_boundary``); ``cos``/``sin`` are those of the angles."""
+    """Polar boundary r = R0 + rho sampled at the collocation nodes, with
+    its derivatives, curvature and the x component ``n1`` of its outward
+    unit normal (see ``_boundary``); ``cos``/``sin`` are those of the
+    nodes."""
 
     cos: np.ndarray
     sin: np.ndarray
@@ -122,19 +117,18 @@ class _Boundary:
     n1: np.ndarray
 
 
-def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
-    """Boundary fields on the cached collocation tables (``theta`` None) or
-    at the given angles; the derivatives are spectral (exact for the
-    stored cosine series).  With q = r^2 + r'^2 the curvature is
-    kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the outward unit normal
-    is (r cos + r' sin, r sin - r' cos) / sqrt(q), of which ``n1`` is the
-    first component.
+def _boundary(rho_cos: np.ndarray, R0: float) -> _Boundary:
+    """Boundary fields on the cached collocation tables; the derivatives
+    are spectral (exact for the stored cosine series).  With
+    q = r^2 + r'^2 the curvature is kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2)
+    and the outward unit normal is (r cos + r' sin, r sin - r' cos) /
+    sqrt(q), of which ``n1`` is the first component.
 
-    The one evaluator of the cosine series and its derivatives at given
-    angles: every reader of boundary geometry calls it.
+    The one evaluator of the cosine series and its derivatives: every
+    reader of boundary geometry calls it.
     """
     n = rho_cos.size - 1
-    _, k, cos_t, sin_t = _grid(n) if theta is None else _trig_tables(n, theta)
+    _, k, cos_t, sin_t = _grid(n)
     cos_th, sin_th = cos_t[1], sin_t[1]
     r = R0 + rho_cos @ cos_t
     rp = -(rho_cos * k) @ sin_t
@@ -145,11 +139,6 @@ def _boundary(rho_cos: np.ndarray, R0: float, theta=None) -> _Boundary:
         kappa=(r * r + 2.0 * rp * rp - r * rpp) / q ** 1.5,
         n1=(r * cos_th + rp * sin_th) / np.sqrt(q),
     )
-
-
-def _like_theta(values, theta):
-    """Array samples for array angles, a float for a scalar angle."""
-    return values if np.ndim(theta) else float(values[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,20 +164,16 @@ class Shape:
     def N(self) -> int:
         return self.rho_cos.size - 1
 
-    def radius(self, theta):
-        """R0 + rho at the angles (a float for a scalar angle)."""
-        return _like_theta(_boundary(self.rho_cos, self.R0, theta).r, theta)
-
 
 def disk_shape(R0: float, n: int = DEFAULT_N) -> Shape:
     """The unperturbed disk at truncation order n."""
     return Shape(np.zeros(n + 1), R0)
 
 
-def _checked_boundary(shape: Shape, theta=None) -> _Boundary:
-    """Boundary fields at the angles (the collocation nodes for ``theta``
-    None); a non-positive radius is an error."""
-    b = _boundary(shape.rho_cos, shape.R0, theta)
+def _checked_boundary(shape: Shape) -> _Boundary:
+    """Boundary fields at the collocation nodes; a non-positive radius is
+    an error."""
+    b = _boundary(shape.rho_cos, shape.R0)
     if np.min(b.r) <= 0.0:
         raise GeometryError("degenerate radius")
     return b
@@ -399,17 +384,6 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
     return jac
 
 
-def residual_F(state: TravelingWaveState, params: ModelParams,
-               f_act: ForceLaw, f_und: ForceLaw) -> np.ndarray:
-    """Traveling-wave residual of a state: N+1 projected cosine modes of the
-    curvature-equation defect, then the area and centering scalars.
-
-    Zero (to round-off) at the disk with V = 0, p1 = 0 for every chi_c.
-    """
-    return _residual_vector(state.shape.rho_cos, state.V, state.p1,
-                            state.chi_c, params, f_act, f_und)
-
-
 def linearized_residual(rho_cos, V, p1, chi_c, params: ModelParams,
                         f_act: ForceLaw, f_und: ForceLaw) -> np.ndarray:
     """Derivative of the residual at the disk, applied to (rho, V, p1).
@@ -420,7 +394,7 @@ def linearized_residual(rho_cos, V, p1, chi_c, params: ModelParams,
         + (chi_u f_und'(0) + R0 - a c0 chi_c f_act'(c0) R0) V cos(theta)
         - p1
     followed by the linearised area (4 pi R0 rho_0) and centering (pi rho_1)
-    rows, discretised exactly like ``residual_F``.  It evaluates rho and
+    rows, discretised exactly like ``_residual_vector``.  It evaluates rho and
     rho'' itself and not through ``_boundary``: it is the independent
     reference that acceptance criterion 8 checks the residual against.
     """
@@ -868,7 +842,6 @@ class BifurcationReport:
     verdict: str
     matched_within: float
     symmetry: dict
-    details: dict
 
 
 def chi_second_derivative_candidates(params: ModelParams, f_act: ForceLaw,
@@ -962,7 +935,6 @@ def bifurcation_report(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         matched = rels[best]
         verdict = best if matched <= 0.25 else "inconclusive"
 
-    rho2_cos2 = 2.0 * sols[0.25 * h].shape.rho_cos[2] / (0.25 * h) ** 2
     return BifurcationReport(
         chi_c_star_closed_form=star,
         chi_c_star_numeric=star_numeric,
@@ -974,10 +946,4 @@ def bifurcation_report(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         verdict=verdict,
         matched_within=matched,
         symmetry=symmetry,
-        details={
-            "relative_mismatch": rels,
-            "second_difference_by_step": second,
-            "d_chi_one_sided": one_sided,
-            "shape_second_derivative_cos2": rho2_cos2,
-        },
     )

@@ -3,11 +3,19 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cellwave import Shape, _kernels, chi_c_star
+from cellwave import (
+    Branch,
+    ContinuationStalledError,
+    Shape,
+    _kernels,
+    chi_c_star,
+    cli,
+)
 from cellwave.cli import main
 from cellwave.config import load_config
 from cellwave.model import tw_concentration
@@ -326,10 +334,9 @@ class TestBranchCommand:
         for line in lines[2:]:
             row = dict(zip(header, line.split(",")))
             rho = np.array([float(row[f"rho_{k}"]) for k in range(25)])
-            shape = Shape(rho, run.params.R0)      # radius must stay positive
+            Shape(rho, run.params.R0)      # radius must stay positive
             assert float(row["residual"]) <= 1e-9
             assert float(row["area_error"]) <= 1e-10
-            assert shape.radius(np.pi) > 0
 
 
 class TestShapeCommand:
@@ -369,8 +376,7 @@ class TestShapeCommand:
         kappa = np.array([float(l.split(",")[3]) for l in lines])
         rho = project_cosine(radius - run.params.R0)
         shape = Shape(rho, run.params.R0)
-        thetas = 2.0 * np.pi * np.arange(len(lines)) / len(lines)
-        b = _boundary(shape.rho_cos, shape.R0, thetas)
+        b = _boundary(shape.rho_cos, shape.R0)     # on the 2N nodes
         assert np.max(np.abs(b.n1 - n1)) <= 1e-9
         assert np.max(np.abs(b.kappa - kappa)) <= 1e-8
 
@@ -412,7 +418,28 @@ class TestShapeCommand:
         assert len(lines) == 1 + 2 * 64
         (out / "shape.csv").unlink()
         assert main(["shape", "-c", path, "--velocity", "1.0"]) == 3
-        assert "solver error: unresolved shape" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: unresolved shape at V=0.85: ")
+        assert "; V=1 outside computed branch [0, 0.84]" in err
+        assert not (out / "shape.csv").exists()
+
+    def test_stalled_branch_refuses_speed_on_both_sheets(
+            self, tmp_path, capsys, monkeypatch):
+        # A partial branch past its fold refuses a speed on both sheets:
+        # the stall exits 3 and its message says why the speed was refused.
+        states = tuple(SimpleNamespace(V=v) for v in (0.0, 0.5, 1.17, 1.15))
+
+        def stalled(config):
+            raise ContinuationStalledError("unresolved shape at V=1.15",
+                                           Branch(states))
+
+        monkeypatch.setattr(cli, "_branch", stalled)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["shape", "-c", path, "--velocity", "1.16"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: unresolved shape at V=1.15; ")
+        assert "both sheets" in err and "folds at V=1.17" in err
         assert not (out / "shape.csv").exists()
 
     def test_velocity_beyond_branch(self, tmp_path, capsys):

@@ -13,8 +13,9 @@ from cellwave import (
     find_complex_roots,
     newton_solve,
 )
+from cellwave import solvers
 from cellwave.solvers import _complex_newton, _local_minima
-from cellwave.stability import dispersion_H
+from dispersion_reference import dispersion_H
 
 
 class TestNewton:
@@ -44,9 +45,10 @@ class TestNewton:
         assert err.best_residual >= 1.0
 
 
-def _roots(evaluate, region, seeds):
+def _roots(evaluate, fun_grid, region, seeds):
     """The roots ``find_complex_roots`` locates, without their residuals."""
-    return [z for z, _ in find_complex_roots(evaluate, region, seeds)]
+    return [z for z, _ in find_complex_roots(evaluate, fun_grid, region,
+                                             seeds)]
 
 
 def _central_difference(fun):
@@ -60,7 +62,7 @@ def _central_difference(fun):
 class TestComplexRoots:
     def test_quadratic(self):
         roots = _roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
-                       (-2, 2, -2, 2), (20, 20))
+                       lambda zs: zs * zs + 1.0, (-2, 2, -2, 2), (20, 20))
         assert len(roots) == 2
         assert abs(roots[0] - (-1j)) <= 1e-8
         assert abs(roots[1] - 1j) <= 1e-8
@@ -77,7 +79,8 @@ class TestComplexRoots:
         # only the roots inside the rectangle plus its margin, whichever of
         # +-1j the Newton runs converged to.
         found = find_complex_roots(lambda z: (z * z + 1.0, 1.0, 2.0 * z),
-                                   region, (20, 20), conjugate=True)
+                                   lambda zs: zs * zs + 1.0, region,
+                                   (20, 20), conjugate=True)
         expected = self.CONJUGATE_CASES[region]
         assert len(found) == len(expected)
         for (z, _), ref in zip(found, expected):
@@ -88,7 +91,7 @@ class TestComplexRoots:
 
     def test_cube_roots_of_unity(self):
         roots = _roots(lambda z: (z ** 3 - 1.0, 1.0, 3.0 * z * z),
-                       (-2, 2, -2, 2), (20, 20))
+                       lambda zs: zs ** 3 - 1.0, (-2, 2, -2, 2), (20, 20))
         expected = sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
                           key=lambda z: (z.real, z.imag))
         assert len(roots) == 3
@@ -99,7 +102,9 @@ class TestComplexRoots:
         # The raw mode-0 dispersion function on [-60, 1] x [-1, 1] has the
         # structural double zero at the origin plus the two J_1-root values.
         fun = lambda z: dispersion_H(0, z, params, f_act, f_und)
-        roots = _roots(_central_difference(fun), (-60, 1, -1, 1), (50, 11))
+        roots = _roots(_central_difference(fun),
+                       np.vectorize(fun, otypes=[complex]), (-60, 1, -1, 1),
+                       (50, 11))
         j1 = j1_roots[:2]
         expected = sorted([-j1[1] ** 2, -j1[0] ** 2, 0.0])
         assert len(roots) == 3
@@ -110,7 +115,7 @@ class TestComplexRoots:
         fun = lambda z: (z - 0.5) * (z + 0.25j) * (z - 2.0)
         slope = lambda z: ((z + 0.25j) * (z - 2.0) + (z - 0.5) * (z - 2.0)
                            + (z - 0.5) * (z + 0.25j))
-        found = find_complex_roots(lambda z: (fun(z), 1.0, slope(z)),
+        found = find_complex_roots(lambda z: (fun(z), 1.0, slope(z)), fun,
                                    (-3, 3, -3, 3), (25, 25))
         assert len(found) == 3
         for i, (a, res) in enumerate(found):
@@ -121,7 +126,8 @@ class TestComplexRoots:
 
     def test_no_roots_returns_empty(self):
         roots = find_complex_roots(lambda z: (z * 0 + 1.0, 1.0, z * 0),
-                                   (-1, 1, -1, 1), (8, 8))
+                                   lambda zs: zs * 0 + 1.0, (-1, 1, -1, 1),
+                                   (8, 8))
         assert roots == []
 
 
@@ -164,10 +170,11 @@ class TestComplexNewton:
         assert z == 0.0 and res == 1.0
         assert len(calls) == 1
 
-    def test_halving_budget_returns_last_accepted(self):
+    def test_halving_budget_returns_last_accepted(self, monkeypatch):
         # The slope is right at the start and reversed afterwards, so the
         # first step is accepted and the second goes uphill; with no
         # halvings allowed the run ends at the first step.
+        monkeypatch.setattr(solvers, "ROOT_MAX_BACKTRACKS", 0)
         z0 = 3.0 + 0.0j
         calls = []
 
@@ -175,13 +182,14 @@ class TestComplexNewton:
             calls.append(z)
             return z * z - 4.0, 1.0, 2.0 * z if z == z0 else -2.0 * z
 
-        z, res = _complex_newton(evaluate, z0, 1e-12, max_backtracks=0)
+        z, res = _complex_newton(evaluate, z0, 1e-12)
         assert len(calls) == 3      # start, first step, one uphill trial
         assert z == z0 - 5.0 / 6.0
         assert res == abs(z * z - 4.0)
         assert res > 1e-12
 
-    def test_step_accepted_when_f_falls_and_residual_rises(self):
+    def test_step_accepted_when_f_falls_and_residual_rises(self,
+                                                           monkeypatch):
         # The scale falls a thousandfold per unit of Re z, faster than |f|
         # along the first step from 3: |f| drops from 5 to 0.69 while
         # |f| / scale rises from 5 to about 200.  The step is taken whole.
@@ -191,8 +199,9 @@ class TestComplexNewton:
             calls.append(z)
             return z * z - 4.0, 1e-3 ** (3.0 - z.real), 2.0 * z
 
-        z, res = _complex_newton(evaluate, 3.0, 1e-12, max_iter=1,
-                                 max_backtracks=0)
+        monkeypatch.setattr(solvers, "ROOT_MAX_ITER", 1)
+        monkeypatch.setattr(solvers, "ROOT_MAX_BACKTRACKS", 0)
+        z, res = _complex_newton(evaluate, 3.0, 1e-12)
         assert len(calls) == 2
         assert z == 3.0 - 5.0 / 6.0
         assert abs(z * z - 4.0) < 5.0

@@ -14,8 +14,6 @@ from cellwave import (
     bessel_I,
     chi_c_star,
     classify,
-    dispersion_H,
-    dispersion_kernel,
     hill_active,
     linear_undercooling,
     mode_spectra,
@@ -39,6 +37,10 @@ from cellwave.stability import (
     _kernel_closures,
     _zero_constraint_matrix,
     default_root_region,
+)
+from dispersion_reference import (
+    dispersion_H,
+    dispersion_kernel,
     structural_exponent,
 )
 
@@ -494,10 +496,9 @@ class TestHalfPlaneScreen:
         p = params if draw is None else list(self._criterion4_draws())[draw]
         fun_grid, kernel = _kernel_closures(m, p, f_act, f_und)
         region = default_root_region(p)
-        full = find_complex_roots(kernel, region, DEFAULT_SEEDS,
-                                  fun_grid=fun_grid)
-        half = find_complex_roots(kernel, region, DEFAULT_SEEDS,
-                                  fun_grid=fun_grid, conjugate=True)
+        full = find_complex_roots(kernel, fun_grid, region, DEFAULT_SEEDS)
+        half = find_complex_roots(kernel, fun_grid, region, DEFAULT_SEEDS,
+                                  conjugate=True)
         assert full
         pairs = dict(half)
         for z, rel in half:
@@ -512,8 +513,8 @@ class TestHalfPlaneScreen:
         fun_grid, kernel = _kernel_closures(0, params, f_act, f_und)
         seen = []
         fun_grid_log = lambda zs: seen.append(zs.size) or fun_grid(zs)
-        find_complex_roots(kernel, region, DEFAULT_SEEDS,
-                           fun_grid=fun_grid_log, conjugate=True)
+        find_complex_roots(kernel, fun_grid_log, region, DEFAULT_SEEDS,
+                           conjugate=True)
         assert seen == [DEFAULT_SEEDS[0] * DEFAULT_SEEDS[1]]
         spec = mode_spectrum(0, params, f_act, f_und, region=region)
         assert len(spec.roots) == 4

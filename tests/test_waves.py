@@ -23,7 +23,6 @@ from cellwave import (
     disk_shape,
     linear_undercooling,
     marker_normalization,
-    residual_F,
     solve_at_velocity,
     tanh_undercooling,
 )
@@ -47,24 +46,26 @@ N_TEST = 32
 
 
 class TestGeometry:
+    # Geometry is evaluated on the 2N collocation nodes, pi i / N; theta = 0
+    # is node 0 and theta = pi/2 is node N/2.
     def test_disk_normal(self):
         sh = disk_shape(1.0, N_TEST)
-        th = np.linspace(0.0, 2.0 * np.pi, 11)
-        assert np.allclose(_checked_boundary(sh, th).n1, np.cos(th),
-                           atol=1e-14)
-        assert abs(_checked_boundary(sh, math.pi / 2).n1[0]) <= 1e-14
+        nodes = waves.collocation_nodes(N_TEST)
+        n1 = _checked_boundary(sh).n1
+        assert np.allclose(n1, np.cos(nodes), atol=1e-14)
+        assert nodes[N_TEST // 2] == math.pi / 2
+        assert abs(n1[N_TEST // 2]) <= 1e-14
 
     def test_symmetry_axis(self):
         rho = np.zeros(N_TEST + 1)
         rho[2] = 0.1
         sh = Shape(rho, 1.0)
-        assert abs(_checked_boundary(sh, 0.0).n1[0] - 1.0) <= 1e-14
+        assert abs(_checked_boundary(sh).n1[0] - 1.0) <= 1e-14
 
     def test_disk_curvature(self):
         for r0 in (0.5, 1.0, 2.3):
             sh = disk_shape(r0, N_TEST)
-            th = np.linspace(0.0, 2.0 * np.pi, 7)
-            assert np.allclose(_checked_boundary(sh, th).kappa, 1.0 / r0,
+            assert np.allclose(_checked_boundary(sh).kappa, 1.0 / r0,
                                atol=1e-13)
 
     def test_linearised_curvature(self):
@@ -74,43 +75,42 @@ class TestGeometry:
         rho = np.zeros(N_TEST + 1)
         rho[2] = eps
         sh = Shape(rho, 1.0)
-        th = np.linspace(0.0, 2.0 * np.pi, 41)
+        th = waves.collocation_nodes(N_TEST)
         lin = 1.0 + eps * 3.0 * np.cos(2 * th)
-        assert np.max(np.abs(_checked_boundary(sh, th).kappa - lin)) <= 1e-10
+        assert np.max(np.abs(_checked_boundary(sh).kappa - lin)) <= 1e-10
 
     def test_gauss_bonnet(self):
+        # The total curvature of the closed curve is 2 pi, by the trapezoid
+        # rule on the 128 nodes of the N = 64 shape.
         rho = np.zeros(64 + 1)
         rho[0], rho[2], rho[3] = 0.02, 0.22, 0.05
         sh = Shape(rho, 1.0)
-        th = 2.0 * np.pi * np.arange(4096) / 4096
-        kappa = _checked_boundary(sh, th).kappa
-        r, rp, _ = _polar_series(rho, 1.0, th)
-        arc = np.sqrt(r * r + rp * rp)
-        total = float(np.mean(kappa * arc)) * 2.0 * np.pi
+        b = _checked_boundary(sh)
+        arc = np.sqrt(b.r * b.r + b.rp * b.rp)
+        total = float(np.mean(b.kappa * arc)) * 2.0 * np.pi
+        assert b.kappa.size == 128
         assert abs(total - 2.0 * np.pi) <= 1e-8
 
     def test_boundary_fields_match_shape(self):
-        # The one geometry helper, on the collocation tables and at
-        # arbitrary angles, unchecked and through the shape, against a
-        # term-by-term sum of the series and the polar formulas.
+        # The one geometry helper on the collocation tables, unchecked and
+        # through the shape, against a term-by-term sum of the series and
+        # the polar formulas.
         rng = np.random.default_rng(53)
         rho = _smooth_shape(rng, N_TEST, 0.1)
         sh = Shape(rho, 1.3)
-        nodes = waves.collocation_nodes(N_TEST)
-        angles = rng.uniform(-7.0, 7.0, 25)
-        for theta, arg in ((nodes, None), (angles, angles)):
-            fields = _boundary(rho, 1.3, arg)
-            checked = _checked_boundary(sh, arg)
-            r, rp, rpp = _polar_series(rho, 1.3, theta)
-            kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-            n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
-            for got, ref in ((fields.r, r), (fields.rp, rp),
-                             (fields.rpp, rpp), (fields.kappa, kappa),
-                             (fields.n1, n1),
-                             (sh.radius(theta), r),
-                             (checked.kappa, kappa),
-                             (checked.n1, n1)):
-                assert np.max(np.abs(got - ref)) <= 1e-13
+        theta = waves.collocation_nodes(N_TEST)
+        fields = _boundary(rho, 1.3)
+        checked = _checked_boundary(sh)
+        r, rp, rpp = _polar_series(rho, 1.3, theta)
+        kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+        n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
+        for got, ref in ((fields.r, r), (fields.rp, rp),
+                         (fields.rpp, rpp), (fields.kappa, kappa),
+                         (fields.n1, n1),
+                         (checked.r, r),
+                         (checked.kappa, kappa),
+                         (checked.n1, n1)):
+            assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("n", [5, 64, 128])
     def test_fft_radius_matches_cosine_sum(self, n):
@@ -171,15 +171,13 @@ class TestResidual:
     def test_zero_at_disk_for_any_chi(self, params, f_act, f_und):
         rng = np.random.default_rng(50)
         for chi in np.concatenate([[0.0], rng.uniform(0.0, 20.0, 20)]):
-            state = TravelingWaveState(disk_shape(params.R0, N_TEST), 0.0,
-                                       0.0, float(chi), params.c0)
-            res = residual_F(state, params, f_act, f_und)
+            res = _residual_vector(np.zeros(N_TEST + 1), 0.0, 0.0,
+                                   float(chi), params, f_act, f_und)
             assert np.max(np.abs(res)) <= 1e-12
 
     def test_pressure_offset_only(self, params, f_act, f_und):
-        state = TravelingWaveState(disk_shape(params.R0, N_TEST), 0.0,
-                                   0.1, 1.0, params.c0)
-        res = residual_F(state, params, f_act, f_und)
+        res = _residual_vector(np.zeros(N_TEST + 1), 0.0, 0.1, 1.0, params,
+                               f_act, f_und)
         assert abs(res[0] + 0.1) <= 1e-13          # mean mode carries -p1
         assert np.max(np.abs(res[1:])) <= 1e-13
 
@@ -779,14 +777,17 @@ class TestBifurcationReport:
         # Independent oracle from second-order perturbation of the residual
         # around the bifurcation point: the cos(2 theta) shape coefficient
         # grows as (V^2/2) * rho22 with
-        # rho22 = -(a^2 c0 R0^4 chi*/(6 gamma)) (c0 f''(c0) + f'(c0)).
-        report = bifurcation_report(params, f_act, f_und, n=N_TEST)
+        # rho22 = -(a^2 c0 R0^4 chi*/(6 gamma)) (c0 f''(c0) + f'(c0)),
+        # read as 2 rho_2 / V^2 at the smallest speed the report solves at.
+        v = 0.25 * waves.REPORT_STEP
+        state = solve_at_velocity(v, rest_state(params, f_act, f_und, N_TEST),
+                                  params, f_act, f_und)
         c0 = params.c0
         star = chi_c_star(params, f_act, f_und)
         rho22 = -(params.a ** 2 * c0 * params.R0 ** 4 * star
                   / (6.0 * params.gamma)) \
             * (c0 * float(f_act.d2(c0)) + float(f_act.d1(c0)))
-        got = report.details["shape_second_derivative_cos2"]
+        got = 2.0 * state.shape.rho_cos[2] / v ** 2
         assert abs(got - rho22) <= 0.05 * abs(rho22)
 
     def test_tanh_undercooling_discriminates(self, params, f_act,
