@@ -52,22 +52,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _json_default(obj):
+    """JSON form of the complex and numpy values that ``json`` does not
+    write itself (np.float64 is a float, so it does write that one)."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -78,7 +70,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
     _write_text(path, text)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ForceLawError
-from .forces import ForceLaw, force_law_from_config
+from .forces import _FAMILIES, ForceLaw, force_law_from_config
 from .model import ModelParams
 from .stability import DEFAULT_MODE_MAX, DEFAULT_SEEDS, THRESHOLD_TOL
 from .waves import DEFAULT_N, REPORT_STEP, SOLVE_TOL
@@ -42,12 +42,6 @@ _ANALYSIS_DEFAULTS = {
 _OUTPUT_DEFAULTS = {
     "directory": "out",
     "rho_width": 8,
-}
-
-_FORCE_KEYS_BY_FAMILY = {
-    "hill": {"l_max", "k_half", "exponent"},
-    "linear": {"slope"},
-    "tanh": {"saturation"},
 }
 
 
@@ -138,13 +132,13 @@ def validate_config(data: dict) -> RunConfig:
         if not isinstance(block, dict):
             raise ConfigError(f"missing key force_laws.{kind}")
         family = block.get("family")
-        allowed = _FORCE_KEYS_BY_FAMILY.get(family)
-        if allowed is None:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ConfigError(
                 f"force_laws.{kind}.family must be one of "
-                f"{sorted(_FORCE_KEYS_BY_FAMILY)}, got {family!r}"
+                f"{sorted(_FAMILIES)}, got {family!r}"
             )
-        _check_unknown(f"force_laws.{kind}", block, allowed | {"family"})
+        _check_unknown(f"force_laws.{kind}", block,
+                       ("family", *_FAMILIES[family][2]))
         for key, value in block.items():
             if key != "family":
                 _require_number(f"force_laws.{kind}", key, value)

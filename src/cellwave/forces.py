@@ -39,9 +39,10 @@ class ForceLaw:
         The law and its first three derivatives; all accept floats or
         numpy arrays.
     family : str
-        Constructor family name (used by config round-trips).
+        Constructor family name (shown by ``repr``).
     coefficients : dict
-        Constructor coefficients (used by config round-trips).
+        Constructor coefficients (shown by ``repr``; ``validate_force_law``
+        reads the plateau ``l_max`` from them).
     """
 
     kind: str
@@ -189,10 +190,12 @@ def tanh_undercooling(saturation: float = 0.5) -> ForceLaw:
     return law
 
 
+#: family -> (constructor, kind, coefficient names); the config reads the
+#: families and their coefficient names from here.
 _FAMILIES = {
-    "hill": (hill_active, "active"),
-    "linear": (linear_undercooling, "undercooling"),
-    "tanh": (tanh_undercooling, "undercooling"),
+    "hill": (hill_active, "active", ("l_max", "k_half", "exponent")),
+    "linear": (linear_undercooling, "undercooling", ("slope",)),
+    "tanh": (tanh_undercooling, "undercooling", ("saturation",)),
 }
 
 
@@ -204,7 +207,7 @@ def force_law_from_config(kind: str, spec: dict) -> ForceLaw:
         raise ForceLawError(
             f"unknown force-law family {family!r}; choose from {sorted(_FAMILIES)}"
         )
-    ctor, expected_kind = _FAMILIES[family]
+    ctor, expected_kind, _ = _FAMILIES[family]
     if expected_kind != kind:
         raise ForceLawError(f"family {family!r} is not of kind {kind!r}")
     try:

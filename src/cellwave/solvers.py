@@ -6,8 +6,8 @@ at a time by ``_complex_newton`` (one spectrum, a warm start), or every seed
 start of a sweep in lockstep by ``_lockstep_newton``, one array evaluation
 per round.  ``find_complex_roots`` screens the seed grid (``_seed_starts``),
 runs Newton from each start and keeps the roots (``_accept_roots``).
-``arclength_continue`` takes one pseudo-arclength step; the branch tail
-(``waves._arclength_tail``) runs the loop and keeps the secant.
+``arclength_continue`` takes one pseudo-arclength step; the branch loop
+(``waves.continue_branch``) keeps the secant.
 """
 
 from __future__ import annotations
@@ -270,9 +270,8 @@ def find_complex_roots(evaluate, fun_grid, region, seeds, *,
         (im_min == -im_max) only its upper half is screened: f is
         evaluated on the rows of the seed grid with Im >= 0 (the same
         points as the full grid; for odd ny the middle row is the real
-        axis), |f| is mirrored for the local-minimum scan, and Newton
-        starts only from minima in the upper half.  On an asymmetric
-        rectangle the whole grid is screened.
+        axis), and Newton starts only from minima in the upper half.  On
+        an asymmetric rectangle the whole grid is screened.
 
     Returns
     -------
@@ -289,19 +288,20 @@ def find_complex_roots(evaluate, fun_grid, region, seeds, *,
 def _seed_starts(fun_grid, region, seeds, *,
                  conjugate: bool = False) -> np.ndarray:
     """Newton starts of ``find_complex_roots``: the seed-grid local minima
-    of |f|, in row-major grid order (arguments as there)."""
+    of |f|, in row-major grid order (arguments as there).
+
+    On the half grid the scan needs no mirrored rows.  The row below the
+    first mirrors to the first row itself when ny is even, a comparison
+    that decides nothing, and to the row above it when ny is odd, a
+    comparison the scan already makes.
+    """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = seeds
     half = conjugate and im_min == -im_max
     xs, ys, zgrid = _seed_grid(re_min, re_max, im_min, im_max, nx, ny, half)
     mag = np.abs(np.asarray(fun_grid(zgrid))).reshape(nx, ys.size)
-    low = ny - ys.size        # rows below the axis, mirrored from above
-    if low:
-        mag = np.concatenate([mag[:, :-low - 1:-1], mag], axis=1)
-
     i, j = _local_minima(mag)
-    upper = j >= low
-    return xs[i[upper]] + 1j * ys[j[upper] - low]
+    return xs[i] + 1j * ys[j]
 
 
 def _accept_roots(ends, region, *, conjugate: bool = False

@@ -566,9 +566,7 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
         sol = newton_solve(fun, start, jac, tol=tol)
     except NewtonConvergenceError as exc:
         raise SolverError(
-            f"traveling-wave solve failed at V={V:g}: {exc} "
-            f"(best residual {exc.best_residual:.3e})"
-        ) from exc
+            f"traveling-wave solve failed at V={V:g}: {exc}") from exc
     return _checked_state(sol, V, params, f_act, f_und)
 
 
@@ -628,47 +626,32 @@ class Branch:
         return self.states[int(np.argmin(np.abs(vs[:fold + 1] - V)))]
 
 
-def _certify(state: TravelingWaveState, resolved: Branch) -> None:
-    """Stop the branch at the first state whose spectral tail exceeds
-    ``TAIL_TOL``: its shape is not resolved at this truncation.
-
-    Raises
-    ------
-    ContinuationStalledError
-        Carrying ``resolved``, the branch before the state.
-    """
-    tail = state.diagnostics["spectral_tail"]
-    if tail > TAIL_TOL:
-        raise ContinuationStalledError(
-            f"unresolved shape at V={state.V:g}: spectral tail {tail:.3e} "
-            f"exceeds TAIL_TOL={TAIL_TOL:g} at N={state.shape.N}",
-            resolved,
-        )
-
-
 def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                     V_max: float, ds: float, *, n: int = DEFAULT_N,
                     tol: float = SOLVE_TOL) -> Branch:
     """Trace the traveling-wave branch from the bifurcation point.
 
-    Steps the speed directly (the branch is a graph over V near onset since
-    the kernel direction at the bifurcation point is the pure-V direction).
-    Each fixed-speed Newton solve starts from ``_predict``: the unknowns
-    (rho, p1, chi_c) extrapolated in V through the last three accepted
-    states, the V = 0 root counting as one, so the first step starts from
-    the root, the second from a line and every later one from a parabola.
-    The guess is then O(ds^3) off and most states converge in one Newton
-    step, with one Jacobian.
+    One loop takes one step per pass.  It first steps the speed directly
+    (the branch is a graph over V near onset since the kernel direction at
+    the bifurcation point is the pure-V direction), through the targets
+    V_max/k, 2 V_max/k, ..., V_max.  Each fixed-speed Newton solve starts
+    from ``_predict``: the unknowns (rho, p1, chi_c) extrapolated in V
+    through the last three accepted states, the V = 0 root counting as
+    one, so the first step starts from the root, the second from a line
+    and every later one from a parabola.  The guess is then O(ds^3) off
+    and most states converge in one Newton step, with one Jacobian.
 
-    A fixed-speed step is not retried: the first one that fails, as one
-    does at a fold, hands over to pseudo-arclength continuation in
-    (rho, p1, chi_c, V) from the last two accepted states, which traces
-    the rest of the branch.  The only retry is the arclength corrector's,
-    which halves its step down to ds/64.
+    A fixed-speed step is not retried: once one fails, as one does at a
+    fold, every later step is one ``arclength_continue`` step in
+    (rho, p1, chi_c, V) along the secant of the last two states, until V
+    reaches V_max (a step that overshoots lands on V_max with a
+    fixed-speed solve).  Its Jacobian is the analytic (rho, p1, chi_c)
+    block plus a central difference in V.  The only retry is the
+    corrector's, which halves its step down to ds/64.
 
-    Every accepted state, fixed-speed or arclength, must pass the
-    resolution certificate (spectral tail at most ``TAIL_TOL``); the
-    first one that does not stops the branch.
+    Every accepted state, of either kind, must pass the resolution
+    certificate (spectral tail at most ``TAIL_TOL``); the first one that
+    does not stops the branch.
 
     Raises
     ------
@@ -676,39 +659,12 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         Carrying the partial branch: if the first step fails, if the
         arclength corrector fails, or at the first unresolved state, which
         the partial branch leaves out.
+    SolverError
+        If an arclength point fails the invariant checks of
+        ``_checked_state``, or its landing solve at V_max fails.
     """
     if V_max <= 0 or ds <= 0:
         raise ValueError("V_max and ds must be positive")
-    states = [rest_state(params, f_act, f_und, n)]
-    n_steps = max(1, int(round(V_max / ds)))
-    targets = list(np.linspace(V_max / n_steps, V_max, n_steps))
-
-    for V_to in targets:
-        try:
-            state = solve_at_velocity(V_to, _predict(states, V_to), params,
-                                      f_act, f_und, tol=tol)
-        except SolverError as exc:
-            if len(states) < 2:
-                raise ContinuationStalledError(
-                    f"branch stalled before V={V_to:g}: {exc}",
-                    Branch(states=tuple(states)),
-                ) from exc
-            return _arclength_tail(states, params, f_act, f_und, V_max, ds,
-                                   tol)
-        _certify(state, Branch(states=tuple(states)))
-        states.append(state)
-    return Branch(states=tuple(states))
-
-
-def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
-    """Continue in (rho, p1, chi_c, V) by pseudo-arclength until V_max.
-
-    Each step is one ``arclength_continue`` call along the secant of the
-    last two points; a failed one raises ContinuationStalledError with the
-    branch so far.  The Jacobian is the analytic (rho, p1, chi_c) block
-    plus a central difference in V; every accepted point passes the same
-    invariant checks as a fixed-speed solve, and the resolution certificate.
-    """
 
     def fun(u_ext):
         return _residual_vector(u_ext[:-3], u_ext[-1], u_ext[-3], u_ext[-2],
@@ -723,30 +679,51 @@ def _arclength_tail(states, params, f_act, f_und, V_max, ds, tol):
         v_col = (fun(u_ext + step) - fun(u_ext - step)) / (2.0 * step[-1])
         return np.column_stack([block, v_col])
 
-    handover = states[-1].V
-
-    def partial():
-        return Branch(states=tuple(states), arclength_from_V=handover)
-
-    u_prev, u_last = (np.concatenate([_pack(s), [s.V]]) for s in states[-2:])
-    while states[-1].V < V_max - 1e-12:
-        try:
-            new = arclength_continue(fun, jac, u_last, u_last - u_prev, ds,
-                                     tol=tol)
-        except SolverError as exc:
-            raise ContinuationStalledError(str(exc), partial()) from exc
-        u_prev, u_last = u_last, new
-        if new[-1] >= V_max:
-            # Overshot the requested endpoint: land exactly on V_max with a
-            # fixed-speed solve warm-started from the overshoot point.
-            state = solve_at_velocity(V_max, new[:-1], params, f_act, f_und,
-                                      tol=tol)
+    states = [rest_state(params, f_act, f_und, n)]
+    n_steps = max(1, int(round(V_max / ds)))
+    targets = iter(np.linspace(V_max / n_steps, V_max, n_steps))
+    handover = None             # the speed of the last fixed-speed state
+    while True:
+        partial = Branch(states=tuple(states), arclength_from_V=handover)
+        if handover is None:
+            V = next(targets, None)
+            if V is None:
+                return partial
+            try:
+                state = solve_at_velocity(V, _predict(states, V), params,
+                                          f_act, f_und, tol=tol)
+            except SolverError as exc:
+                if len(states) < 2:
+                    raise ContinuationStalledError(
+                        f"branch stalled before V={V:g}: {exc}", partial,
+                    ) from exc
+                handover = states[-1].V
+                continue
         else:
-            state = _checked_state(new[:-1], float(new[-1]), params, f_act,
-                                   f_und)
-        _certify(state, partial())
+            if states[-1].V >= V_max - 1e-12:
+                return partial
+            u_prev, u_last = (np.append(_pack(s), s.V) for s in states[-2:])
+            try:
+                new = arclength_continue(fun, jac, u_last, u_last - u_prev,
+                                         ds, tol=tol)
+            except SolverError as exc:
+                raise ContinuationStalledError(str(exc), partial) from exc
+            if new[-1] >= V_max:
+                # Overshot the requested endpoint: land exactly on V_max with
+                # a fixed-speed solve warm-started from the overshoot point.
+                state = solve_at_velocity(V_max, new[:-1], params, f_act,
+                                          f_und, tol=tol)
+            else:
+                state = _checked_state(new[:-1], float(new[-1]), params,
+                                       f_act, f_und)
+        tail = state.diagnostics["spectral_tail"]
+        if tail > TAIL_TOL:
+            raise ContinuationStalledError(
+                f"unresolved shape at V={state.V:g}: spectral tail {tail:.3e} "
+                f"exceeds TAIL_TOL={TAIL_TOL:g} at N={state.shape.N}",
+                partial,
+            )
         states.append(state)
-    return partial()
 
 
 # ---------------------------------------------------------------------------

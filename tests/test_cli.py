@@ -136,6 +136,16 @@ class TestConfig:
         assert err.startswith("config error: ") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ['"spline"', "[1]", "{}"])
+    def test_unknown_family_rejected(self, tmp_path, capsys, family):
+        # An unhashable family is a config error too, not a crash.
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["resting-state", "-c", path, "--set",
+                     f"force_laws.active.family={family}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: force_laws.active.family must "
+                              "be one of ['hill', 'linear', 'tanh'], got ")
+
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -245,6 +255,39 @@ class TestDispersion:
                      "--set", "analysis.mode_min=148",
                      "--set", "analysis.mode_max=148"]) == 3
         assert "double range" in capsys.readouterr().err
+
+
+class TestJson:
+    def test_numpy_and_complex_values(self, tmp_path):
+        # Each value is written as its plain Python counterpart would be;
+        # a complex number becomes {"im", "re"}.
+        payload = {
+            "bool": [True, np.bool_(False)],
+            "int": (3, np.int64(-4), np.int32(7)),
+            "float": [0.1, np.float64(1e-300), np.float32(0.5)],
+            "complex": [1.5 - 2j, np.complex128(0.25j)],
+            "array": {"int": np.array([[1, 2]]),
+                      "float": np.array([0.5, -2.0]),
+                      "bool": np.array([True]),
+                      "complex": np.array([1 + 1j])},
+            "none": None,
+            "text": "a",
+        }
+        plain = {
+            "bool": [True, False],
+            "int": [3, -4, 7],
+            "float": [0.1, 1e-300, 0.5],
+            "complex": [{"re": 1.5, "im": -2.0}, {"re": 0.0, "im": 0.25}],
+            "array": {"int": [[1, 2]], "float": [0.5, -2.0],
+                      "bool": [True], "complex": [{"re": 1.0, "im": 1.0}]},
+            "none": None,
+            "text": "a",
+        }
+        path = tmp_path / "report.json"
+        cli._write_json(path, payload)
+        assert path.read_text() == json.dumps(plain, indent=2,
+                                              sort_keys=True) + "\n"
+        assert '"im": -2.0,\n      "re": 1.5' in path.read_text()
 
 
 class TestBranchCommand:

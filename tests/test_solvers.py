@@ -14,7 +14,7 @@ from cellwave import (
     newton_solve,
 )
 from cellwave import solvers
-from cellwave.solvers import _complex_newton, _local_minima
+from cellwave.solvers import _complex_newton, _local_minima, _seed_starts
 from dispersion_reference import dispersion_H
 
 
@@ -253,6 +253,38 @@ class TestLocalMinima:
         i, j = _local_minima(np.ones((2, 3)))
         assert list(zip(i.tolist(), j.tolist())) == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+class TestSeedStarts:
+    @pytest.mark.parametrize("ny", [2, 3, 8, 9, 21])
+    def test_half_grid_matches_mirrored_scan(self, ny):
+        # On a symmetric rectangle only the rows with Im >= 0 are screened.
+        # The starts must be the upper-half minima of the scan over the
+        # full grid whose rows below the axis mirror those above it.
+        nx, region = 7, (-2.0, 1.0, -1.5, 1.5)
+        xs = np.linspace(region[0], region[1], nx)
+        ys = np.linspace(region[2], region[3], ny)
+        low = ny // 2                   # rows below the axis
+        rng = np.random.default_rng(ny)
+        for trial in range(40):
+            screened = []
+
+            def fun_grid(z):
+                # Few levels give ties and plateaus; NaN disqualifies.
+                vals = rng.integers(0, 3, size=z.size).astype(float)
+                vals[rng.random(z.size) < 0.1] = np.nan
+                screened.append(vals)
+                return -vals if trial % 2 else vals
+
+            starts = _seed_starts(fun_grid, region, (nx, ny), conjugate=True)
+            half = screened[0].reshape(nx, ny - low)
+            full = np.empty((nx, ny))
+            full[:, low:] = half
+            for k in range(low):        # row k mirrors row ny - 1 - k
+                full[:, k] = half[:, ny - 1 - k - low]
+            i, j = _local_minima(full)
+            upper = j >= low
+            assert np.array_equal(starts, xs[i[upper]] + 1j * ys[j[upper]])
 
 
 def _trace(fun, jac, u, tangent, steps, ds):

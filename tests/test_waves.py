@@ -531,6 +531,24 @@ class TestBranch:
         assert not info.value.points.used_arclength
 
 
+    def test_stall_message_names_the_residual_once(self, params, f_act,
+                                                   f_und, monkeypatch):
+        # The Newton message already ends with its best residual.
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(ContinuationStalledError,
+                           match="no convergence in 0 iterations") as info:
+            continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                            n=N_TEST)
+        assert str(info.value).count("residual") == 1
+
+    def test_tiny_V_max_keeps_its_one_step(self, params, f_act, f_und):
+        # A V_max below 1e-12 is still reached by its one fixed-speed step.
+        branch = continue_branch(params, f_act, f_und, V_max=1e-13, ds=0.01,
+                                 n=N_TEST)
+        assert branch.velocities().tolist() == [0.0, 1e-13]
+        assert not branch.used_arclength
+
+
 def _stall_between(monkeypatch, V_from, V_to):
     """Fail every fixed-speed solve strictly between V_from and V_to.
 
