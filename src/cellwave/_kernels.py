@@ -10,10 +10,11 @@ slope, from one pass.  The array kernels read psi_0..psi_T from
 elsewhere ``_psi_chain`` runs one Miller chain per point from that
 point's own start order, so a point's values never depend on the points
 it shares a call with.  The seed screen, ``phi_mode_grid``, reads one
-read-only table per rest radius and grid, shared by every mode whose
-orders fit under the same power-of-two top; the lockstep Newton of a
-sweep calls ``phi_mode_slope_points`` for value, scale and slope at
-arbitrary points, each with its own mode.
+read-only table per rest radius and grid: modes 0..14 share the table
+up to order ``PSI_SHARED_TOP`` (16), and higher modes read power-of-two
+tops above it; the lockstep Newton of a sweep calls
+``phi_mode_slope_points`` for value, scale and slope at arbitrary
+points, each with its own mode.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ PSI_SERIES_RADIUS = 16.0
 
 #: The kernels are never compiled; recorded by tools that report the path.
 NUMBA_ENABLED = False
+
+#: Smallest top order of the seed-screen psi table, so that modes
+#: 0..PSI_SHARED_TOP - 2 (every default mode) read one table.
+PSI_SHARED_TOP = 16
 
 _DOUBLE_MIN = sys.float_info.min      # smallest normal double
 
@@ -380,12 +385,12 @@ def phi_mode(m, z, r0, coef_c, b_m, d_m):
 def _psi_top(m):
     """Top order of the shared psi table read by mode m.
 
-    The smallest power of two >= m + 2 (order m + 2 is the kernel's slope),
-    so modes 0..8 read tables up to 2, 4, 4, 8, 8, 8, 8, 16, 16.  A
-    function of m alone: the rows a mode reads never depend on which modes
-    ran before it.
+    The smallest power of two >= max(m + 2, PSI_SHARED_TOP) (order m + 2
+    is the kernel's slope), so modes 0..14 read the top-16 table and modes
+    15..30 the top-32 one.  A function of m alone: the rows a mode reads
+    never depend on which modes ran before it.
     """
-    return 1 << (m + 1).bit_length()
+    return max(1 << (m + 1).bit_length(), PSI_SHARED_TOP)
 
 
 @functools.lru_cache(maxsize=1)
@@ -393,10 +398,11 @@ def _psi_table(top, r0, zs_bytes):
     """Read-only psi_0..psi_top over the grid u = r0^2 zs, one row per order.
 
     The rows depend only on (top, r0, the exact grid points), never on m or
-    the force constants, so every mode of one rest radius with the same top,
-    and every chi_c of those modes, reads this single entry.  The rows are
-    ``_psi_rows`` with every point kept up to top, so a point's column does
-    not depend on the rest of the grid; orders whose w^k overflows are 0.
+    the force constants, so every mode of one rest radius with the same top
+    (all of modes 0..14), and every chi_c of those modes, reads this single
+    entry.  The rows are ``_psi_rows`` with every point kept up to top, so
+    a point's column does not depend on the rest of the grid; orders whose
+    w^k overflows are 0.
     """
     u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
     psi = _psi_rows(np.full(u.size, top), u)
@@ -411,8 +417,8 @@ def phi_mode_grid(m, zs, r0, coef_c, b_m, d_m):
     Returns (values, scales) as arrays.  The psi rows the kernel reads,
     orders max(m-1, 0)..m+1, are read-only slices of the shared table
     ``_psi_table(_psi_top(m), r0, zs)``; the most recent table is kept for
-    the next call, so every mode of one rest radius and grid with the same
-    top, at every chi_c, builds it once.
+    the next call, so modes 0..14 of one rest radius and grid, at every
+    chi_c and in every command of the process, build it once.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     psi = _psi_table(_psi_top(m), r0, zs.tobytes())[max(m - 1, 0):m + 2]

@@ -248,6 +248,26 @@ class TestDispersion:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_resting_state_and_dispersion_share_one_table(self, tmp_path):
+        # Every default mode reads the top-16 psi table of the default rest
+        # radius and seed grid, so resting-state then dispersion in one
+        # process build it once and write the bytes of commands that each
+        # start on a cleared cache.
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        files = {"resting-state": "resting_state.json",
+                 "dispersion": "dispersion.csv"}
+        _kernels._psi_table.cache_clear()
+        for cmd in files:
+            assert main([cmd, "-c", str(config), "-o",
+                         str(tmp_path / "warm")]) == 0
+        assert _kernels._psi_table.cache_info().misses == 1
+        for cmd, name in files.items():
+            _kernels._psi_table.cache_clear()
+            assert main([cmd, "-c", str(config), "-o",
+                         str(tmp_path / "cold")]) == 0
+            assert ((tmp_path / "warm" / name).read_bytes()
+                    == (tmp_path / "cold" / name).read_bytes())
+
     def test_mode_beyond_double_range_exits_3(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)

@@ -313,8 +313,10 @@ class TestPsiGridMemo:
         return mode_spectrum(m, p, f_act, f_und, **kw)
 
     def test_top_depends_on_mode_only(self):
-        tops = [_kernels._psi_top(m) for m in range(9)]
-        assert tops == [2, 4, 4, 8, 8, 8, 8, 16, 16]
+        # Modes 0..14 read the one top-16 table; above it the tops climb
+        # by powers of two.
+        assert [_kernels._psi_top(m) for m in range(15)] == [16] * 15
+        assert [_kernels._psi_top(m) for m in (15, 30, 31)] == [32, 32, 64]
 
     def test_chi_c_sweep_warm_equals_cold(self, params, f_act, f_und):
         for m in (0, 1, 4):
@@ -330,17 +332,18 @@ class TestPsiGridMemo:
         other_r0 = ModelParams(params.a, params.gamma, params.chi_c,
                                params.chi_u, 1.5, params.M)
         region = (-60.0, 10.0, -8.0, 8.0)
-        for m, p, kw in [(3, params, {}), (1, params, {}), (2, other_r0, {}),
+        for m, p, kw in [(15, params, {}), (1, params, {}), (2, other_r0, {}),
                          (2, params, {"region": region})]:
-            mode_spectrum(2, params, f_act, f_und)        # warm, other key
+            mode_spectrum(2, params, f_act, f_und)  # warm: mode 2's table
             warm = mode_spectrum(m, p, f_act, f_und, **kw)
             cold = self._cold(m, p, f_act, f_und, **kw)
             assert repr(warm) == repr(cold)
 
     def test_rows_independent_of_mode_order(self, params, f_act, f_und):
-        # Mode 4 reads the top-8 table.  A lower or higher mode of the same
-        # top leaves the table for it; one of another top replaces it.
-        # Either way mode 4 reads the same rows and finds the same roots.
+        # Mode 4 reads the top-16 table.  A lower or higher mode of the
+        # same top leaves the table for it; one of another top (mode 15 or
+        # above) replaces it.  Either way mode 4 reads the same rows and
+        # finds the same roots.
         # The default rectangle is symmetric, so the screen reads the
         # upper half of the seed grid.
         zs = _seed_grid(*default_root_region(params), *DEFAULT_SEEDS,
@@ -349,7 +352,8 @@ class TestPsiGridMemo:
         _kernels._psi_table.cache_clear()
         cold_screen = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
         cold = self._cold(4, params, f_act, f_und)
-        for first, shared in [(3, True), (6, True), (2, False), (7, False)]:
+        for first, shared in [(3, True), (14, True), (15, False),
+                              (31, False)]:
             self._cold(first, params, f_act, f_und)
             hits = _kernels._psi_table.cache_info().hits
             screen = _kernels.phi_mode_grid(4, zs, params.R0, *consts)
@@ -357,6 +361,20 @@ class TestPsiGridMemo:
             for got, ref in zip(screen, cold_screen):
                 assert np.array_equal(got, ref)
             assert repr(mode_spectrum(4, params, f_act, f_und)) == repr(cold)
+
+    def test_modes_around_shared_top_warm_equal_cold(self, params, f_act,
+                                                      f_und):
+        # Modes 13 and 14 read the top-16 table, 15 and 16 the top-32 one.
+        # Run in one process in either order, each mode gives the spectrum
+        # it gives after a cleared cache, and each top is built once.
+        modes = (13, 14, 15, 16)
+        cold = {m: repr(self._cold(m, params, f_act, f_und)) for m in modes}
+        for order in (modes, modes[::-1]):
+            _kernels._psi_table.cache_clear()
+            warm = {m: repr(mode_spectrum(m, params, f_act, f_und))
+                    for m in order}
+            assert _kernels._psi_table.cache_info().misses == 2
+            assert warm == cold
 
     def test_rows_read_only(self):
         zs = np.linspace(-5.0, 5.0, 7) + 0.5j
