@@ -99,6 +99,9 @@ def _chi_grid(spec) -> list[float]:
         raise ConfigError("analysis.chi_c_grid must be a list or {start,stop,count}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("analysis.chi_c_grid must be strictly ascending")
+    if grid and grid[0] < 0:
+        raise ConfigError(
+            f"analysis.chi_c_grid must be nonnegative, got {grid[0]:g}")
     return grid
 
 
@@ -195,6 +198,8 @@ def validate_config(data: dict) -> RunConfig:
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply --set section.key=value pairs (values parsed as JSON, falling
     back to bare strings)."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be an object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")

@@ -30,16 +30,7 @@ class SolverError(CellWaveError):
 
 
 class NewtonConvergenceError(SolverError):
-    """Damped Newton did not reach tolerance.
-
-    Carries the best iterate seen (``best_x``) and its residual norm
-    (``best_residual``).
-    """
-
-    def __init__(self, message, best_x, best_residual):
-        super().__init__(message)
-        self.best_x = best_x
-        self.best_residual = best_residual
+    """``newton_solve`` hit a singular Jacobian or ran out of steps."""
 
 
 class ContinuationStalledError(SolverError):

@@ -16,6 +16,7 @@ differentiation here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,31 +62,37 @@ class ForceLaw:
 def validate_force_law(law: ForceLaw, sample_range: float = 8.0) -> None:
     """Check the structural requirements of a force law by sampling.
 
-    Active laws are sampled at VALIDATION_POINTS points on
-    (0, sample_range]; undercooling laws on [-sample_range, sample_range].
+    The coefficients must be finite.  Active laws are sampled at
+    VALIDATION_POINTS points on (0, sample_range]; undercooling laws on
+    [-sample_range, sample_range].  Each check is written to fail on NaN.
 
     Raises
     ------
     ForceLawError
         On any violated requirement.
     """
+    for name, value in law.coefficients.items():
+        if not math.isfinite(value):
+            raise ForceLawError(
+                f"coefficient {name} must be finite, got {value!r}")
     if law.kind == "active":
-        if abs(law.eval(0.0)) > 1e-14:
+        if not abs(law.eval(0.0)) <= 1e-14:
             raise ForceLawError("active law must vanish at zero")
         xs = np.linspace(sample_range / VALIDATION_POINTS, sample_range,
                          VALIDATION_POINTS)
-        if np.any(np.asarray(law.d1(xs)) <= 0.0):
+        if not np.all(np.asarray(law.d1(xs)) > 0.0):
             raise ForceLawError("active law must be strictly increasing")
         plateau = law.coefficients.get("l_max")
-        if plateau is not None and np.any(np.asarray(law.eval(xs)) >= plateau):
+        if plateau is not None and not np.all(
+                np.asarray(law.eval(xs)) < plateau):
             raise ForceLawError("active law must stay below its plateau")
     elif law.kind == "undercooling":
         xs = np.linspace(-sample_range, sample_range, VALIDATION_POINTS)
         odd = np.asarray(law.eval(-xs)) + np.asarray(law.eval(xs))
         scale = 1.0 + np.max(np.abs(np.asarray(law.eval(xs))))
-        if np.max(np.abs(odd)) > 1e-12 * scale:
+        if not np.max(np.abs(odd)) <= 1e-12 * scale:
             raise ForceLawError("undercooling law must be odd")
-        if np.any(np.asarray(law.d1(xs)) <= 0.0) or law.d1(0.0) <= 0.0:
+        if not (np.all(np.asarray(law.d1(xs)) > 0.0) and law.d1(0.0) > 0.0):
             raise ForceLawError(
                 "undercooling law must be strictly increasing with d1(0) > 0"
             )
@@ -101,7 +108,7 @@ def hill_active(l_max: float = 2.0, k_half: float = 0.75,
     saturates at l_max.  The exponent may be a float with an integral
     value, such as 2.0.
     """
-    if (l_max <= 0 or k_half <= 0 or exponent < 1
+    if (not l_max > 0 or not k_half > 0 or exponent < 1
             or not float(exponent).is_integer()):
         raise ForceLawError(
             "hill law needs l_max > 0, k_half > 0 and an integer exponent >= 1")
@@ -141,7 +148,7 @@ def linear_undercooling(slope: float = 1.0) -> ForceLaw:
     Its third derivative vanishes, which isolates the part of the branch
     curvature that does not involve the undercooling nonlinearity.
     """
-    if slope <= 0:
+    if not slope > 0:
         raise ForceLawError("linear undercooling needs slope > 0")
 
     def f(v):
@@ -165,7 +172,7 @@ def tanh_undercooling(saturation: float = 0.5) -> ForceLaw:
     at zero is -2 / saturation^2, which exercises the undercooling term of
     the branch-curvature formula.
     """
-    if saturation <= 0:
+    if not saturation > 0:
         raise ForceLawError("tanh undercooling needs saturation > 0")
     b = saturation
 

@@ -42,7 +42,8 @@ ROOT_MAX_ITER, ROOT_MAX_BACKTRACKS = 80, 50
 
 def fd_jacobian(fun, x, f0) -> np.ndarray:
     """Forward-difference Jacobian of fun at x, where fun(x) = f0, with
-    per-component step FD_STEP*(1+|x_i|)."""
+    per-component step FD_STEP*(1+|x_i|).  No solver calls it: it stays
+    while ``perfbench/layers.py`` times it by name (ROADMAP item 6)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     jac = np.empty((f0.size, n))
@@ -54,13 +55,14 @@ def fd_jacobian(fun, x, f0) -> np.ndarray:
     return jac
 
 
-def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
+def newton_solve(fun, x0, jac, *, tol: float = 1e-10) -> np.ndarray:
     """Solve fun(x) = 0 by damped Newton iteration.
 
     Convergence criterion is ||fun(x)||_inf <= tol * (1 + ||x||_inf).  The
     line search halves the step while the residual norm fails to decrease,
     spending at most NEWTON_MAX_BACKTRACKS halvings over the whole solve,
-    and the solve stops after NEWTON_MAX_ITER iterations.
+    and the solve stops after NEWTON_MAX_ITER iterations.  An accepted step
+    never raises the residual, so the last iterate is also the best.
 
     Parameters
     ----------
@@ -68,9 +70,8 @@ def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
         Maps a length-n vector to a length-n residual vector.
     x0 : array_like
         Starting point.
-    jac : callable, optional
-        Analytic Jacobian; ``fd_jacobian`` forward differences are used
-        when omitted.
+    jac : callable
+        Maps x to the n x n Jacobian of fun at x.
 
     Returns
     -------
@@ -80,24 +81,24 @@ def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
     Raises
     ------
     NewtonConvergenceError
-        On iteration/backtrack exhaustion; carries the best iterate.
+        At an exactly singular Jacobian, or when the iterations or the
+        halvings run out; the message gives the last iterate's residual.
     """
     x = np.array(x0, dtype=float)
     fx = np.asarray(fun(x), dtype=float)
     if fx.size != x.size:
         raise SolverError(f"square system required, got {fx.size}x{x.size}")
     norm = lambda v: float(np.max(np.abs(v))) if v.size else 0.0
-    best_x, best_res = x.copy(), norm(fx)
     backtracks = 0
     for _ in range(NEWTON_MAX_ITER):
         res = norm(fx)
         if res <= tol * (1.0 + norm(x)):
             return x
-        jmat = jac(x) if jac is not None else fd_jacobian(fun, x, fx)
         try:
-            dx = np.linalg.solve(jmat, -fx)
-        except np.linalg.LinAlgError:
-            dx, *_ = np.linalg.lstsq(jmat, -fx, rcond=None)
+            dx = np.linalg.solve(jac(x), -fx)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonConvergenceError(
+                f"singular Jacobian (residual {res:.3e})") from exc
         step = 1.0
         while True:
             xn = x + step * dx
@@ -110,20 +111,12 @@ def newton_solve(fun, x0, jac=None, *, tol: float = 1e-10) -> np.ndarray:
             if backtracks > NEWTON_MAX_BACKTRACKS:
                 raise NewtonConvergenceError(
                     f"line search exhausted after {backtracks} halvings "
-                    f"(residual {best_res:.3e})",
-                    best_x,
-                    best_res,
-                )
-        if norm(fx) < best_res:
-            best_x, best_res = x.copy(), norm(fx)
+                    f"(residual {res:.3e})")
     if norm(fx) <= tol * (1.0 + norm(x)):
         return x
     raise NewtonConvergenceError(
         f"no convergence in {NEWTON_MAX_ITER} iterations "
-        f"(residual {best_res:.3e})",
-        best_x,
-        best_res,
-    )
+        f"(residual {norm(fx):.3e})")
 
 
 def _newton_rule(z0, tol):

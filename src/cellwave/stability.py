@@ -63,11 +63,10 @@ def _mode_constants(m: int, params: ModelParams, f_act: ForceLaw,
     return coef_c, b_m, d_m
 
 
-def _kernel_closures(m, params, f_act, f_und, consts=None):
+def _kernel_closures(m, params, f_act, f_und):
     """Mode-m kernel as values over the seed grid, and as
-    (value, scale, slope) for Newton; ``consts`` are its
-    ``_mode_constants`` when the caller has them."""
-    coef_c, b_m, d_m = consts or _mode_constants(m, params, f_act, f_und)
+    (value, scale, slope) for Newton."""
+    coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
     r0 = params.R0
 
     def kernel(z):
@@ -155,8 +154,9 @@ def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
     for m, params, f_act, f_und in jobs:
         job_region = default_root_region(params) if region is None else region
         consts = _mode_constants(m, params, f_act, f_und)
-        fun_grid, _ = _kernel_closures(m, params, f_act, f_und, consts)
-        job_starts = _seed_starts(fun_grid, job_region, seeds, conjugate=True)
+        job_starts = _seed_starts(
+            lambda zs: _kernels.phi_mode_grid(m, zs, params.R0, *consts)[0],
+            job_region, seeds, conjugate=True)
         regions.append((m, job_region))
         spans.append((len(starts), len(starts) + job_starts.size))
         starts += job_starts.tolist()

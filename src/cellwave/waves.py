@@ -157,7 +157,8 @@ class Shape:
         object.__setattr__(self, "rho_cos", arr)
         if arr.ndim != 1 or arr.size < 2:
             raise GeometryError("rho_cos must be a 1-D array with >= 2 modes")
-        if np.min(_radius_on_grid(arr, self.R0, 4 * (arr.size - 1))) <= 0.0:
+        radius = _radius_on_grid(arr, self.R0, 4 * (arr.size - 1))
+        if not np.min(radius) > 0.0:
             raise GeometryError("R0 + rho(theta) must stay positive")
 
     @property

@@ -146,6 +146,22 @@ class TestConfig:
         assert err.startswith("config error: force_laws.active.family must "
                               "be one of ['hill', 'linear', 'tanh'], got ")
 
+    def test_negative_chi_grid_entry_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["dispersion", "-c", path, "--set",
+                     "analysis.chi_c_grid=[-1.0, 1.0]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analysis.chi_c_grid must be "
+                              "nonnegative")
+
+    def test_non_object_root_with_override(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["resting-state", "-c", str(path), "--set",
+                     "analysis.N=8"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config root must be an object\n"
+
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)

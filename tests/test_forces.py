@@ -94,6 +94,30 @@ def test_constructor_validation():
         tanh_undercooling(-0.5)
 
 
+@pytest.mark.parametrize("ctor, kwargs", [
+    (hill_active, {"l_max": math.nan}),
+    (hill_active, {"k_half": math.nan}),
+    (hill_active, {"k_half": math.inf}),
+    (linear_undercooling, {"slope": math.nan}),
+    (linear_undercooling, {"slope": math.inf}),
+    (tanh_undercooling, {"saturation": math.nan}),
+    (tanh_undercooling, {"saturation": math.inf}),
+])
+def test_non_finite_coefficient_rejected(ctor, kwargs):
+    # A NaN passes a check written x <= 0; each check must fail on it.
+    with pytest.raises(ForceLawError):
+        ctor(**kwargs)
+
+
+def test_validation_rejects_nan_samples():
+    nan = lambda c: np.full_like(np.asarray(c, dtype=float), math.nan)
+    with pytest.raises(ForceLawError, match="strictly increasing"):
+        validate_force_law(ForceLaw("active", lambda c: 0.0 * np.asarray(c),
+                                    nan, nan, nan))
+    with pytest.raises(ForceLawError, match="odd"):
+        validate_force_law(ForceLaw("undercooling", nan, nan, nan, nan))
+
+
 def test_hill_exponent_must_be_integral():
     # 2.5 must not run as exponent 2; 2.0 is the integer 2.
     for exponent in (2.5, 0.5, math.inf, math.nan):

@@ -1,6 +1,7 @@
 """Damped Newton, complex root search, arclength continuation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from dispersion_reference import dispersion_H
 
 class TestNewton:
     def test_scalar_quadratic(self):
-        sol = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0])
+        sol = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0],
+                           lambda x: np.array([[2.0 * x[0]]]))
         assert abs(sol[0] - 2.0) <= 1e-10
 
     def test_linear_system_one_step(self):
@@ -37,12 +39,38 @@ class TestNewton:
         # one Jacobian solve plus the convergence checks
         assert len(calls) <= 3
 
-    def test_failure_carries_best_iterate(self):
+    def test_failure_reports_last_residual(self):
+        # x^2 + 1 has no real root, so every residual is at least 1.
         with pytest.raises(NewtonConvergenceError) as info:
-            newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), [0.7])
-        err = info.value
-        assert err.best_x.shape == (1,)
-        assert err.best_residual >= 1.0
+            newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), [0.7],
+                         lambda x: np.array([[2.0 * x[0]]]))
+        residual = re.search(r"\(residual (\S+)\)$", str(info.value))
+        assert float(residual.group(1)) >= 1.0
+
+    def test_singular_jacobian_is_a_typed_failure(self):
+        # A zero Jacobian admits no Newton step: the solve stops at once,
+        # after the one residual evaluation at the start.
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            return np.array([0.6, -0.2]) + 0.0 * x
+
+        message = r"^singular Jacobian \(residual 6\.000e-01\)$"
+        with pytest.raises(NewtonConvergenceError, match=message):
+            newton_solve(fun, [1.0, 2.0], lambda x: np.zeros((2, 2)))
+        assert len(calls) == 1
+
+
+def test_fd_jacobian_matches_analytic():
+    def fun(x):
+        return np.array([x[0] ** 2 * x[1], math.sin(x[0]) + math.exp(x[1])])
+
+    x = np.array([0.7, -0.3])
+    exact = np.array([[2.0 * x[0] * x[1], x[0] ** 2],
+                      [math.cos(x[0]), math.exp(x[1])]])
+    approx = solvers.fd_jacobian(fun, x, fun(x))
+    assert np.max(np.abs(approx - exact)) <= 1e-6
 
 
 def _roots(evaluate, fun_grid, region, seeds):

@@ -127,6 +127,10 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             Shape(rho, 1.0)
 
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(GeometryError):
+            Shape(np.array([math.nan, 0.0]), 1.0)
+
 
 class TestMarkerNormalization:
     def test_rest_gives_uniform_concentration(self, params):
@@ -504,7 +508,7 @@ class TestBranch:
 
         def failing(fun, x0, *args, **kwargs):
             if x0[-1] > 0.0401:
-                raise NewtonConvergenceError("forced", x0, 1.0)
+                raise NewtonConvergenceError("forced")
             return real_newton(fun, x0, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "newton_solve", failing)
