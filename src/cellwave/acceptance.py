@@ -1,13 +1,10 @@
 """Acceptance suite: the exit criteria of the package, runnable as a library.
 
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
-executes the whole battery, with criterion 9 (the 40-digit oracle) in a
-forked child process beside criteria 1-8.  While the child runs, numpy's
-OpenBLAS runs on one thread, which the child inherits; a BLAS whose
-thread-count setter is not found is left as it is.  The CLI ``verify``
-subcommand prints one pass/fail line per criterion and serialises the
-results; the pytest module ``tests/test_acceptance.py`` asserts each
-criterion individually.
+executes the whole battery in order in the calling process.  The CLI
+``verify`` subcommand prints one pass/fail line per criterion and
+serialises the results; the pytest module ``tests/test_acceptance.py``
+asserts each criterion individually.
 
 Everything here is deterministic for a fixed config (seeded RNG draws,
 no wall-clock content), which is what makes repeated ``verify`` runs
@@ -16,16 +13,12 @@ byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationStalledError, SolverError
+from .errors import ContinuationStalledError
 from .forces import hill_active, linear_undercooling, tanh_undercooling
 from .model import ModelParams, chi_c_star
 from .special import bessel_I
@@ -254,30 +247,67 @@ def criterion_linearization(config) -> CriterionResult:
                            {"orders": orders, "remainders": rems})
 
 
-def criterion_special_floor(config) -> CriterionResult:
-    """9: bessel_I agrees with a 40-digit series oracle on 500 random
-    samples (m <= 8, |z| <= 20) to 1e-12, and the parity and recurrence
-    identities hold at their stated tolerances."""
-    import mpmath as mp
+# Fixed-point scale of ``_bessel_I_reference``: 2^-200, about 60 digits.
+_REF_BITS = 200
 
+
+def _bessel_I_reference(m: int, z: complex) -> complex:
+    """I_m(z), m >= 0, from the ascending series
+    sum_k (z/2)^(2k+m) / (k! (k+m)!), summed exactly in Python integers at
+    fixed point 2^-200 and rounded once to a complex double.
+
+    z/2 is exact in binary.  (z/2)^2 and each term are rounded down to the
+    grid, so the sum carries an absolute error of a few units of 2^-200;
+    for |z| <= 20 the largest cancellation (on the imaginary axis) costs
+    about 9 of the 60 digits.  The absolute error is what criterion 9
+    scales by 1 + |I_m(z)|.
+    """
+    scale = 1 << _REF_BITS
+    hr = int(math.ldexp(0.5 * z.real, _REF_BITS))
+    hi = int(math.ldexp(0.5 * z.imag, _REF_BITS))
+    wr = (hr * hr - hi * hi) >> _REF_BITS
+    wi = (2 * hr * hi) >> _REF_BITS
+    tr, ti = scale, 0
+    for j in range(1, m + 1):
+        d = j << _REF_BITS
+        tr, ti = (tr * hr - ti * hi) // d, (tr * hi + ti * hr) // d
+    sr, si = tr, ti
+    k = 0
+    # Floor division leaves a negative term at -1, not 0: stop once both
+    # parts of the term are at most one unit.
+    while abs(tr) > 1 or abs(ti) > 1:
+        k += 1
+        d = (k * (k + m)) << _REF_BITS
+        tr, ti = (tr * wr - ti * wi) // d, (tr * wi + ti * wr) // d
+        sr += tr
+        si += ti
+    return complex(sr / scale, si / scale)
+
+
+def _sample_bessel_point(rng) -> tuple[int, complex]:
+    """One draw of criterion 9: m in 0..8, z uniform on the disk |z| <= 20."""
+    m = int(rng.integers(0, 9))
+    r = 20.0 * math.sqrt(rng.uniform())
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    return m, r * complex(math.cos(th), math.sin(th))
+
+
+def criterion_special_floor(config) -> CriterionResult:
+    """9: bessel_I agrees with an exact fixed-point series reference
+    (``_bessel_I_reference``, about 60 digits) on 500 random samples
+    (m <= 8, |z| <= 20) to 1e-12, and the parity and recurrence identities
+    hold at their stated tolerances."""
     rng = np.random.default_rng(config.analysis["seed"] + 4)
     worst = 0.0
-    with mp.workdps(40):
-        for _ in range(500):
-            m = int(rng.integers(0, 9))
-            r = 20.0 * math.sqrt(rng.uniform())
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            z = r * complex(math.cos(th), math.sin(th))
-            mine = bessel_I(m, z)
-            ref = complex(mp.besseli(m, mp.mpc(z.real, z.imag)))
-            worst = max(worst, abs(mine - ref) / (1.0 + abs(ref)))
+    for _ in range(500):
+        m, z = _sample_bessel_point(rng)
+        mine = bessel_I(m, z)
+        ref = _bessel_I_reference(m, z)
+        worst = max(worst, abs(mine - ref) / (1.0 + abs(ref)))
     parity_worst = 0.0
     recur_worst = 0.0
     for _ in range(100):
-        m = int(rng.integers(0, 9))
-        r = 20.0 * math.sqrt(rng.uniform())
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * complex(math.cos(th), math.sin(th))
+        m, z = _sample_bessel_point(rng)
         if abs(z) < 1e-3:
             continue
         val = bessel_I(m, z)
@@ -313,137 +343,10 @@ CRITERIA = (
 
 
 def run_all(config) -> list[CriterionResult]:
-    """Run criteria 1..9 (10, byte-identical verify reruns, is checked by
-    running the CLI twice and comparing outputs).
+    """Run criteria 1..9 in order in this process (10, byte-identical verify
+    reruns, is checked by running the CLI twice and comparing outputs).
 
-    The last entry of ``CRITERIA`` (read at call time) runs in one child
-    process made with ``os.fork`` while this process runs the others in
-    order; the results are returned in ``CRITERIA`` order.  The child is
-    reaped before this function returns or raises.  An exception the child
-    raises is raised here with its type; a child that ends without sending
-    a result raises :class:`SolverError`.  From just before the fork until
-    the child is reaped, numpy's OpenBLAS runs on one thread (see
-    ``_one_blas_thread``).  Where ``os.fork`` does not exist the criteria
-    run one after another.
+    ``CRITERIA`` is read at call time.  An exception a criterion raises
+    leaves this function with its type.
     """
-    criteria = CRITERIA
-    if not hasattr(os, "fork"):
-        return [crit(config) for crit in criteria]
-    # Imported here, before the fork, so that criterion 2 in this process
-    # and the child's criterion 9 share one import.
-    import mpmath  # noqa: F401
-
-    *serial, last = criteria
-    index = len(criteria)
-    with _one_blas_thread():
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            os.close(read_fd)
-            _run_in_child(last, config, index, write_fd)
-        os.close(write_fd)
-        payload = None
-        try:
-            with open(read_fd, "rb") as pipe:
-                results = [crit(config) for crit in serial]
-                payload = pipe.read()
-        finally:
-            if payload is None:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if not payload:
-        raise SolverError(
-            f"criterion {index} worker ended without a result "
-            f"(wait status {status}, exit code "
-            f"{os.waitstatus_to_exitcode(status)})")
-    sent, value = pickle.loads(payload)
-    if not sent:
-        raise value
-    return [*results, value]
-
-
-# Thread-count entry points of OpenBLAS, (getter, setter), by the names the
-# numpy wheels' scipy-openblas build and plain OpenBLAS builds export them.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS numpy bundles
-    (``numpy.libs/libscipy_openblas64_-*.so`` beside the numpy package in
-    Linux wheels), or None where no such library or pair of entry points
-    is found (Accelerate, MKL, a system BLAS)."""
-    import ctypes
-    from pathlib import Path
-
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            put = getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with one OpenBLAS thread and restore the previous
-    count on every exit, also when the body raises.
-
-    ``run_all`` holds this around its fork window: a second BLAS thread
-    (criterion 5's SVD) would share a core with the busy child.  The
-    thread count changes no value, since OpenBLAS splits its products by
-    output blocks.  Where ``_openblas_threads`` finds no setter this does
-    nothing.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
-def _run_in_child(crit, config, index, write_fd):
-    """Body of ``run_all``'s forked child: run ``crit``, write
-    ``(True, result)`` or ``(False, exception)`` to the pipe, and leave with
-    ``os._exit``, so that the child never returns into its caller.
-
-    The child inherits the one OpenBLAS thread that ``run_all`` set for the
-    fork window, and criterion 9 is pure Python and mpmath and makes no BLAS
-    call in it.
-    """
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((True, crit(config)))
-        except Exception as exc:
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
-            except Exception:
-                payload = pickle.dumps((False, SolverError(
-                    f"criterion {index} raised {type(exc).__name__}: {exc} "
-                    "(the exception cannot be sent back from its worker)")))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+    return [crit(config) for crit in CRITERIA]

@@ -25,15 +25,15 @@ class ModelParams:
     a : float
         Adsorbed fraction of markers, in (0, 1].
     gamma : float
-        Surface tension, > 0.
+        Surface tension, > 0 and finite.
     chi_c : float
-        Active strength, >= 0.
+        Active strength, >= 0 and finite.
     chi_u : float
-        Undercooling strength, >= 0.
+        Undercooling strength, >= 0 and finite.
     R0 : float
-        Rest radius, > 0.
+        Rest radius, > 0 and finite.
     M : float
-        Total marker mass, > 0.
+        Total marker mass, > 0 and finite.
     """
 
     a: float
@@ -56,6 +56,10 @@ class ModelParams:
             raise ParamError(f"chi_c must be nonnegative, got {self.chi_c!r}")
         if not self.chi_u >= 0.0:
             raise ParamError(f"chi_u must be nonnegative, got {self.chi_u!r}")
+        for name in ("gamma", "chi_c", "chi_u", "R0", "M"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParamError(f"{name} must be finite, got {value!r}")
 
     def with_chi_c(self, chi_c: float) -> "ModelParams":
         """Copy with a different active strength (sweep helper)."""

@@ -235,8 +235,12 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     Newton across bisection steps; the bracket starts at half and 1.5
     times the closed-form threshold and is expanded until the sign changes.
 
-    Returns the crossing to ``tol`` absolute in chi_c.
+    Returns the crossing to ``tol`` absolute in chi_c, or to adjacent
+    doubles when ``tol`` is finer than their spacing.  Raises ``ValueError``
+    unless ``tol`` is positive.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     guess = chi_c_star(params, f_act, f_und)
     lo, hi = 0.5 * guess, 1.5 * guess
 
@@ -263,6 +267,8 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
             f_hi = principal_re(hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = principal_re(mid)
         if fm == 0.0:
             return mid

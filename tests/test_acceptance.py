@@ -2,24 +2,22 @@
 
 Criteria 1-9 run through :mod:`cellwave.acceptance`; criterion 10 runs the
 CLI ``verify`` twice and compares the emitted reports byte for byte.
-The tests at the end pin ``run_all``'s forked worker for criterion 9.
 """
 
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellwave import acceptance
 from cellwave.cli import main
 from cellwave.config import load_config, validate_config
-from cellwave.errors import AccuracyError, SolverError
+from cellwave.errors import AccuracyError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,8 +107,8 @@ def test_criterion_09_special_floor(config):
 
 
 def test_criterion_09_keeps_caller_precision(config):
-    # The 40-digit oracle runs at a local precision: the caller's mpmath
-    # precision is the same after the criterion as before it.
+    # The reference is exact integer arithmetic: the criterion passes at
+    # any caller mpmath precision and leaves that precision as it was.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(23):
         assert acceptance.criterion_special_floor(config).passed
@@ -133,163 +131,57 @@ def test_criterion_10_verify_determinism(tmp_path):
           f"[bytes={len(b1)}]")
 
 
+def _draws(seed):
+    """The (m, z) samples criterion 9 compares with its reference."""
+    rng = np.random.default_rng(seed + 4)
+    return [acceptance._sample_bessel_point(rng) for _ in range(500)]
+
+
+def test_criterion_09_reference_equals_mpmath():
+    # The fixed-point series gives the double that mpmath's 40-digit
+    # besseli rounds to, bit for bit, on every draw of the default and the
+    # held-out seed, and at the origin and the corners of the draw domain.
+    mp = pytest.importorskip("mpmath")
+    points = _draws(20230915) + _draws(4242) + [
+        (m, z) for m in range(9) for z in (0j, 20 + 0j, -20 + 0j, 20j, -20j)]
+    with mp.workdps(40):
+        for m, z in points:
+            ref = complex(mp.besseli(m, mp.mpc(z.real, z.imag)))
+            assert acceptance._bessel_I_reference(m, z) == ref, (m, z)
+
+
+def test_criterion_09_fails_on_a_perturbed_bessel_I(config, monkeypatch):
+    # A relative error of 1e-11 in bessel_I is ten times the tolerance:
+    # the reference is independent of it, so the criterion must fail.
+    bessel_I = acceptance.bessel_I
+    monkeypatch.setattr(acceptance, "bessel_I",
+                        lambda m, z: bessel_I(m, z) * (1.0 + 1e-11))
+    result = acceptance.criterion_special_floor(config)
+    assert not result.passed
+    assert result.details["oracle_worst"] > 1e-12
+
+
 # --------------------------------------------------------------------------
-# run_all: criterion 9 in a forked child, criteria 1-8 in this process.
+# run_all: criteria 1-9 in order, in this process.
 # --------------------------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="run_all runs serially without fork")
-
-
-def _pid_criterion(index):
-    def crit(config):
-        return acceptance.CriterionResult(index, f"stub {index}", True,
-                                          {"pid": os.getpid()})
-    return crit
-
-
-def _stub_criteria(monkeypatch, last, first=None):
-    """Replace CRITERIA by eight pid-recording stubs and ``last``."""
-    stubs = [_pid_criterion(i) for i in range(1, 9)]
-    if first is not None:
-        stubs[0] = first
-    monkeypatch.setattr(acceptance, "CRITERIA", (*stubs, last))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 def test_run_all_equals_serial_run():
     config = load_config(ROOT / "configs" / "default.json")
     serial = [crit(config) for crit in acceptance.CRITERIA]
     assert acceptance.run_all(config) == serial
-    _assert_no_child_left()
 
 
-@needs_fork
-def test_run_all_runs_last_criterion_in_a_child(monkeypatch):
-    _stub_criteria(monkeypatch, _pid_criterion(9))
-    results = acceptance.run_all(None)
-    assert [r.index for r in results] == list(range(1, 10))
-    assert all(r.details["pid"] == os.getpid() for r in results[:8])
-    assert results[8].details["pid"] != os.getpid()
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_run_all_reraises_the_child_exception(monkeypatch):
+def test_run_all_reraises_a_criterion_exception(monkeypatch):
     def crit(config):
         raise AccuracyError("oracle out of range")
-    _stub_criteria(monkeypatch, crit)
+    monkeypatch.setattr(acceptance, "CRITERIA", (crit,))
     with pytest.raises(AccuracyError, match="oracle out of range"):
         acceptance.run_all(None)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_run_all_unpicklable_child_exception(monkeypatch):
-    class LocalError(Exception):
-        pass
-
-    def crit(config):
-        raise LocalError("cannot cross the pipe")
-    _stub_criteria(monkeypatch, crit)
-    with pytest.raises(SolverError, match="criterion 9 raised LocalError") \
-            as info:
-        acceptance.run_all(None)
-    assert type(info.value) is SolverError
-    _assert_no_child_left()
-
-
-@needs_fork
-@pytest.mark.parametrize("end, code", [
-    (lambda: os._exit(1), 1),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
-], ids=["exit-1", "sigkill"])
-def test_run_all_child_without_result(monkeypatch, end, code):
-    def crit(config):
-        end()
-    _stub_criteria(monkeypatch, crit)
-    with pytest.raises(SolverError,
-                       match=f"criterion 9 worker ended without a result "
-                             rf"\(wait status \d+, exit code {code}\)"):
-        acceptance.run_all(None)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_run_all_reaps_the_child_when_the_parent_fails(monkeypatch):
-    # The child would sleep for a minute; a failure among criteria 1-8
-    # kills and reaps it instead of waiting for it.
-    def first(config):
-        raise AccuracyError("criterion 1 failed")
-
-    def slow(config):
-        time.sleep(60.0)
-    _stub_criteria(monkeypatch, slow, first=first)
-    t0 = time.perf_counter()
-    with pytest.raises(AccuracyError, match="criterion 1 failed"):
-        acceptance.run_all(None)
-    assert time.perf_counter() - t0 < 30.0
-    _assert_no_child_left()
-
-
-@pytest.fixture
-def blas_threads():
-    """The OpenBLAS thread-count getter, with the count set to 2 for the
-    test and restored after it; skips where no setter is found."""
-    threads = acceptance._openblas_threads()
-    if threads is None:
-        pytest.skip("no OpenBLAS thread-count setter found")
-    get, put = threads
-    before = get()
-    put(2)
-    yield get
-    put(before)
-
-
-def _blas_criterion(index, get):
-    def crit(config):
-        return acceptance.CriterionResult(index, f"stub {index}", True,
-                                          {"blas_threads": get()})
-    return crit
-
-
-@needs_fork
-def test_run_all_fork_window_runs_one_blas_thread(monkeypatch, blas_threads):
-    _stub_criteria(monkeypatch, _blas_criterion(9, blas_threads),
-                   first=_blas_criterion(1, blas_threads))
-    results = acceptance.run_all(None)
-    assert results[0].details["blas_threads"] == 1
-    assert results[8].details["blas_threads"] == 1
-    assert blas_threads() == 2
-    _assert_no_child_left()
-
-
-def _raise_accuracy(config):
-    raise AccuracyError("criterion failed")
-
-
-@needs_fork
-@pytest.mark.parametrize("first, last, error", [
-    (_raise_accuracy, _pid_criterion(9), AccuracyError),
-    (None, _raise_accuracy, AccuracyError),
-    (None, lambda config: os._exit(1), SolverError),
-], ids=["parent-raises", "child-raises", "child-without-result"])
-def test_run_all_restores_blas_threads_on_failure(monkeypatch, blas_threads,
-                                                  first, last, error):
-    _stub_criteria(monkeypatch, last, first=first)
-    with pytest.raises(error):
-        acceptance.run_all(None)
-    assert blas_threads() == 2
-    _assert_no_child_left()
 
 
 def test_cli_setup_imports_neither_mpmath_nor_multiprocessing():
-    # mpmath is imported by run_all, not at module level, so that loading
-    # the CLI and its config does not pay for it.
+    # mpmath is imported by criterion 2, not at module level, so that
+    # loading the CLI and its config does not pay for it.
     code = ("import sys, cellwave.cli\n"
             "from cellwave.config import load_config\n"
             f"load_config({str(ROOT / 'configs' / 'default.json')!r})\n"

@@ -30,6 +30,13 @@ class TestModelParams:
         with pytest.raises(ParamError):
             ModelParams(**base)
 
+    @pytest.mark.parametrize("name", ["gamma", "chi_c", "chi_u", "R0", "M"])
+    def test_rejects_infinite(self, name):
+        base = dict(a=0.5, gamma=1.0, chi_c=0.0, chi_u=0.0, R0=1.0, M=1.0)
+        base[name] = math.inf
+        with pytest.raises(ParamError, match=f"{name} must be finite"):
+            ModelParams(**base)
+
     def test_c0_mass_identity(self):
         p = ModelParams(a=0.5, gamma=1.0, chi_c=0.0, chi_u=0.0, R0=1.7, M=4.2)
         assert abs(p.c0 * math.pi * p.R0 ** 2 - p.M) <= 1e-15 * p.M

@@ -708,6 +708,23 @@ class TestSweepAndThreshold:
         located = refine_threshold(params, f_act, f_und, tol=1e-8)
         assert abs(located - star) / star <= 1e-6
 
+    def test_threshold_below_double_spacing_ends(self, params, f_act, f_und):
+        # A tol finer than the spacing of doubles near chi_c* ends the
+        # bisection at adjacent doubles instead of looping forever.
+        star = chi_c_star(params, f_act, f_und)
+        located = refine_threshold(params, f_act, f_und, tol=1e-300)
+        assert abs(located - star) / star <= 1e-6
+        coarse = refine_threshold(params, f_act, f_und, tol=1e-8)
+        assert abs(located - coarse) <= 1e-8
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_threshold_rejects_nonpositive_tol(self, params, f_act, f_und,
+                                               tol):
+        # A NaN tol would return the bracket's midpoint, which is chi_c*
+        # itself, without bisecting at all.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            refine_threshold(params, f_act, f_und, tol=tol)
+
     def test_doubling_chi_u_shifts_threshold(self, f_act):
         f_und = linear_undercooling()
         base = ModelParams(a=0.7, gamma=1.5, chi_c=0.0, chi_u=0.5, R0=1.2,
