@@ -84,16 +84,23 @@ def criterion_threshold_agreement(config) -> CriterionResult:
                            {"worst_rel_err": worst, "rel_errors": rows})
 
 
+# The first four positive roots of J_1 to 40 digits (``besseljzero(1, k)``
+# of mpmath at 40 dps).
+J1_ZEROS = (
+    "3.831705970207512315614435886308160766565",
+    "7.015586669815618753537049981476524743276",
+    "10.17346813506272207718571177677584406982",
+    "13.32369193631422303239368412694787675122",
+)
+
+
 def criterion_mode0_spectrum(config) -> CriterionResult:
     """2: nonzero mode-0 rates match -x_{1k}^2/R0^2 for the first four
-    positive J_1 roots (1e-9 absolute, 40-digit ``mpmath.besseljzero``
-    oracle)."""
-    import mpmath as mp
-
+    positive J_1 roots (1e-9 absolute; the roots are the 40-digit
+    literals ``J1_ZEROS``, each rounded once to a double)."""
     params = config.params
     r0 = params.R0
-    with mp.workdps(40):
-        oracle = [float(mp.besseljzero(1, k)) for k in range(1, 5)]
+    oracle = [float(x) for x in J1_ZEROS]
     expected = sorted(-(x * x) / (r0 * r0) for x in oracle)
     region = (1.05 * expected[0], 0.5 / r0 ** 2, -2.0, 2.0)
     spec = mode_spectrum(0, params, config.f_act, config.f_und, region=region)
@@ -247,20 +254,22 @@ def criterion_linearization(config) -> CriterionResult:
                            {"orders": orders, "remainders": rems})
 
 
-# Fixed-point scale of ``_bessel_I_reference``: 2^-200, about 60 digits.
-_REF_BITS = 200
+# Fixed-point scale of ``_bessel_I_reference``: 2^-128, about 38 digits.
+_REF_BITS = 128
 
 
 def _bessel_I_reference(m: int, z: complex) -> complex:
     """I_m(z), m >= 0, from the ascending series
     sum_k (z/2)^(2k+m) / (k! (k+m)!), summed exactly in Python integers at
-    fixed point 2^-200 and rounded once to a complex double.
+    fixed point 2^-128 and rounded once to a complex double.
 
     z/2 is exact in binary.  (z/2)^2 and each term are rounded down to the
-    grid, so the sum carries an absolute error of a few units of 2^-200;
+    grid, so the sum carries an absolute error of a few units of 2^-128;
     for |z| <= 20 the largest cancellation (on the imaginary axis) costs
-    about 9 of the 60 digits.  The absolute error is what criterion 9
-    scales by 1 + |I_m(z)|.
+    about 9 of the 38 digits.  The absolute error is what criterion 9
+    scales by 1 + |I_m(z)|.  Each product is shifted back to the grid
+    before the division by the small integer: for integers,
+    ``(x >> B) // d`` equals ``x // (d << B)``.
     """
     scale = 1 << _REF_BITS
     hr = int(math.ldexp(0.5 * z.real, _REF_BITS))
@@ -269,16 +278,17 @@ def _bessel_I_reference(m: int, z: complex) -> complex:
     wi = (2 * hr * hi) >> _REF_BITS
     tr, ti = scale, 0
     for j in range(1, m + 1):
-        d = j << _REF_BITS
-        tr, ti = (tr * hr - ti * hi) // d, (tr * hi + ti * hr) // d
+        tr, ti = (((tr * hr - ti * hi) >> _REF_BITS) // j,
+                  ((tr * hi + ti * hr) >> _REF_BITS) // j)
     sr, si = tr, ti
     k = 0
     # Floor division leaves a negative term at -1, not 0: stop once both
     # parts of the term are at most one unit.
     while abs(tr) > 1 or abs(ti) > 1:
         k += 1
-        d = (k * (k + m)) << _REF_BITS
-        tr, ti = (tr * wr - ti * wi) // d, (tr * wi + ti * wr) // d
+        d = k * (k + m)
+        tr, ti = (((tr * wr - ti * wi) >> _REF_BITS) // d,
+                  ((tr * wi + ti * wr) >> _REF_BITS) // d)
         sr += tr
         si += ti
     return complex(sr / scale, si / scale)
@@ -294,7 +304,7 @@ def _sample_bessel_point(rng) -> tuple[int, complex]:
 
 def criterion_special_floor(config) -> CriterionResult:
     """9: bessel_I agrees with an exact fixed-point series reference
-    (``_bessel_I_reference``, about 60 digits) on 500 random samples
+    (``_bessel_I_reference``, about 38 digits) on 500 random samples
     (m <= 8, |z| <= 20) to 1e-12, and the parity and recurrence identities
     hold at their stated tolerances."""
     rng = np.random.default_rng(config.analysis["seed"] + 4)

@@ -44,7 +44,7 @@ DEFAULT_SEEDS = (40, 20)
 #: ``classify`` scans modes 0..DEFAULT_MODE_MAX.
 DEFAULT_MODE_MAX = 8
 
-#: ``refine_threshold`` bisects to this absolute width in chi_c.
+#: ``refine_threshold`` brackets the threshold to this absolute width in chi_c.
 THRESHOLD_TOL = 1e-8
 
 
@@ -231,13 +231,16 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                      *, tol: float = THRESHOLD_TOL) -> float:
     """Active strength where the principal mode-1 growth rate crosses zero.
 
-    Bisection on the sign of Re(principal root), warm-starting the root
-    Newton across bisection steps; the bracket starts at half and 1.5
-    times the closed-form threshold and is expanded until the sign changes.
+    Brent's method (Brent 1973, ch. 4: inverse quadratic interpolation,
+    secant and bisection steps) on the sign of Re(principal root),
+    warm-starting the root Newton across steps; the bracket starts at half
+    and 1.5 times the closed-form threshold and is expanded until the sign
+    changes.
 
-    Returns the crossing to ``tol`` absolute in chi_c, or to adjacent
-    doubles when ``tol`` is finer than their spacing.  Raises ``ValueError``
-    unless ``tol`` is positive.
+    Returns a chi_c at which the root was evaluated, within ``tol``
+    absolute of the crossing, or adjacent in doubles to the other end of
+    the final bracket when ``tol`` is finer than their spacing.  Raises
+    ``ValueError`` unless ``tol`` is positive.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -265,18 +268,44 @@ def refine_threshold(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         else:
             hi *= 1.6
             f_hi = principal_re(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = principal_re(mid)
-        if fm == 0.0:
-            return mid
-        if f_lo * fm < 0.0:
-            hi, f_hi = mid, fm
+    # b is the best point so far, a the previous one, and the crossing
+    # lies between b and c; d is the last step and e the one before it.
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    half_tol = 0.5 * tol
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= half_tol or math.nextafter(b, c) == c:
+            return b
+        if abs(e) < half_tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(half_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        step = d if abs(d) > half_tol else math.copysign(half_tol, m)
+        b = b + step if b + step != b else math.nextafter(b, c)
+        fb = principal_re(b)
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,30 @@ def test_criterion_02_mode0_spectrum(config):
     _check(acceptance.criterion_mode0_spectrum(config))
 
 
+def test_criterion_01_fails_at_a_tol_above_the_bracket():
+    # With tol wider than the first bracket nothing is located: the
+    # criterion reports the bracket end it evaluated and fails.
+    cfg = json.loads(json.dumps(CONFIG_DICT))
+    cfg["analysis"]["threshold_tol"] = 1e308
+    result = acceptance.criterion_threshold_agreement(validate_config(cfg))
+    assert not result.passed
+    assert result.details["worst_rel_err"] == 0.5
+
+
+def test_criterion_02_literals_are_the_40_digit_j1_roots(j1_roots):
+    # The literals are what mpmath prints for besseljzero(1, k) at 40
+    # digits, and each rounds to the frozen double.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        assert acceptance.J1_ZEROS == tuple(
+            str(mp.besseljzero(1, k)) for k in range(1, 5))
+    assert tuple(float(x) for x in acceptance.J1_ZEROS) == j1_roots
+
+
 def test_criterion_02_oracle_is_exact(config, j1_roots):
-    # The mpmath oracle gives the frozen roots, so the located rates sit
-    # within the root Newton's own accuracy of the exact -j_1k^2 / R0^2;
-    # the caller's mpmath precision is kept.
+    # The literal oracle gives the frozen roots, as does mpmath's, so the
+    # located rates sit within the root Newton's own accuracy of the exact
+    # -j_1k^2 / R0^2; a caller's mpmath precision is left as it was.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(23):
         result = acceptance.criterion_mode0_spectrum(config)
@@ -179,9 +199,27 @@ def test_run_all_reraises_a_criterion_exception(monkeypatch):
         acceptance.run_all(None)
 
 
+def test_verify_needs_no_mpmath(tmp_path):
+    # With mpmath blocked, verify passes and writes the same bytes as a
+    # run in this process.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG_DICT))
+    code = ("import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from cellwave.cli import main\n"
+            f"sys.exit(main(['verify', '-c', {str(path)!r}, "
+            f"'-o', {str(tmp_path / 'blocked')!r}]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=300)
+    assert main(["verify", "-c", str(path), "-o", str(tmp_path / "run")]) == 0
+    assert ((tmp_path / "blocked" / "verify_report.json").read_bytes()
+            == (tmp_path / "run" / "verify_report.json").read_bytes())
+
+
 def test_cli_setup_imports_neither_mpmath_nor_multiprocessing():
-    # mpmath is imported by criterion 2, not at module level, so that
-    # loading the CLI and its config does not pay for it.
+    # No command imports mpmath, so loading the CLI and its config does
+    # not either.
     code = ("import sys, cellwave.cli\n"
             "from cellwave.config import load_config\n"
             f"load_config({str(ROOT / 'configs' / 'default.json')!r})\n"

@@ -725,6 +725,51 @@ class TestSweepAndThreshold:
         with pytest.raises(ValueError, match="tol must be positive"):
             refine_threshold(params, f_act, f_und, tol=tol)
 
+    def test_threshold_at_a_tol_above_the_bracket_is_not_chi_c_star(
+            self, params, f_act, f_und):
+        # A tol wider than the first bracket stops before any step, at an
+        # end of the bracket where the root was evaluated, not at its
+        # midpoint, which is chi_c* itself.
+        star = chi_c_star(params, f_act, f_und)
+        located = refine_threshold(params, f_act, f_und, tol=1e308)
+        assert located != star
+        assert located in (0.5 * star, 1.5 * star)
+
+    @staticmethod
+    def _criterion_1_sets():
+        # The ten parameter sets of acceptance criterion 1 at the default
+        # seed.
+        rng = np.random.default_rng(20230915)
+        return [_sample_params(rng) for _ in range(10)]
+
+    def test_threshold_takes_few_root_evaluations(self, f_act, f_und,
+                                                  monkeypatch):
+        # Brent's method needs 7 evaluations on each set at tol = 1e-8
+        # (bisection would need about 31).
+        calls = []
+        principal_root = stability._principal_root
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return principal_root(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "_principal_root", counted)
+        for params in self._criterion_1_sets():
+            calls.clear()
+            refine_threshold(params, f_act, f_und, tol=1e-8)
+            assert len(calls) <= 10
+
+    def test_threshold_is_within_tol_of_a_sign_change(self, f_act, f_und):
+        # Re(principal root) changes sign across [x - tol, x + tol].
+        tol = 1e-8
+        for params in self._criterion_1_sets():
+            x = refine_threshold(params, f_act, f_und, tol=tol)
+            below, above = (
+                stability._principal_root(params.with_chi_c(chi), f_act,
+                                          f_und).real
+                for chi in (x - tol, x + tol))
+            assert below * above <= 0.0, (x, below, above)
+
     def test_doubling_chi_u_shifts_threshold(self, f_act):
         f_und = linear_undercooling()
         base = ModelParams(a=0.7, gamma=1.5, chi_c=0.0, chi_u=0.5, R0=1.2,
