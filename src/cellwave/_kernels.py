@@ -1,14 +1,16 @@
 """Low-level numeric kernels in plain Python and numpy.
 
 The hot inner loops of the package live here: modified-Bessel evaluation for
-complex arguments (ascending series plus Miller downward recurrence) and the
-per-mode dispersion kernel.  Single-point kernels are scalar Python, which
-is what the root Newton of one spectrum and the ``bessel_I`` reference call;
-the scalar mode kernel takes every Bessel order it reads, and its analytic
-slope, from one pass.  The array kernels read psi_0..psi_T from
-``_psi_rows``: inside the series radius each order sums its series,
-elsewhere ``_psi_chain`` runs one Miller chain per point from that
-point's own start order, so a point's values never depend on the points
+complex arguments and the per-mode dispersion kernel.  ``bessel_I``, the
+reference, calls ``iv_series`` (an ascending series) or ``iv_chain``
+(Miller's downward recurrence on I_k).  The kernel reads the entire
+function psi_k(u) = I_k(w)/w^k, u = w^2, from one algorithm of its own:
+Miller's recurrence run on psi itself, which forms no power of w and so
+needs no series near u = 0.  It is written twice, once as a scalar loop
+(``_psi_scalar``, behind ``psi_tilde`` and the root Newton of one
+spectrum, which takes every order it reads and its analytic slope from
+one pass) and once over arrays (``_psi_chain``), where each point runs
+from its own start order, so a point's values never depend on the points
 it shares a call with.  The seed screen, ``phi_mode_grid``, reads one
 read-only table per rest radius and grid: modes 0..14 share the table
 up to order ``PSI_SHARED_TOP`` (16), and higher modes read power-of-two
@@ -29,9 +31,6 @@ from .errors import AccuracyError
 
 #: Radius below which the ascending power series is used for I_m(z).
 SERIES_RADIUS = 4.0
-
-#: Radius (in u = R0^2 * z) below which the even series is used for psi_tilde.
-PSI_SERIES_RADIUS = 16.0
 
 #: The kernels are never compiled; recorded by tools that report the path.
 NUMBA_ENABLED = False
@@ -76,6 +75,8 @@ def _miller_start(mmax, az):
     k ~ |z| the orders fall off faster than geometrically, so for
     |arg z| <= pi/2 both are far below double precision 30 + |z|/2 orders
     above max(mmax, |z|); the error left is the rounding of the steps.
+    The recurrence on psi_k(u) = I_k(w)/w^k is this one scaled order by
+    order, so it takes the same start at az = |w|.
     """
     return max(mmax, int(az)) + 30 + int(az) // 2
 
@@ -124,139 +125,90 @@ def psi_tilde(k, u):
     return _psi_scalar(range(k, k + 1), u)[0]
 
 
-def _psi_series(k, u):
-    """Ascending series of psi_k(u); accurate for |u| <= PSI_SERIES_RADIUS."""
-    term = (0.5 ** k) + 0.0j
-    for j in range(1, k + 1):
-        term /= j
-    total = term
-    q = 0.25 * u
-    j = 0
-    while j < 300:
-        j += 1
-        term *= q / (j * (j + k))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
 def _psi_scalar(ks, u):
     """psi_k(u) at one point for the consecutive orders ks, from one pass.
 
-    Where |u| <= PSI_SERIES_RADIUS each order sums its own series;
-    elsewhere one ``iv_chain`` up to ks[-1] yields every order, divided by
-    w^k.
-
-    Raises
-    ------
-    AccuracyError
-        If w^k leaves the double range (|w|^k above about 1.8e308, which
-        modes from about 141 up reach near their roots on the default
-        config).
+    Miller's recurrence on psi itself, psi_{k-1} = 2k psi_k + u psi_{k+1}
+    (I_{k-1} - I_{k+1} = (2k/w) I_k divided by w^{k-1}), run down from
+    ``_miller_start(ks[-1], |w|)`` at w = sqrt(u) and normalised with
+    e^w = 2 acc_0 - psi_0, where acc_k = psi_k + w acc_{k+1} is the Horner
+    form of sum_{k>=0} w^k psi_k = sum_{k>=0} I_k; for Re w >= 0 that
+    normalisation is cancellation-free.  No power of w is formed, so u = 0
+    and high orders at small |u| take the same steps as any other point.
+    Whenever the unnormalised psi_k passes 1e250 in magnitude, everything
+    accumulated so far is scaled by 1e-250.
     """
-    if abs(u) <= PSI_SERIES_RADIUS:
-        return [_psi_series(k, u) for k in ks]
-    w = cmath.sqrt(u)        # principal root: Re w >= 0, as the chain needs
-    chain = iv_chain(ks[-1], w)
-    try:
-        return [chain[k] / w ** k for k in ks]
-    except OverflowError:
-        raise AccuracyError(
-            f"psi_{ks[-1]}(u) at |u|={abs(u):.4g}: w^k leaves the double "
-            "range") from None
+    top = ks[-1]
+    w = cmath.sqrt(u)        # principal root: Re w >= 0, as the sum needs
+    pp = 0.0 + 0.0j          # unnormalised psi_{k+1}
+    pc = 1e-250 + 0.0j       # unnormalised psi_k, k = start
+    acc = pc                 # unnormalised acc_k
+    out = []                 # unnormalised psi_top, ..., psi_0
+    for k in range(_miller_start(top, abs(w)), 0, -1):
+        pp, pc = pc, 2 * k * pc + u * pp
+        acc = pc + w * acc
+        if k <= top + 1:
+            out.append(pc)
+        if abs(pc) > 1e250:
+            pp *= 1e-250
+            pc *= 1e-250
+            acc *= 1e-250
+            out = [v * 1e-250 for v in out]
+    factor = cmath.exp(w) / (2.0 * acc - pc)
+    return [out[top - k] * factor for k in ks]
 
 
-def _psi_series_grid(top, u):
-    """Ascending series of psi_0(u)..psi_top(u), one row per order.
+def _psi_chain(tops, u):
+    """psi_0(u)..psi_T(u), T = max(tops), by one Miller chain per point,
+    one row per order and one column per point.
 
-    Accurate for |u| <= PSI_SERIES_RADIUS; summed until every point's last
-    term is below 1e-18 of its total.
+    The array form of ``_psi_scalar``: point i runs down from its own
+    ``_miller_start(tops[i], |w_i|)`` and is normalised with e^w by its own
+    running sum, so its values never depend on which other points share
+    the call.  A chain holds zeros until its start order comes up.  Only
+    an overflowing e^w (Re w above about 709) makes an entry non-finite,
+    and then every order of that point.
     """
-    ks = np.arange(top + 1)[:, None]
-    first = np.empty(top + 1)                # 2^-k / k!, as _psi_series
-    for k in range(top + 1):
-        t0 = 0.5 ** k
-        for j in range(1, k + 1):
-            t0 /= j
-        first[k] = t0
-    term = np.empty((top + 1, u.size), dtype=np.complex128)
-    term[:] = first[:, None]
-    total = term.copy()
-    q = 0.25 * u
-    for j in range(1, 301):
-        term *= q / (j * (j + ks))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
-
-
-def _psi_chain(tops, u, top):
-    """psi_0(u)..psi_top(u) by one Miller chain per point.
-
-    The array form of ``iv_chain`` at w = sqrt(u): point i runs down from
-    its own ``_miller_start(tops[i], |w_i|)`` and is normalised with e^w by
-    its own running sum, so its values never depend on which other points
-    share the call.  A chain holds zeros until its start order comes up.
-    Orders whose w^k leaves the double range are NaN.
-    """
-    w = np.sqrt(u)           # principal root: Re w >= 0, as the chain needs
+    w = np.sqrt(u)           # principal root: Re w >= 0, as the sum needs
     aw = np.abs(w)
     # _miller_start(tops[i], aw[i]) point by point
     starts = np.maximum(tops, aw.astype(int)) + 30 + aw.astype(int) // 2
     order = np.argsort(starts, kind="stable")
     firsts, at = np.unique(starts[order], return_index=True)
     begins = dict(zip(firsts.tolist(), np.split(order, at[1:])))
-    # From 1e-250 a chain grows by at most 1 + 2k/|w| a step, so unless
+    # |psi_{k-1}| <= 2k |psi_k| + |u| |psi_{k+1}|, so from 1e-250 the
+    # larger of two neighbours grows by at most 2k + |u| a step; unless
     # that product can pass 1e500 no step reaches the 1e250 rescaling.
     steps = np.arange(1, max(begins) + 1)
-    rescale = np.log1p(2.0 * steps / aw.min()).sum() > 500.0 * np.log(10.0)
-    two_over_w = 2.0 / w
-    ip = np.zeros(u.size, dtype=np.complex128)
-    ic = np.zeros(u.size, dtype=np.complex128)
-    total = np.zeros(u.size, dtype=np.complex128)   # unnormalised I_k, k >= 1
+    rescale = (np.log(2.0 * steps + np.abs(u).max()).sum()
+               > 500.0 * np.log(10.0))
+    top = int(tops.max())
+    pp = np.zeros(u.size, dtype=np.complex128)
+    pc = np.zeros(u.size, dtype=np.complex128)
+    acc = np.zeros(u.size, dtype=np.complex128)
     out = np.zeros((top + 1, u.size), dtype=np.complex128)
     for k in range(max(begins), 0, -1):
         new = begins.get(k)
         if new is not None:
-            ic[new] = 1e-250
-            total[new] = 1e-250
-        ip, ic = ic, ip + k * two_over_w * ic
-        if k > 1:
-            total += ic
+            pc[new] = 1e-250
+            acc[new] = 1e-250
+        pp, pc = pc, 2 * k * pc + u * pp
+        # Not in place: numpy's in-place complex multiply rounds
+        # differently with the array length, and a column must not
+        # depend on the points it shares the call with.
+        acc = pc + w * acc
         if k <= top + 1:
-            out[k - 1] = ic
+            out[k - 1] = pc
         if not rescale:
             continue
-        huge = np.abs(ic) > 1e250
+        huge = np.abs(pc) > 1e250
         if huge.any():
-            ip[huge] *= 1e-250
-            ic[huge] *= 1e-250
-            total[huge] *= 1e-250
+            pp[huge] *= 1e-250
+            pc[huge] *= 1e-250
+            acc[huge] *= 1e-250
             out[:, huge] *= 1e-250
-    out *= np.exp(w) / (2.0 * total + ic)
-    with np.errstate(over="ignore", invalid="ignore"):
-        wk = w ** np.arange(top + 1)[:, None]
-    return np.divide(out, wk, out=np.full_like(out, np.nan),
-                     where=np.isfinite(wk))
-
-
-def _psi_rows(tops, u):
-    """psi_0(u)..psi_T(u), T = max(tops), one row per order, one column
-    per point.
-
-    The series where |u| <= PSI_SERIES_RADIUS, else ``_psi_chain``, whose
-    point i is accurate up to order tops[i] and NaN where w^k overflows.
-    """
-    top = int(tops.max())
-    psi = np.empty((top + 1, u.size), dtype=np.complex128)
-    small = np.abs(u) <= PSI_SERIES_RADIUS
-    if small.any():
-        psi[:, small] = _psi_series_grid(top, u[small])
-    if not small.all():
-        psi[:, ~small] = _psi_chain(tops[~small], u[~small], top)
-    return psi
+    out *= np.exp(w) / (2.0 * acc - pc)
+    return out
 
 
 def _phi_from_psi(m, z, u, r0, coef_c, b_m, d_m, psi, maximum):
@@ -313,8 +265,8 @@ def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
     ------
     AccuracyError
         If psi_{m+1}, the highest order the value reads, is below the
-        smallest normal double: at large m (from the mid 140s up on the
-        default config) the orders the value reads underflow together,
+        smallest normal double: at large m (from 141 up on the default
+        config) the orders the value reads underflow together,
         and so would value and scale, which then pass any relative
         residual test.
     """
@@ -333,7 +285,7 @@ def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
     and constants (equal-length arrays); returns (values, scales, slopes).
 
     psi at orders max(m-1, 0)..max(m-1, 0)+3 of each point comes from one
-    ``_psi_rows`` call whose chains keep those orders; the points of modes
+    ``_psi_chain`` call whose chains keep those orders; the points of modes
     0, 1 and >= 2 then read ``_phi_from_psi`` and ``_phi_slope_from_psi``
     once each.
 
@@ -345,7 +297,7 @@ def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
     """
     u = r0s * r0s * zs
     lo = np.maximum(ms - 1, 0)
-    psi = _psi_rows(lo + 3, u)[lo + np.arange(4)[:, None], np.arange(zs.size)]
+    psi = _psi_chain(lo + 3, u)[lo + np.arange(4)[:, None], np.arange(zs.size)]
     bad = ~(np.abs(psi[np.where(ms > 0, 2, 1), np.arange(zs.size)])
             >= _DOUBLE_MIN)
     bad |= ~np.isfinite(psi).all(axis=0)
@@ -353,7 +305,7 @@ def phi_mode_slope_points(ms, zs, r0s, coef_cs, b_ms, d_ms):
         i = int(np.argmax(bad))
         raise AccuracyError(
             f"mode {ms[i]} kernel at z={zs[i]:.6g}: psi_{ms[i] + 1} "
-            "underflows or w^k leaves the double range")
+            "underflows or psi leaves the double range")
     vals = np.empty(zs.size, dtype=np.complex128)
     scales = np.empty(zs.size)
     slopes = np.empty(zs.size, dtype=np.complex128)
@@ -400,13 +352,11 @@ def _psi_table(top, r0, zs_bytes):
     The rows depend only on (top, r0, the exact grid points), never on m or
     the force constants, so every mode of one rest radius with the same top
     (all of modes 0..14), and every chi_c of those modes, reads this single
-    entry.  The rows are ``_psi_rows`` with every point kept up to top, so
-    a point's column does not depend on the rest of the grid; orders whose
-    w^k overflows are 0.
+    entry.  The rows are ``_psi_chain`` with every point kept up to top, so
+    a point's column does not depend on the rest of the grid.
     """
     u = r0 * r0 * np.frombuffer(zs_bytes, dtype=np.complex128)
-    psi = _psi_rows(np.full(u.size, top), u)
-    psi[np.isnan(psi)] = 0.0
+    psi = _psi_chain(np.full(u.size, top), u)
     psi.flags.writeable = False
     return psi
 

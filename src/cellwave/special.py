@@ -1,11 +1,12 @@
 """Modified Bessel I_m for complex argument.
 
-``bessel_I`` is built on the scalar chains in ``_kernels``: an ascending
-power series close to the origin and Miller's downward recurrence
-elsewhere, with parity used to fold arguments into the half plane where the
-recurrence normalisation is cancellation-free.  These chains are their own,
-separate from the array seed screen of the dispersion kernel, so
-``bessel_I`` stays a reference that the kernel is tested against.
+``bessel_I`` is built on ``_kernels.iv_series``, an ascending power
+series close to the origin, and ``_kernels.iv_chain``, Miller's downward
+recurrence on I_k elsewhere, with parity used to fold arguments into the
+half plane where the recurrence normalisation is cancellation-free.  The
+dispersion kernel calls neither: it runs its own recurrence on
+psi_k(u) = I_k(w)/w^k, so ``bessel_I`` stays an independent reference that
+the kernel is tested against.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Independent references for the dispersion tests.
 
 ``dispersion_H`` is the literal transcription of the mode-m dispersion
-function H_m (principal square root), built on ``bessel_I``.
+function H_m (principal square root), built on ``bessel_I``, whose series
+and Miller chain on I_k the kernel does not use (it recurs on
+psi_k = I_k(w)/w^k), so H_m is independent of the kernel.
 ``dispersion_kernel`` is H_m with its structural zero at the origin
 factored out, evaluated by the scalar kernel ``_kernels.phi_mode``; the root
 search of ``cellwave.stability`` uses the array and slope forms of the same

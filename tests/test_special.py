@@ -1,4 +1,5 @@
-"""Modified Bessel evaluation and its Miller chain."""
+"""Modified Bessel evaluation, its Miller chain, and the psi chain of the
+dispersion kernel."""
 
 import cmath
 import math
@@ -82,6 +83,16 @@ class TestBesselI:
             bessel_I(0, complex(float("nan"), 0.0))
         with pytest.raises(ValueError):
             bessel_I(-1, 1.0)
+
+    def test_high_orders_match_mpmath(self):
+        # bessel_I runs its own chain on I_k; written as z^m psi_m(z^2) on
+        # the kernel's psi chain it would lose every digit at (150, 100)
+        # and overflow at (160, 100).
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for m, z in [(150, 100.0), (154, 100j), (160, 100.0)]:
+                ref = complex(mp.besseli(m, mp.mpc(z)))
+                assert abs(bessel_I(m, z) - ref) <= 1e-14 * abs(ref)
 
     def test_order_must_be_an_integer(self):
         for order in (1.5, 1.0, np.float64(2.0), "1"):
@@ -168,3 +179,47 @@ class TestMillerChain:
             for k in range(3):
                 ref = float(mp.besseli(k, mp.mpf(1e-14)))
                 assert abs(got[k] - ref) <= 1e-14 * ref
+
+
+class TestPsiChain:
+    def test_matches_mpmath(self):
+        # The kernel's psi_k(u) = I_k(w)/w^k, u = w^2, from the scalar chain
+        # and from the seed-screen table, against the entire form
+        # 0F1(; k+1; u/4) / (2^k k!) at 40 digits.  psi_tilde runs the same
+        # chain, so this is the check that is independent of it.  Off the
+        # negative real axis each value is compared with itself; on it
+        # I_k(w) = w^k psi_k has the zeros of J_k, so there each I_k is
+        # compared with the pass's largest.  At and next to u = 0 psi_k is
+        # 2^-k / k! to within 1e-15.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        tiny = np.array([0.0, 1e-300, 1e-20, -1e-20, 1e-8j])
+        ring = 16.0 * np.exp(2j * np.pi * np.arange(16) / 16 + 0.05j)
+        off_axis = np.concatenate([tiny[-1:], ring, rng.uniform(0.5, 360.0, 20)
+                                   * np.exp(1j * rng.uniform(-3.0, 3.0, 20))])
+        negative = np.linspace(-360.0, -0.1, 30) + 0j
+        wide = np.concatenate([[17.0, 1e5, 1e5j, -1e5j],
+                               rng.uniform(17.0, 1e5, 12)
+                               * np.exp(1j * rng.uniform(-3.0, 3.0, 12))])
+        small = np.concatenate([tiny, ring, [-16.0, -9.0, 3.0 + 1.0j]])
+        cases = [(tiny[:4], range(17), 1e-15), (off_axis, range(17), 1e-14),
+                 (negative, range(17), 1e-14), (wide, range(17), 1e-13),
+                 (small, range(126, 143), 1e-14)]
+        with mp.workdps(40):
+            for us, ks, tol in cases:
+                top = 16 if ks[-1] <= 16 else 256
+                _kernels._psi_table.cache_clear()
+                table = _kernels._psi_table(top, 1.0, us.tobytes())[ks[0]:]
+                for i, u in enumerate(map(complex, us)):
+                    ref = np.array([complex(
+                        mp.hyp0f1(k + 1, mp.mpc(u) / 4)
+                        / (mp.mpf(2) ** k * mp.factorial(k))) for k in ks])
+                    for got in (np.array(_kernels._psi_scalar(ks, u)),
+                                table[:len(ks), i]):
+                        err = np.abs(got - ref)
+                        if us is negative:
+                            wk = abs(u) ** (np.array(ks) / 2.0)
+                            assert np.all(err * wk
+                                          <= tol * np.max(np.abs(ref) * wk))
+                        else:
+                            assert np.all(err <= tol * np.abs(ref))

@@ -140,7 +140,7 @@ class TestDispersionFunction:
     @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
     def test_grid_matches_scalar_kernel(self, params, f_act, f_und, r0):
         # The array seed screen against a loop of scalar kernel calls: the
-        # default seed grid, both sides of the series/chain switch, and the
+        # default seed grid, both sides of the ring |u| = 16, and the
         # negative real axis where u = R0^2 z has no square-root branch.
         base = ModelParams(params.a, params.gamma, params.chi_c, params.chi_u,
                            r0, params.M)
@@ -148,8 +148,7 @@ class TestDispersionFunction:
         zx, zy = np.meshgrid(np.linspace(re_min, re_max, DEFAULT_SEEDS[0]),
                              np.linspace(im_min, im_max, DEFAULT_SEEDS[1]),
                              indexing="ij")
-        edge = _kernels.PSI_SERIES_RADIUS / r0 ** 2 * np.exp(
-            2j * np.pi * np.arange(16) / 16)
+        edge = 16.0 / r0 ** 2 * np.exp(2j * np.pi * np.arange(16) / 16)
         zs = np.concatenate([(zx + 1j * zy).ravel(),
                              edge * (1 - 1e-9), edge * (1 + 1e-9),
                              np.linspace(-90.0, -0.1, 40) / r0 ** 2 + 0j])
@@ -173,8 +172,7 @@ class TestDispersionFunction:
                            r0, params.M)
         re_min, re_max, im_min, im_max = default_root_region(base)
         rng = np.random.default_rng(46)
-        edge = _kernels.PSI_SERIES_RADIUS / r0 ** 2 * np.exp(
-            2j * np.pi * np.arange(8) / 8 + 0.1j)
+        edge = 16.0 / r0 ** 2 * np.exp(2j * np.pi * np.arange(8) / 8 + 0.1j)
         zs = np.concatenate([rng.uniform(re_min, re_max, 12)
                              + 1j * rng.uniform(im_min, im_max, 12),
                              edge * (1 - 1e-9), edge * (1 + 1e-9),
@@ -203,12 +201,11 @@ class TestDispersionFunction:
     def test_shared_chain_matches_per_order_psi(self):
         # One pass of _psi_scalar against psi_tilde order by order, for the
         # orders a mode kernel and its slope read, on both sides of the
-        # series radius.  Off the real axis each value is compared with
+        # ring |u| = 16.  Off the real axis each value is compared with
         # itself; on the negative real axis I_k(w) = w^k psi_k has the zeros
         # of J_k, so there each I_k is compared with the pass's largest.
         rng = np.random.default_rng(47)
-        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
-            2j * np.pi * np.arange(16) / 16 + 0.05j)
+        edge = 16.0 * np.exp(2j * np.pi * np.arange(16) / 16 + 0.05j)
         radius = rng.uniform(0.5, 360.0, 60)
         off_axis = np.concatenate([
             edge * (1 - 1e-9), edge * (1 + 1e-9),
@@ -229,12 +226,11 @@ class TestDispersionFunction:
     def test_psi_table_matches_per_order_psi(self):
         # The shared table for each top against psi_tilde order by order,
         # with the same points and scales as the single-point pass above:
-        # both sides of the series radius, where the table sums every
-        # order's series, and the negative real axis.  The wide set
-        # reaches |u| = 1e5, where a chain starts some 500 orders up.
+        # both sides of the ring |u| = 16 and the negative real axis.  The
+        # wide set reaches |u| = 1e5, where a chain starts some 500 orders
+        # up.
         rng = np.random.default_rng(48)
-        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
-            2j * np.pi * np.arange(16) / 16 + 0.05j)
+        edge = 16.0 * np.exp(2j * np.pi * np.arange(16) / 16 + 0.05j)
         radius = rng.uniform(0.5, 360.0, 60)
         off_axis = np.concatenate([
             edge * (1 - 1e-9), edge * (1 + 1e-9),
@@ -258,11 +254,11 @@ class TestDispersionFunction:
                     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_psi_table_top_256(self):
-        # Modes 127..254 read orders near 128 from the top-256 table.  The
-        # series of orders 255 and 256 underflows to 0, so no row may be
-        # recurred down from them; on the chains w^256 overflows once
-        # |w| > 16, and those unread rows must not turn into NaN.
-        edge = _kernels.PSI_SERIES_RADIUS * np.exp(
+        # Modes 127..254 read orders near 128 from the top-256 table.  At
+        # every point orders 255 and 256 underflow to 0, so the chain,
+        # started some 30 orders above them, must run unnormalised and
+        # rescaled; the unread top rows must stay finite.
+        edge = 16.0 * np.exp(
             2j * np.pi * np.arange(8) / 8 + 0.05j) * (1 - 1e-9)
         inside = np.concatenate([edge, [-9.0, 3.0 + 1.0j, 0.5j]])
         outside = np.array([20.0 + 1.0j, 200.0 + 50.0j, -300.0 + 0j, 1e3j])
@@ -282,10 +278,10 @@ class TestDispersionFunction:
     def test_table_column_independent_of_grid(self, params):
         # Each point's chain starts at its own order, so a table column is
         # the same, bit for bit, whether the point sits in the seed grid
-        # or stands alone; inside the series radius too.
+        # or stands alone; inside the ring |u| = 16 too.
         zs = _seed_grid(*default_root_region(params), *DEFAULT_SEEDS,
                         True)[2].ravel()
-        assert np.any(np.abs(zs[::7]) <= _kernels.PSI_SERIES_RADIUS)
+        assert np.any(np.abs(zs[::7]) <= 16.0)
         for top in (2, 4, 8, 16):
             _kernels._psi_table.cache_clear()
             grid = _kernels._psi_table(top, params.R0, zs.tobytes())
@@ -298,7 +294,7 @@ class TestDispersionFunction:
         # With orders up to 300 kept, the chain passes 1e250 while rows are
         # being stored, so the stored rows are rescaled with the sum.
         us = np.array([17.0, 20.0 + 5.0j, -30.0 + 1.0j])
-        got = _kernels._psi_chain(np.full(us.size, 300), us, 300)
+        got = _kernels._psi_chain(np.full(us.size, 300), us)
         for k in range(9):
             ref = np.array([_kernels.psi_tilde(k, complex(u)) for u in us])
             assert np.all(np.abs(got[k] - ref) <= 1e-14 * np.abs(ref))
@@ -449,8 +445,8 @@ class TestModeSpectrum:
 
     @pytest.mark.parametrize("m", [141, 148, 155])
     def test_mode_beyond_double_range_raises(self, params, f_act, f_und, m):
-        # Near m = 141 w**k overflows at the roots; by m = 155 value and
-        # scale underflow together, and subnormal pairs would pass the
+        # From m = 141 psi_{m+1} underflows near the roots; by m = 155 value
+        # and scale underflow together, and subnormal pairs would pass the
         # relative residual test as roots.
         with pytest.raises(AccuracyError, match="double range"):
             mode_spectrum(m, params, f_act, f_und)
