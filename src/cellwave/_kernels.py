@@ -136,7 +136,8 @@ def _psi_scalar(ks, u):
     normalisation is cancellation-free.  No power of w is formed, so u = 0
     and high orders at small |u| take the same steps as any other point.
     Whenever the unnormalised psi_k passes 1e250 in magnitude, everything
-    accumulated so far is scaled by 1e-250.
+    accumulated so far is scaled by 1e-250.  Raises ``AccuracyError`` when
+    e^w leaves the double range (Re w above about 709.78).
     """
     top = ks[-1]
     w = cmath.sqrt(u)        # principal root: Re w >= 0, as the sum needs
@@ -154,7 +155,11 @@ def _psi_scalar(ks, u):
             pc *= 1e-250
             acc *= 1e-250
             out = [v * 1e-250 for v in out]
-    factor = cmath.exp(w) / (2.0 * acc - pc)
+    try:
+        factor = cmath.exp(w) / (2.0 * acc - pc)
+    except OverflowError:
+        raise AccuracyError(
+            f"psi at u={u:.6g}: e^w leaves the double range") from None
     return [out[top - k] * factor for k in ks]
 
 
@@ -167,7 +172,7 @@ def _psi_chain(tops, u):
     running sum, so its values never depend on which other points share
     the call.  A chain holds zeros until its start order comes up.  Only
     an overflowing e^w (Re w above about 709) makes an entry non-finite,
-    and then every order of that point.
+    and then every order of that point, without a floating-point warning.
     """
     w = np.sqrt(u)           # principal root: Re w >= 0, as the sum needs
     aw = np.abs(w)
@@ -207,7 +212,8 @@ def _psi_chain(tops, u):
             pc[huge] *= 1e-250
             acc[huge] *= 1e-250
             out[:, huge] *= 1e-250
-    out *= np.exp(w) / (2.0 * acc - pc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= np.exp(w) / (2.0 * acc - pc)
     return out
 
 
@@ -268,7 +274,8 @@ def phi_mode_slope(m, z, r0, coef_c, b_m, d_m):
         smallest normal double: at large m (from 141 up on the default
         config) the orders the value reads underflow together,
         and so would value and scale, which then pass any relative
-        residual test.
+        residual test.  Also if e^w leaves the double range, as
+        ``_psi_scalar``.
     """
     u = r0 * r0 * z
     psi = _psi_scalar(range(max(m - 1, 0), m + 3), u)

@@ -436,10 +436,41 @@ def _unpack(u: np.ndarray, V: float, params: ModelParams) -> TravelingWaveState:
                               chi_c=float(u[-1]), c1=c1)
 
 
+# The 32-point Gauss-Legendre rule on [-1, 1]: numpy's ``leggauss(32)``
+# written as ``repr`` literals, so that no command loads numpy's
+# polynomial package (about 2 MB) for one rule.
+_GL32_NODES = (
+    -0.9972638618494816, -0.9856115115452684, -0.9647622555875064,
+    -0.9349060759377397, -0.8963211557660521, -0.84936761373257,
+    -0.7944837959679424, -0.7321821187402897, -0.6630442669302152,
+    -0.5877157572407623, -0.5068999089322294, -0.42135127613063533,
+    -0.33186860228212767, -0.23928736225213706, -0.1444719615827965,
+    -0.048307665687738324, 0.048307665687738324, 0.1444719615827965,
+    0.23928736225213706, 0.33186860228212767, 0.42135127613063533,
+    0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257,
+    0.8963211557660521, 0.9349060759377397, 0.9647622555875064,
+    0.9856115115452684, 0.9972638618494816,
+)
+_GL32_WEIGHTS = (
+    0.007018610009470506, 0.016274394730905743, 0.025392065309262024,
+    0.034273862913021765, 0.042835898022226836, 0.05099805926237609,
+    0.058684093478535565, 0.06582222277636168, 0.07234579410884834,
+    0.07819389578707023, 0.08331192422694671, 0.08765209300440378,
+    0.09117387869576378, 0.09384439908080451, 0.09563872007927471,
+    0.09654008851472766, 0.09654008851472766, 0.09563872007927471,
+    0.09384439908080451, 0.09117387869576378, 0.08765209300440378,
+    0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609,
+    0.042835898022226836, 0.034273862913021765, 0.025392065309262024,
+    0.016274394730905743, 0.007018610009470506,
+)
+
+
 @lru_cache(maxsize=1)
 def _unit_radial_rule():
     """Read-only 32-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(32)
+    x, w = np.array(_GL32_NODES), np.array(_GL32_WEIGHTS)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -151,6 +151,39 @@ def test_criterion_10_verify_determinism(tmp_path):
           f"[bytes={len(b1)}]")
 
 
+STREAM_SEEDS = [0, 1, *range(20230915, 20230920), *range(4242, 4247),
+                2 ** 32, 2 ** 40 + 3, 2 ** 70 + 11, 2 ** 130 + 5]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_equals_numpy_default_rng(seed):
+    # The criteria's own stream gives numpy's draws bit for bit on an
+    # interleaved sequence of the three calls the criteria make, so
+    # criteria 1, 3, 4 and 9 draw what numpy's default_rng would.
+    mine, ref = acceptance._PCG64(seed), np.random.default_rng(seed)
+    calls = np.random.default_rng(seed + 1).integers(0, 3, 300)
+    for call in calls:
+        if call == 0:
+            got, want = mine.uniform(), ref.uniform()
+        elif call == 1:
+            got, want = mine.uniform(0.2, 1.0), ref.uniform(0.2, 1.0)
+        else:
+            got, want = mine.integers(0, 9), int(ref.integers(0, 9))
+        assert got == want and type(got) is type(want), (seed, call)
+
+
+def test_box_muller_normals():
+    # Criterion 8's normals: the count asked for, finite, and from the
+    # stream's uniforms by r = sqrt(-2 log(1 - U1)), t = 2 pi U2.
+    stream, uniforms = acceptance._PCG64(7), acceptance._PCG64(7)
+    got = stream.box_muller(5)
+    assert len(got) == 5 and all(map(math.isfinite, got))
+    u1, u2 = uniforms.uniform(), uniforms.uniform()
+    r = math.sqrt(-2.0 * math.log1p(-u1))
+    assert got[:2] == [r * math.cos(2.0 * math.pi * u2),
+                       r * math.sin(2.0 * math.pi * u2)]
+
+
 def _draws(seed):
     """The (m, z) samples criterion 9 compares with its reference."""
     rng = np.random.default_rng(seed + 4)
@@ -229,3 +262,22 @@ def test_cli_setup_imports_neither_mpmath_nor_multiprocessing():
                          capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_and_branch_load_neither_numpy_random_nor_polynomial(
+        tmp_path):
+    # The criteria draw from their own stream and the mass rule reads
+    # literal nodes, so these two numpy packages stay unloaded.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG_DICT))
+    code = ("import sys\n"
+            "from cellwave.cli import main\n"
+            f"main(['verify', '-c', {str(path)!r}, '-o', {str(tmp_path)!r}])\n"
+            f"main(['branch', '-c', {str(path)!r}, '-o', {str(tmp_path)!r}])\n"
+            "print(sorted({'numpy.random', 'numpy.polynomial'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

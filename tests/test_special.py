@@ -3,6 +3,7 @@ dispersion kernel."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,21 @@ class TestPsiChain:
                                           <= tol * np.max(np.abs(ref) * wk))
                         else:
                             assert np.all(err <= tol * np.abs(ref))
+
+    def test_beyond_double_range_is_typed_and_silent(self, capfd):
+        # At u = 6e5, e^w with w = sqrt(u) passes the double range: the
+        # scalar kernel, psi_tilde and the array kernel each raise
+        # AccuracyError, and none writes a floating-point warning (pytest
+        # would collect a warning away from stderr, so warnings are
+        # errors here).
+        one = np.array([1.0])
+        calls = [lambda: _kernels.phi_mode_slope(2, 6e5, 1.0, 1.0, 1.0, 1.0),
+                 lambda: _kernels.psi_tilde(2, 6e5),
+                 lambda: _kernels.phi_mode_slope_points(
+                     np.array([2]), np.array([6e5 + 0j]), one, one, one, one)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AccuracyError, match="double range"):
+                    call()
+        assert capfd.readouterr().err == ""

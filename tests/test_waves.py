@@ -171,6 +171,15 @@ class TestRadialWeight:
         assert max(errs) <= 1e-14
 
 
+class TestRadialRule:
+    def test_literals_equal_leggauss(self):
+        # The 32-point rule is written out so that no command loads
+        # numpy.polynomial; the literals are leggauss(32) bit for bit.
+        x, w = np.polynomial.legendre.leggauss(32)
+        assert waves._GL32_NODES == tuple(x.tolist())
+        assert waves._GL32_WEIGHTS == tuple(w.tolist())
+
+
 class TestResidual:
     def test_zero_at_disk_for_any_chi(self, params, f_act, f_und):
         rng = np.random.default_rng(50)
