@@ -54,19 +54,59 @@ TAIL_TOL = 1e-8
 PREDICTOR_POINTS = 3
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """Read-only collocation data of truncation order n, none of it larger
+    than O(n).
+
+    ``thetas`` are the 2n equispaced nodes and ``cos``/``sin`` their
+    cosines and sines.  ``series`` (3 x (n+1)) multiplies a cosine series
+    into the half spectra whose inverse real FFT on the nodes is rho, rho'
+    and rho'' (``_boundary``).  ``fold`` and ``sign`` take m = -n..2n to
+    the half-spectrum index of m mod 2n and to the sign that conjugate
+    symmetry gives an imaginary part there; ``weights`` (2 x 3 x (n+1))
+    holds the column factors (1, -j^2, -j) of the Toeplitz part and
+    (1, -j^2, j) of the Hankel part (``_residual_jacobian``).
+    ``fine_cos`` are the cosines of the 4n equispaced angles of the mass
+    check in ``state_diagnostics``.
+    """
+
+    thetas: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    series: np.ndarray
+    fold: np.ndarray
+    sign: np.ndarray
+    weights: np.ndarray
+    fine_cos: np.ndarray
+
+
 @lru_cache(maxsize=8)
-def _grid(n: int):
-    """Collocation tables for truncation order n (2n equispaced angles)."""
+def _grid(n: int) -> _Grid:
+    """Collocation data for truncation order n (2n equispaced angles)."""
     nc = 2 * n
     thetas = 2.0 * np.pi * np.arange(nc) / nc
     k = np.arange(n + 1)
-    ang = np.outer(k, thetas)
-    return thetas, k, np.cos(ang), np.sin(ang)
+    # The inverse real FFT on 2n points counts modes 1..n-1 twice and
+    # modes 0 and n once; i k and -k^2 differentiate.
+    count = np.full(n + 1, float(n))
+    count[[0, n]] = nc
+    series = np.array([count, 1j * k * count, -(k * k) * count])
+    m = np.arange(-n, nc + 1) % nc
+    weights = np.array([[np.ones(n + 1), -(k * k), -s * k] for s in (1, -1)],
+                       dtype=float)
+    fine = np.linspace(0.0, 2.0 * np.pi, 4 * n, endpoint=False)
+    grid = _Grid(thetas, np.cos(thetas), np.sin(thetas), series,
+                 fold=np.minimum(m, nc - m), sign=np.where(m <= n, 1.0, -1.0),
+                 weights=weights, fine_cos=np.cos(fine))
+    for arr in vars(grid).values():
+        arr.flags.writeable = False
+    return grid
 
 
 def collocation_nodes(n: int) -> np.ndarray:
     """The 2n equispaced collocation angles on [0, 2*pi)."""
-    return _grid(n)[0].copy()
+    return _grid(n).thetas.copy()
 
 
 def project_cosine(values: np.ndarray) -> np.ndarray:
@@ -87,11 +127,11 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
     """R0 + rho at the m >= 2N equispaced angles 2 pi i / m.
 
     A zero-padded inverse real FFT of the cosine series; on the 2N grid
-    mode N is the Nyquist mode, which the inverse transform weights twice.
-    It stays apart from ``_boundary`` on purpose: it serves the dense
-    grids that need the radius only (the 4N positivity check of
-    ``Shape``, the c1 quadrature and the 4N mass check), and moving c1 to
-    the matrix product would change it in its last bits.
+    mode N is the Nyquist mode, which the inverse transform counts once,
+    so its coefficient is doubled.  At m = 2N it is the ``r`` of
+    ``_boundary``, which transforms r, r' and r'' together; this one
+    serves what needs the radius only: the 4N positivity check of
+    ``Shape``, the 4N mass check and the c1 quadrature.
     """
     spec = 0.5 * m * rho_cos
     spec[0] *= 2.0
@@ -118,26 +158,26 @@ class _Boundary:
 
 
 def _boundary(rho_cos: np.ndarray, R0: float) -> _Boundary:
-    """Boundary fields on the cached collocation tables; the derivatives
-    are spectral (exact for the stored cosine series).  With
-    q = r^2 + r'^2 the curvature is kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2)
-    and the outward unit normal is (r cos + r' sin, r sin - r' cos) /
-    sqrt(q), of which ``n1`` is the first component.
+    """Boundary fields at the collocation nodes; the derivatives are
+    spectral (exact for the stored cosine series).  With q = r^2 + r'^2
+    the curvature is kappa = (r^2 + 2 r'^2 - r r'') / q^(3/2) and the
+    outward unit normal is (r cos + r' sin, r sin - r' cos) / sqrt(q), of
+    which ``n1`` is the first component.
 
-    The one evaluator of the cosine series and its derivatives: every
-    reader of boundary geometry calls it.
+    The one evaluator of the cosine series and its derivatives on the
+    collocation nodes: every reader of boundary geometry calls it.  rho,
+    rho' and rho'' come from one inverse real FFT of the series times the
+    cached multipliers of ``_grid``.
     """
     n = rho_cos.size - 1
-    _, k, cos_t, sin_t = _grid(n)
-    cos_th, sin_th = cos_t[1], sin_t[1]
-    r = R0 + rho_cos @ cos_t
-    rp = -(rho_cos * k) @ sin_t
-    rpp = -(rho_cos * k * k) @ cos_t
+    grid = _grid(n)
+    rho, rp, rpp = np.fft.irfft(grid.series * rho_cos, n=2 * n)
+    r = R0 + rho
     q = r * r + rp * rp
     return _Boundary(
-        cos=cos_th, sin=sin_th, r=r, rp=rp, rpp=rpp, q=q,
+        cos=grid.cos, sin=grid.sin, r=r, rp=rp, rpp=rpp, q=q,
         kappa=(r * r + 2.0 * rp * rp - r * rpp) / q ** 1.5,
-        n1=(r * cos_th + rp * sin_th) / np.sqrt(q),
+        n1=(r * grid.cos + rp * grid.sin) / np.sqrt(q),
     )
 
 
@@ -213,9 +253,9 @@ def marker_normalization(shape: Shape, V: float, params: ModelParams) -> float:
     integrated in closed form per angle and the angular part by the periodic
     trapezoid rule on the collocation grid.
     """
-    thetas = _grid(shape.N)[0]
-    radii = _radius_on_grid(shape.rho_cos, shape.R0, thetas.size)
-    s = -params.a * V * np.cos(thetas)
+    grid = _grid(shape.N)
+    radii = _radius_on_grid(shape.rho_cos, shape.R0, grid.thetas.size)
+    s = -params.a * V * grid.cos
     weights = _radial_weight(s, radii)
     denom = 2.0 * np.pi * float(np.mean(weights))
     return params.M / denom
@@ -331,16 +371,53 @@ def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und,
     return np.concatenate([modes, [area, centering]])
 
 
+def _block_coefficients(fields: _WaveFields, V, chi_c, params: ModelParams,
+                        f_act: ForceLaw, f_und: ForceLaw):
+    """Samples at the collocation nodes of the pointwise coefficients
+    (A, B, C, D, E) of the rho block of ``_residual_jacobian``.
+
+    A, B and C are the partials of the pointwise residual in r, r' and r''
+    (through kappa, n_1, the boundary concentration and V r cos(theta));
+    D = chi_c f_act'(c) c is its partial in log(c1), and
+    E = -exp(s r) r / mean(W), whose cosine mean against cos(j theta) is
+    g_j = d log(c1)/d rho_j.
+    """
+    b = fields.b
+    q15 = b.q ** 1.5
+    root_q = np.sqrt(b.q)
+    dkappa_r = (2.0 * b.r - b.rpp) / q15 - 3.0 * b.r * b.kappa / b.q
+    dkappa_rp = 4.0 * b.rp / q15 - 3.0 * b.rp * b.kappa / b.q
+    dkappa_rpp = -b.r / q15
+    dn1_r = b.cos / root_q - b.n1 * b.r / b.q
+    dn1_rp = b.sin / root_q - b.n1 * b.rp / b.q
+
+    act = chi_c * np.asarray(f_act.d1(fields.c_bnd)) * fields.c_bnd
+    und = params.chi_u * V * np.asarray(f_und.d1(V * b.n1))
+    coef_a = (params.gamma * dkappa_r + act * fields.s + und * dn1_r
+              + V * b.cos)
+    coef_b = params.gamma * dkappa_rp + und * dn1_rp
+    coef_c = params.gamma * dkappa_rpp
+    return (coef_a, coef_b, coef_c, act,
+            -fields.growth * b.r / fields.mean_weight)
+
+
 def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
                        fields=None):
     """Analytic Jacobian of ``_residual_vector`` in (rho_0..rho_N, p1, chi_c).
 
     Before projection, column j of the rho block samples
         A cos(j theta) - B j sin(j theta) - C j^2 cos(j theta) + D g_j,
-    where A, B, C are the partials of the pointwise residual in r, r', r''
-    (through kappa, n_1, the boundary concentration and V r cos(theta)),
-    and D g_j is the rank-one term of the mass normalisation c1, with
-    g_j = d log(c1)/d rho_j = -mean(exp(s r) r cos(j theta)) / mean(W).
+    with the coefficients of ``_block_coefficients``; D g_j is the
+    rank-one term of the mass normalisation c1.  On the 2N nodes the
+    cosine projection of such a product is Toeplitz plus Hankel in the DFT
+    of the coefficient (Olver & Townsend, SIAM Rev. 55, 2013): with ^ the
+    DFT over 2N and indices mod 2N, entry (i, j) is
+        Re(A^(i-j) + A^(i+j)) - j^2 Re(C^(i-j) + C^(i+j))
+        - j Im(B^(i-j) - B^(i+j)),
+    over 2N, with rows 0 and N halved, plus the projected D times g.  One
+    real FFT gives the spectra of A, C, B and E (whence g); the Toeplitz
+    and Hankel patterns are strided views of them, so the build forms no
+    2N x (N+1) sample matrix and needs no trigonometric table.
     The p1 column is -e_0 and the area and centering rows are exact.
     ``fields`` are as in ``_residual_vector``.
 
@@ -350,35 +427,36 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
         At a degenerate shape, where the residual is only a sentinel.
     """
     n = rho_cos.size - 1
-    _, k, cos_t, sin_t = _grid(n)
+    grid = _grid(n)
     if fields is None:
         fields = _wave_fields(rho_cos, V, params, f_act)
     if fields is None:
         raise SolverError("no Jacobian at a degenerate shape")
-    b, s, growth, c_bnd = fields.b, fields.s, fields.growth, fields.c_bnd
-    mean_weight = fields.mean_weight
-    q15 = b.q ** 1.5
-    root_q = np.sqrt(b.q)
-    dkappa_r = (2.0 * b.r - b.rpp) / q15 - 3.0 * b.r * b.kappa / b.q
-    dkappa_rp = 4.0 * b.rp / q15 - 3.0 * b.rp * b.kappa / b.q
-    dkappa_rpp = -b.r / q15
-    dn1_r = b.cos / root_q - b.n1 * b.r / b.q
-    dn1_rp = b.sin / root_q - b.n1 * b.rp / b.q
-
-    act = chi_c * np.asarray(f_act.d1(c_bnd)) * c_bnd          # D
-    und = params.chi_u * V * np.asarray(f_und.d1(V * b.n1))
-    coef_a = params.gamma * dkappa_r + act * s + und * dn1_r + V * b.cos
-    coef_b = params.gamma * dkappa_rp + und * dn1_rp
-    coef_c = params.gamma * dkappa_rpp
-    g = -(cos_t @ (growth * b.r)) / (cos_t.shape[1] * mean_weight)
-    samples = ((coef_a - coef_c * (k * k)[:, None]) * cos_t
-               - coef_b * k[:, None] * sin_t).T + np.outer(act, g)
+    coef_a, coef_b, coef_c, act, mass = _block_coefficients(
+        fields, V, chi_c, params, f_act, f_und)
+    spec = np.fft.rfft(np.array([coef_a, coef_c, coef_b, mass]),
+                       axis=-1) / (2 * n)
+    # Re A^, Re C^ and Im B^ at m = -N..2N, so that the Toeplitz view at
+    # (i, j) reads m = i - j and the Hankel view m = i + j.
+    ext = np.array([spec[0].real, spec[1].real, spec[2].imag])[:, grid.fold]
+    ext[2] *= grid.sign
+    row, col = ext.strides
+    toeplitz, hankel = (
+        np.ndarray((3, n + 1, n + 1), buffer=ext, offset=n * col,
+                   strides=(row, col, step * col))
+        for step in (-1, 1))
+    projected = project_cosine(np.array(
+        [act, fields.act - float(f_act.eval(params.c0))]).T)
 
     jac = np.zeros((n + 3, n + 3))
-    jac[: n + 1, : n + 1] = project_cosine(samples)
+    block = jac[: n + 1, : n + 1]
+    np.einsum("fij,fj->ij", toeplitz, grid.weights[0], out=block)
+    block += np.einsum("fij,fj->ij", hankel, grid.weights[1])
+    block[0] *= 0.5
+    block[n] *= 0.5
+    block += np.outer(projected[:, 0], spec[3].real)
     jac[0, n + 1] = -1.0
-    jac[: n + 1, n + 2] = project_cosine(
-        fields.act - float(f_act.eval(params.c0)))
+    jac[: n + 1, n + 2] = projected[:, 1]
     jac[n + 1, 0] = 4.0 * np.pi * (params.R0 + rho_cos[0])
     jac[n + 1, 1: n + 1] = 2.0 * np.pi * rho_cos[1:]
     jac[n + 2, 1] = np.pi
@@ -401,7 +479,9 @@ def linearized_residual(rho_cos, V, p1, chi_c, params: ModelParams,
     """
     rho_cos = np.asarray(rho_cos, dtype=float)
     n = rho_cos.size - 1
-    thetas, k, cos_t, _ = _grid(n)
+    thetas = _grid(n).thetas
+    k = np.arange(n + 1)
+    cos_t = np.cos(np.outer(k, thetas))
     rho = rho_cos @ cos_t
     rpp = -(rho_cos * k * k) @ cos_t
     c0 = params.c0
@@ -502,12 +582,12 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
                  - params.chi_u * np.asarray(f_und.eval(state.V * b.n1))))
     area, centering = _area_centering(shape.rho_cos, params.R0)
 
-    fine = np.linspace(0.0, 2.0 * np.pi, 4 * n, endpoint=False)
-    radii = _radius_on_grid(shape.rho_cos, shape.R0, fine.size)
+    fine_cos = _grid(n).fine_cos
+    radii = _radius_on_grid(shape.rho_cos, shape.R0, fine_cos.size)
     nodes, weights = _unit_radial_rule()
-    rr = np.outer(radii, nodes)
-    vals = np.exp(-params.a * state.V * np.cos(fine)[:, None] * rr) * rr
-    mass = (state.c1 * 2.0 * np.pi / fine.size
+    rr = radii[:, None] * nodes
+    vals = np.exp(-params.a * state.V * fine_cos[:, None] * rr) * rr
+    mass = (state.c1 * 2.0 * np.pi / fine_cos.size
             * float(np.dot(radii, vals @ weights)))
     modes = np.abs(shape.rho_cos)
     peak = float(np.max(modes))
@@ -540,6 +620,21 @@ def _checked_state(u: np.ndarray, V: float, params: ModelParams,
     if diag["min_boundary_concentration"] <= 0.0:
         raise SolverError(f"non-positive boundary concentration at V={V:g}")
     return replace(state, diagnostics=diag)
+
+
+def _fields_memo(params: ModelParams, f_act: ForceLaw):
+    """``_wave_fields`` as a function of (rho_cos, V) that keeps its last
+    result, so that the residual and the Jacobian at one Newton iterate
+    share one evaluation."""
+    last = [None, None, None]       # rho_cos, V and their _wave_fields
+
+    def fields(rho_cos, V):
+        if not (V == last[1] and np.array_equal(last[0], rho_cos)):
+            last[:] = rho_cos.copy(), V, _wave_fields(rho_cos, V, params,
+                                                      f_act)
+        return last[2]
+
+    return fields
 
 
 def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
@@ -578,20 +673,15 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
             "V = 0 is singular: every chi_c solves it with the disk; "
             "start the branch at a small positive V instead"
         )
-    at = [None, None]        # the last iterate and its _wave_fields
-
-    def fields(u):
-        if not np.array_equal(at[0], u):
-            at[:] = u.copy(), _wave_fields(u[:-2], V, params, f_act)
-        return at[1]
+    fields = _fields_memo(params, f_act)
 
     def fun(u):
         return _residual_vector(u[:-2], V, u[-2], u[-1], params, f_act, f_und,
-                                fields(u))
+                                fields(u[:-2], V))
 
     def jac(u):
         return _residual_jacobian(u[:-2], V, u[-2], u[-1], params, f_act,
-                                  f_und, fields(u))
+                                  f_und, fields(u[:-2], V))
 
     start = guess if isinstance(guess, np.ndarray) else _pack(guess)
     try:
@@ -678,7 +768,8 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     (rho, p1, chi_c, V) along the secant of the last two states, until V
     reaches V_max (a step that overshoots lands on V_max with a
     fixed-speed solve).  Its Jacobian is the analytic (rho, p1, chi_c)
-    block plus a central difference in V.  The only retry is the
+    block, built from the fields the residual computed at the same
+    iterate, plus a central difference in V.  The only retry is the
     corrector's, which halves its step down to ds/64.
 
     Every accepted state, of either kind, must pass the resolution
@@ -698,14 +789,17 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     if V_max <= 0 or ds <= 0:
         raise ValueError("V_max and ds must be positive")
 
+    fields = _fields_memo(params, f_act)
+
     def fun(u_ext):
-        return _residual_vector(u_ext[:-3], u_ext[-1], u_ext[-3], u_ext[-2],
-                                params, f_act, f_und)
+        rho_cos, V = u_ext[:-3], u_ext[-1]
+        return _residual_vector(rho_cos, V, u_ext[-3], u_ext[-2], params,
+                                f_act, f_und, fields(rho_cos, V))
 
     def jac(u_ext):
-        V = u_ext[-1]
-        block = _residual_jacobian(u_ext[:-3], V, u_ext[-3], u_ext[-2],
-                                   params, f_act, f_und)
+        rho_cos, V = u_ext[:-3], u_ext[-1]
+        block = _residual_jacobian(rho_cos, V, u_ext[-3], u_ext[-2], params,
+                                   f_act, f_und, fields(rho_cos, V))
         step = np.zeros_like(u_ext)
         step[-1] = 1e-6 * (1.0 + abs(V))
         v_col = (fun(u_ext + step) - fun(u_ext - step)) / (2.0 * step[-1])

@@ -92,25 +92,29 @@ class TestGeometry:
         assert abs(total - 2.0 * np.pi) <= 1e-8
 
     def test_boundary_fields_match_shape(self):
-        # The one geometry helper on the collocation tables, unchecked and
-        # through the shape, against a term-by-term sum of the series and
-        # the polar formulas.
-        rng = np.random.default_rng(53)
-        rho = _smooth_shape(rng, N_TEST, 0.1)
-        sh = Shape(rho, 1.3)
-        theta = waves.collocation_nodes(N_TEST)
-        fields = _boundary(rho, 1.3)
-        checked = _checked_boundary(sh)
-        r, rp, rpp = _polar_series(rho, 1.3, theta)
-        kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-        n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
-        for got, ref in ((fields.r, r), (fields.rp, rp),
-                         (fields.rpp, rpp), (fields.kappa, kappa),
-                         (fields.n1, n1),
-                         (checked.r, r),
-                         (checked.kappa, kappa),
-                         (checked.n1, n1)):
-            assert np.max(np.abs(got - ref)) <= 1e-13
+        # The one geometry helper, an inverse real FFT, unchecked and
+        # through the shape, against a term-by-term sum of the cosine and
+        # sine series and the polar formulas; its radius is that of the
+        # zero-padded transform on the same 2N grid.
+        for n in (4, N_TEST, 64, 256):
+            rng = np.random.default_rng(53)
+            rho = _smooth_shape(rng, n, 0.1)
+            sh = Shape(rho, 1.3)
+            theta = waves.collocation_nodes(n)
+            fields = _boundary(rho, 1.3)
+            checked = _checked_boundary(sh)
+            r, rp, rpp = _polar_series(rho, 1.3, n)
+            kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+            n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
+            for got, ref in ((fields.r, r), (fields.rp, rp),
+                             (fields.rpp, rpp), (fields.kappa, kappa),
+                             (fields.n1, n1),
+                             (checked.r, r),
+                             (checked.kappa, kappa),
+                             (checked.n1, n1)):
+                assert np.max(np.abs(got - ref)) <= 1e-13
+            radius = _radius_on_grid(rho, 1.3, 2 * n)
+            assert np.max(np.abs(fields.r - radius)) <= 1e-15
 
     @pytest.mark.parametrize("n", [5, 64, 128])
     def test_fft_radius_matches_cosine_sum(self, n):
@@ -208,20 +212,71 @@ class TestResidual:
         assert min(orders) >= 1.9
 
 
-def _polar_series(rho, r0, theta):
-    """r, r' and r'' of r0 + sum_k rho_k cos(k theta), summed term by term."""
-    r = np.full_like(theta, r0)
-    rp = np.zeros_like(theta)
-    rpp = np.zeros_like(theta)
+def _polar_series(rho, r0, n):
+    """r, r' and r'' of r0 + sum_k rho_k cos(k theta) at the 2n nodes
+    theta_i = pi i / n, summed term by term.  Each phase k theta_i is
+    reduced to pi ((k i) mod 2n) / n in integers first, so that it carries
+    one rounding and not k times that of theta_i."""
+    i = np.arange(2 * n)
+    r = np.full(2 * n, float(r0))
+    rp = np.zeros(2 * n)
+    rpp = np.zeros(2 * n)
     for k, coef in enumerate(rho):
-        r += coef * np.cos(k * theta)
-        rp -= k * coef * np.sin(k * theta)
-        rpp -= k * k * coef * np.cos(k * theta)
+        phase = np.pi * ((k * i) % (2 * n)) / n
+        r += coef * np.cos(phase)
+        rp -= k * coef * np.sin(phase)
+        rpp -= k * k * coef * np.cos(phase)
     return r, rp, rpp
 
 
 def _smooth_shape(rng, n, amplitude=0.05):
     return amplitude * rng.standard_normal(n + 1) / (1 + np.arange(n + 1)) ** 2
+
+
+def _fold_params():
+    return ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
+                       M=math.pi)
+
+
+@pytest.fixture(scope="module")
+def fold_n256(f_act, f_und):
+    """The gamma = 0.1 branch at N = 256 up to where it stops, short of its
+    fold: (the stall, the speeds whose fixed-speed solve failed)."""
+    failed = []
+    real_solve = waves.solve_at_velocity
+
+    def recording_solve(V, *args, **kwargs):
+        try:
+            return real_solve(V, *args, **kwargs)
+        except SolverError:
+            failed.append(V)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(waves, "solve_at_velocity", recording_solve)
+        with pytest.raises(ContinuationStalledError,
+                           match="unresolved shape") as info:
+            continue_branch(_fold_params(), f_act, f_und, V_max=1.3, ds=0.01,
+                            n=256)
+    return info.value, failed
+
+
+def _sample_and_project_block(rho_cos, V, chi_c, params, f_act, f_und):
+    """The rho block of ``_residual_jacobian`` as it was first assembled:
+    column j samples A cos(j theta) - B j sin(j theta) - C j^2 cos(j theta)
+    + D g_j on the 2N nodes from dense trigonometric tables, and every
+    column is projected with an FFT."""
+    n = rho_cos.size - 1
+    k = np.arange(n + 1)
+    angles = np.outer(k, waves.collocation_nodes(n))
+    cos_t, sin_t = np.cos(angles), np.sin(angles)
+    fields = waves._wave_fields(rho_cos, V, params, f_act)
+    coef_a, coef_b, coef_c, act, mass = waves._block_coefficients(
+        fields, V, chi_c, params, f_act, f_und)
+    g = cos_t @ mass / (2 * n)
+    samples = ((coef_a - coef_c * (k * k)[:, None]) * cos_t
+               - coef_b * k[:, None] * sin_t).T + np.outer(act, g)
+    return waves.project_cosine(samples)
 
 
 class TestJacobian:
@@ -267,6 +322,32 @@ class TestJacobian:
                 for eps in (1e-2, 1e-3, 1e-4)]
         orders = [math.log10(rems[i] / rems[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 64, 128, 256])
+    def test_matches_sample_and_project_assembly(self, params, f_act, f_und,
+                                                 fold_n256, n):
+        # The Toeplitz-plus-Hankel build against the dense one it replaced:
+        # at a default-branch state solved at order n, and at gamma = 0.1
+        # states near V = 1.17 (order 256, truncated to order n).
+        state = solve_at_velocity(0.3, rest_state(params, f_act, f_und, n),
+                                  params, f_act, f_und)
+        fold = fold_n256[0].points.states
+        assert fold[-3].V >= 1.16
+        cases = [(params, state.shape.rho_cos, state)]
+        cases += [(_fold_params(), s.shape.rho_cos[: n + 1], s)
+                  for s in fold[-3:]]
+        for p, rho, s in cases:
+            ref = _sample_and_project_block(rho, s.V, s.chi_c, p, f_act,
+                                            f_und)
+            got = _residual_jacobian(rho, s.V, s.p1, s.chi_c, p, f_act,
+                                     f_und)[: n + 1, : n + 1]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_grid_holds_no_dense_table(self):
+        n = 256
+        for arr in vars(waves._grid(n)).values():
+            assert arr.size <= 6 * (n + 1)
+            assert not arr.flags.writeable
 
     def test_disk_at_threshold_matches_linearization(self, params, f_act,
                                                      f_und):
@@ -315,6 +396,28 @@ class TestSolve:
         assert diag["centering_error"] <= 1e-10
         assert diag["mass_rel_error"] <= 1e-9
         assert diag["min_boundary_concentration"] > 0
+
+    def test_mass_check_pinned_to_its_dense_form(self, params, f_act, f_und,
+                                                 fold_n256):
+        # The cached 4N cosines and the broadcast radial product change no
+        # bit of the mass check against angles, cosines and np.outer made
+        # afresh.
+        state = solve_at_velocity(0.2, rest_state(params, f_act, f_und,
+                                                  N_TEST),
+                                  params, f_act, f_und)
+        fold = fold_n256[0].points.states[-1]
+        for p, s in ((params, state), (_fold_params(), fold)):
+            fine = np.linspace(0.0, 2.0 * np.pi, 4 * s.shape.N,
+                               endpoint=False)
+            radii = _radius_on_grid(s.shape.rho_cos, s.shape.R0, fine.size)
+            nodes, weights = waves._unit_radial_rule()
+            rr = np.outer(radii, nodes)
+            vals = np.exp(-p.a * s.V * np.cos(fine)[:, None] * rr) * rr
+            mass = (s.c1 * 2.0 * np.pi / fine.size
+                    * float(np.dot(radii, vals @ weights)))
+            diag = state_diagnostics(s, p, f_act, f_und)
+            assert diag["mass_rel_error"] == abs(mass - p.M) / p.M
+            assert diag == s.diagnostics
 
     def test_spectral_tail(self, params, f_act, f_und):
         root = rest_state(params, f_act, f_und, N_TEST)
@@ -445,6 +548,54 @@ class TestBranch:
         again = waves.solve_at_velocity(state.V, state, params, f_act, f_und)
         assert built == before
         assert np.array_equal(waves._pack(again), waves._pack(state))
+
+    def test_arclength_jacobian_reuses_the_residual_fields(
+            self, params, f_act, f_und, monkeypatch):
+        # In each arclength Newton iteration the Jacobian takes the fields
+        # the residual computed at the iterate and computes only those of
+        # its two V-difference points; the branch is bitwise the one built
+        # with no memo.
+        _stall_between(monkeypatch, 0.02, 0.06)
+        real_fields = waves._wave_fields
+        real_arclength = waves.arclength_continue
+        computed = 0
+        per_jacobian, per_residual = [], []
+
+        def counting_fields(*args):
+            nonlocal computed
+            computed += 1
+            return real_fields(*args)
+
+        def counted(fn, counts):
+            def wrapper(u):
+                before = computed
+                out = fn(u)
+                counts.append(computed - before)
+                return out
+            return wrapper
+
+        def watched_arclength(fun, jac, *args, **kwargs):
+            return real_arclength(counted(fun, per_residual),
+                                  counted(jac, per_jacobian), *args, **kwargs)
+
+        monkeypatch.setattr(waves, "_wave_fields", counting_fields)
+        monkeypatch.setattr(waves, "arclength_continue", watched_arclength)
+        branch = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                                 n=N_TEST)
+        assert branch.used_arclength
+        assert per_jacobian and set(per_jacobian) == {2}
+        assert set(per_residual) == {1}
+
+        def unmemoised(params, f_act):
+            return lambda rho_cos, V: real_fields(rho_cos, V, params, f_act)
+
+        monkeypatch.setattr(waves, "_fields_memo", unmemoised)
+        fresh = continue_branch(params, f_act, f_und, V_max=0.06, ds=0.02,
+                                n=N_TEST)
+        assert len(fresh.states) == len(branch.states)
+        for a, b in zip(fresh.states, branch.states):
+            assert a.V == b.V
+            assert np.array_equal(waves._pack(a), waves._pack(b))
 
     def test_arclength_states_carry_checked_diagnostics(self, params, f_act,
                                                          f_und, monkeypatch):
@@ -702,30 +853,15 @@ class TestPredictor:
                    for s in partial.states)
         assert built < 411
 
-    def test_fold_hands_over_to_arclength(self, f_act, f_und, monkeypatch):
+    def test_fold_hands_over_to_arclength(self, fold_n256):
         # At gamma = 0.1 and N = 256 the shapes stay resolved up to the
         # fold: the fixed-speed step to V = 1.18 fails once, with no
         # retry, and the arclength tail goes on from V = 1.17 until a
         # shape just short of the fold (V ~ 1.1763) fails the certificate.
-        p = ModelParams(a=0.8, gamma=0.1, chi_c=1.0, chi_u=0.25, R0=1.0,
-                        M=math.pi)
-        failed = []
-        real_solve = waves.solve_at_velocity
-
-        def recording_solve(V, *args, **kwargs):
-            try:
-                return real_solve(V, *args, **kwargs)
-            except SolverError:
-                failed.append(V)
-                raise
-
-        monkeypatch.setattr(waves, "solve_at_velocity", recording_solve)
-        with pytest.raises(ContinuationStalledError,
-                           match="unresolved shape") as info:
-            continue_branch(p, f_act, f_und, V_max=1.3, ds=0.01, n=256)
-        stop = float(str(info.value).split("V=")[1].split(":")[0])
+        stall, failed = fold_n256
+        stop = float(str(stall).split("V=")[1].split(":")[0])
         assert 1.175 <= stop <= 1.177
-        partial = info.value.points
+        partial = stall.points
         assert abs(partial.arclength_from_V - 1.17) <= 1e-12
         assert len(failed) == 1
         assert all(s.diagnostics["spectral_tail"] <= waves.TAIL_TOL
