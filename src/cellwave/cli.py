@@ -5,8 +5,9 @@ Subcommands: ``resting-state``, ``dispersion``, ``branch``, ``shape`` and
 (repr), CSV uses comma delimiters with LF line endings, JSON reports use
 sorted keys.  Identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 solver/verification failure,
-4 partial results.
+Exit codes: 0 success, 2 config error, 3 solver/verification failure
+or out of memory (one ``out of memory:`` line on stderr names the
+allocation that failed), 4 partial results.
 """
 
 from __future__ import annotations
@@ -330,6 +331,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except CellWaveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_SOLVER
     raise AssertionError("unreachable")
 

@@ -131,7 +131,8 @@ def _radius_on_grid(rho_cos: np.ndarray, R0: float, m: int) -> np.ndarray:
     so its coefficient is doubled.  At m = 2N it is the ``r`` of
     ``_boundary``, which transforms r, r' and r'' together; this one
     serves what needs the radius only: the 4N positivity check of
-    ``Shape``, the 4N mass check and the c1 quadrature.
+    ``Shape``, the 4N mass check and the c1 quadrature of
+    ``marker_normalization``.
     """
     spec = 0.5 * m * rho_cos
     spec[0] *= 2.0
@@ -251,7 +252,9 @@ def marker_normalization(shape: Shape, V: float, params: ModelParams) -> float:
 
     c_1 = M / (integral over the domain of exp(-a V x)); the radial part is
     integrated in closed form per angle and the angular part by the periodic
-    trapezoid rule on the collocation grid.
+    trapezoid rule on the collocation grid.  A branch state takes the same
+    c_1, bit for bit, from the mean radial weight of its ``_WaveFields``
+    (``_unpack``).
     """
     grid = _grid(shape.N)
     radii = _radius_on_grid(shape.rho_cos, shape.R0, grid.thetas.size)
@@ -508,10 +511,18 @@ def _pack(state: TravelingWaveState) -> np.ndarray:
     return np.concatenate([state.shape.rho_cos, [state.p1, state.chi_c]])
 
 
-def _unpack(u: np.ndarray, V: float, params: ModelParams) -> TravelingWaveState:
+def _unpack(u: np.ndarray, V: float, params: ModelParams,
+            fields: _WaveFields) -> TravelingWaveState:
+    """The state of packed unknowns u at speed V, whose ``_wave_fields``
+    are ``fields``.
+
+    c1 = M / (2 pi mean_weight) is the mass normalisation the residual
+    used at u; it equals ``marker_normalization`` of the state bit for
+    bit, since both integrate the same radius on the same nodes.
+    """
     rho_cos = np.asarray(u[:-2], dtype=float)
     shape = Shape(rho_cos, params.R0)
-    c1 = marker_normalization(shape, V, params)
+    c1 = params.M / (2.0 * np.pi * fields.mean_weight)
     return TravelingWaveState(shape=shape, V=V, p1=float(u[-2]),
                               chi_c=float(u[-1]), c1=c1)
 
@@ -558,20 +569,25 @@ def _unit_radial_rule():
 
 
 def state_diagnostics(state: TravelingWaveState, params: ModelParams,
-                      f_act: ForceLaw, f_und: ForceLaw) -> dict:
+                      f_act: ForceLaw, f_und: ForceLaw,
+                      b: _Boundary | None = None) -> dict:
     """Independent invariant checks of a traveling-wave state.
 
     The curvature-equation defect is reassembled pointwise from the
     closed-form pressure and concentration fields (not from the solver's
-    residual path); the marker mass is re-integrated with Gauss-Legendre in
-    radius on a doubled angular grid.  ``spectral_tail`` is
+    residual path) on the boundary ``b``, the ``_boundary`` of the
+    state's shape, which is evaluated here when not given; the branch
+    code passes the one its last residual evaluation computed.  The
+    marker mass is re-integrated with Gauss-Legendre in radius on a
+    doubled angular grid.  ``spectral_tail`` is
     max_{k > 3N/4} |rho_k| / max_k |rho_k| (0 for the disk): a resolved
     shape's cosine coefficients have decayed to round-off by the last
     quarter of the series.
     """
     shape = state.shape
     n = shape.N
-    b = _boundary(shape.rho_cos, shape.R0)
+    if b is None:
+        b = _boundary(shape.rho_cos, shape.R0)
     x = b.r * b.cos
     p1_phys = state.p1_physical(params, f_act)
     pressure = tw_pressure(state.V, p1_phys, (x,))
@@ -604,8 +620,16 @@ def state_diagnostics(state: TravelingWaveState, params: ModelParams,
 
 
 def _checked_state(u: np.ndarray, V: float, params: ModelParams,
-                   f_act: ForceLaw, f_und: ForceLaw) -> TravelingWaveState:
-    """The state of a converged solution, carrying its diagnostics.
+                   f_act: ForceLaw, f_und: ForceLaw,
+                   fields: _WaveFields) -> TravelingWaveState:
+    """The state of a converged solution u at speed V, carrying its
+    diagnostics.
+
+    ``fields`` are the ``_wave_fields`` of u that Newton's last residual
+    evaluation computed: c1 comes from their mean radial weight
+    (``_unpack``) and ``state_diagnostics`` reads the curvature defect
+    off their boundary, so the state costs no second boundary transform
+    or radial-weight pass.
 
     Raises
     ------
@@ -613,8 +637,8 @@ def _checked_state(u: np.ndarray, V: float, params: ModelParams,
         If the area or centering constraint is off by more than 1e-10 or
         the boundary concentration is not positive.
     """
-    state = _unpack(u, V, params)
-    diag = state_diagnostics(state, params, f_act, f_und)
+    state = _unpack(u, V, params, fields)
+    diag = state_diagnostics(state, params, f_act, f_und, fields.b)
     if diag["area_error"] > 1e-10 or diag["centering_error"] > 1e-10:
         raise SolverError(f"constraint violation at V={V:g}: {diag}")
     if diag["min_boundary_concentration"] <= 0.0:
@@ -647,8 +671,10 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
     Newton uses the analytic Jacobian ``_residual_jacobian``, built from the
     boundary fields the residual has just computed at the same iterate,
     one per Newton step: a guess that already solves the system builds
-    none.  The state carries its ``state_diagnostics``, spectral tail
-    included; this function does not compare the tail with ``TAIL_TOL``.
+    none.  The state is built from the fields of the last residual
+    evaluation, at the returned iterate (``_checked_state``), and carries
+    its ``state_diagnostics``, spectral tail included; this function does
+    not compare the tail with ``TAIL_TOL``.
 
     Parameters
     ----------
@@ -689,7 +715,7 @@ def solve_at_velocity(V: float, guess: TravelingWaveState | np.ndarray,
     except NewtonConvergenceError as exc:
         raise SolverError(
             f"traveling-wave solve failed at V={V:g}: {exc}") from exc
-    return _checked_state(sol, V, params, f_act, f_und)
+    return _checked_state(sol, V, params, f_act, f_und, fields(sol[:-2], V))
 
 
 def _predict(history, V: float) -> np.ndarray:
@@ -769,8 +795,10 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     reaches V_max (a step that overshoots lands on V_max with a
     fixed-speed solve).  Its Jacobian is the analytic (rho, p1, chi_c)
     block, built from the fields the residual computed at the same
-    iterate, plus a central difference in V.  The only retry is the
-    corrector's, which halves its step down to ds/64.
+    iterate, plus a central difference in V; the accepted point is built
+    from the fields of the corrector's last residual evaluation, as a
+    fixed-speed state is.  The only retry is the corrector's, which halves
+    its step down to ds/64.
 
     Every accepted state, of either kind, must pass the resolution
     certificate (spectral tail at most ``TAIL_TOL``); the first one that
@@ -840,8 +868,9 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                 state = solve_at_velocity(V_max, new[:-1], params, f_act,
                                           f_und, tol=tol)
             else:
-                state = _checked_state(new[:-1], float(new[-1]), params,
-                                       f_act, f_und)
+                V = float(new[-1])
+                state = _checked_state(new[:-1], V, params, f_act, f_und,
+                                       fields(new[:-3], V))
         tail = state.diagnostics["spectral_tail"]
         if tail > TAIL_TOL:
             raise ContinuationStalledError(

@@ -531,6 +531,25 @@ class TestShapeCommand:
             assert not (out / "shape.csv").exists()
 
 
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # An allocation the machine cannot make (analysis.N = 100000 asks
+    # 74.5 GiB of the branch Jacobian) is a solver failure named on one
+    # stderr line, not a traceback.
+    message = ("Unable to allocate 74.5 GiB for an array with shape "
+               "(100003, 100003) and data type float64")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "continue_branch", exhausted)
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["branch", "-c", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"out of memory: {message}\n"
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out" / "branch.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["resting-state"],
                                      ["shape", "--velocity", "0.04"]])
 def test_reruns_byte_identical(tmp_path, command):

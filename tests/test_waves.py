@@ -419,6 +419,30 @@ class TestSolve:
             assert diag["mass_rel_error"] == abs(mass - p.M) / p.M
             assert diag == s.diagnostics
 
+    def test_converged_guess_transforms_once(self, params, f_act, f_und,
+                                             monkeypatch):
+        # From a guess that already solves the system, the residual's
+        # fields build the state: one boundary transform and one
+        # radial-weight pass, plus the 4N radii of the positivity and mass
+        # checks.  The state is the guess, bit for bit.
+        state = solve_at_velocity(0.2, rest_state(params, f_act, f_und,
+                                                  N_TEST),
+                                  params, f_act, f_und)
+        calls = dict.fromkeys(("_boundary", "_radial_weight",
+                               "_radius_on_grid"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(waves, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(waves, name, counting)
+        again = solve_at_velocity(0.2, state, params, f_act, f_und)
+        assert calls == {"_boundary": 1, "_radial_weight": 1,
+                         "_radius_on_grid": 2}
+        assert again.V == state.V
+        assert np.array_equal(waves._pack(again), waves._pack(state))
+        assert again.c1 == state.c1
+        assert again.diagnostics == state.diagnostics
+
     def test_spectral_tail(self, params, f_act, f_und):
         root = rest_state(params, f_act, f_und, N_TEST)
         assert root.diagnostics["spectral_tail"] == 0.0
@@ -487,6 +511,18 @@ class TestBranch:
             # cos(theta) mode pinned to zero by the centering constraint
             assert abs(state.shape.rho_cos[2]) > 1e-10
             assert abs(state.shape.rho_cos[1]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_states_match_a_fresh_build(self, params, f_act, f_und, n):
+        # The default branch, V up to 0.3 in steps of 0.01.
+        branch = continue_branch(params, f_act, f_und, V_max=0.3, ds=0.01,
+                                 n=n)
+        _assert_built_afresh(branch.states, params, f_act, f_und)
+
+    def test_fold_states_match_a_fresh_build(self, f_act, f_und, fold_n256):
+        states = fold_n256[0].points.states
+        assert any(s.V > 1.17 for s in states)      # an arclength state
+        _assert_built_afresh(states, _fold_params(), f_act, f_und)
 
     def test_spectral_convergence(self, params, f_act, f_und):
         b32 = continue_branch(params, f_act, f_und, V_max=0.05, ds=0.01, n=32)
@@ -711,6 +747,16 @@ class TestBranch:
                                  n=N_TEST)
         assert branch.velocities().tolist() == [0.0, 1e-13]
         assert not branch.used_arclength
+
+
+def _assert_built_afresh(states, params, f_act, f_und):
+    """Each state's c1 and diagnostics, which the branch took from the
+    fields of its last residual evaluation, equal those computed from the
+    state alone, bit for bit."""
+    for state in states:
+        assert state.c1 == marker_normalization(state.shape, state.V, params)
+        assert state.diagnostics == state_diagnostics(state, params, f_act,
+                                                      f_und)
 
 
 def _stall_between(monkeypatch, V_from, V_to):
