@@ -1,11 +1,12 @@
 """Damped Newton, complex root search and pseudo-arclength continuation.
 
 ``newton_solve`` solves real vector systems.  The root search's complex
-Newton rule is written once, ``_newton_rule``, and driven two ways: one run
-at a time by ``_complex_newton`` (one spectrum, a warm start), or every seed
-start of a sweep in lockstep by ``_lockstep_newton``, one array evaluation
-per round.  ``find_complex_roots`` screens the seed grid (``_seed_starts``),
-runs Newton from each start and keeps the roots (``_accept_roots``).
+Newton rule is written once, ``_newton_rule``, and driven one run at a time
+by ``_complex_newton`` or many in lockstep by ``_lockstep_newton``, one
+array evaluation per round.  A search screens the seed grid
+(``_seed_starts``), runs a driver from each start and keeps the roots
+(``_accept_roots``); ``stability.mode_spectra`` picks the driver by the
+start count.
 ``arclength_continue`` takes one pseudo-arclength step; the branch loop
 (``waves.continue_branch``) keeps the secant.
 """
@@ -239,8 +240,8 @@ def find_complex_roots(evaluate, fun_grid, region, seeds, *,
     grid, to |f| <= ROOT_TOL * scale.  ``_accept_roots`` then keeps the end
     points with |f| <= RESIDUAL_TOL * scale there, deduplicated (pairwise
     distance > DEDUP_TOL, the smaller residual kept), inside the region
-    enlarged by a 2% margin on each side.  A sweep over many functions
-    runs the same three steps with ``_lockstep_newton`` in the middle.
+    enlarged by a 2% margin on each side.  ``stability.mode_spectra``
+    runs the same three steps on the dispersion kernel.
 
     Parameters
     ----------

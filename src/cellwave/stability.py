@@ -7,6 +7,9 @@ with its structural zero at the origin factored out and written in terms of
 even Bessel ratios, which makes it entire in the growth rate and removes the
 square-root branch entirely.  The literal H_m (principal square root) is
 kept as an independent test reference in ``tests/dispersion_reference.py``.
+``mode_spectra`` is the one spectrum routine (``mode_spectrum`` is its
+one-job case): seed screen, Newton from every start, one at a time or in
+lockstep by the start count, then the roots it keeps.
 The structural zero modes (translation and the two mass/concentration
 neutral modes) are counted by ``zero_eigenspace_dimension`` from the
 lambda = 0 constraint rows.
@@ -29,7 +32,6 @@ from .solvers import (
     _complex_newton,
     _lockstep_newton,
     _seed_starts,
-    find_complex_roots,
 )
 
 #: A warm-started Newton within this residual skips the full spectrum.
@@ -37,6 +39,11 @@ WARM_TOL = 1e-11
 
 #: Re(lambda) above this counts as unstable.
 CLASSIFY_TOL = 1e-9
+
+#: A sweep of at least this many seed starts runs them in lockstep; fewer
+#: run one at a time, which is faster there (the two drivers cost the same
+#: near 24 starts of the default sweep, measured on 2 cores).
+LOCKSTEP_MIN_STARTS = 24
 
 #: (nx, ny) resolution of the root search's seed grid.
 DEFAULT_SEEDS = (40, 20)
@@ -63,19 +70,9 @@ def _mode_constants(m: int, params: ModelParams, f_act: ForceLaw,
     return coef_c, b_m, d_m
 
 
-def _kernel_closures(m, params, f_act, f_und):
-    """Mode-m kernel as values over the seed grid, and as
-    (value, scale, slope) for Newton."""
-    coef_c, b_m, d_m = _mode_constants(m, params, f_act, f_und)
-    r0 = params.R0
-
-    def kernel(z):
-        return _kernels.phi_mode_slope(m, complex(z), r0, coef_c, b_m, d_m)
-
-    def fun_grid(zs):
-        return _kernels.phi_mode_grid(m, zs, r0, coef_c, b_m, d_m)[0]
-
-    return fun_grid, kernel
+def _slope_kernel(m, r0, *consts):
+    """z -> (value, scale, slope) of the mode-m kernel at one point."""
+    return lambda z: _kernels.phi_mode_slope(m, complex(z), r0, *consts)
 
 
 @dataclass(frozen=True)
@@ -109,39 +106,28 @@ def _spectrum(m, found) -> ModeSpectrum:
 
 def mode_spectrum(m: int, params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                   region=None, seeds=DEFAULT_SEEDS) -> ModeSpectrum:
-    """Locate the nonzero growth rates of mode m inside a rectangle.
-
-    Roots are found by ``find_complex_roots`` on the branch-free
-    dispersion kernel: one Newton run from each seed start, to ROOT_TOL of
-    the kernel's own scale (the largest additive term), each returned root
-    passing |kernel| <= RESIDUAL_TOL * scale inside the rectangle.  The
-    kernel has real coefficients, so the search runs with
-    ``conjugate=True`` (on a symmetric rectangle it screens the upper half
-    only), and the roots off the real axis come out in exact conjugate
-    pairs.  ``residuals[i]`` is |value| / max(scale, 1e-300) of the
-    kernel at ``roots[i]``, as its Newton run computed it.
-
-    This is the entry point for one spectrum: its one to three Newton runs
-    go one point at a time.  ``mode_spectra`` finds many spectra at once.
-    """
-    if region is None:
-        region = default_root_region(params)
-    fun_grid, kernel = _kernel_closures(m, params, f_act, f_und)
-    return _spectrum(m, find_complex_roots(kernel, fun_grid, region, seeds,
-                                           conjugate=True))
+    """Locate the nonzero growth rates of mode m inside a rectangle:
+    ``mode_spectra`` of the one job (m, params, f_act, f_und)."""
+    return mode_spectra([(m, params, f_act, f_und)], region, seeds)[0]
 
 
 def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
-    """``mode_spectrum`` of every (m, params, f_act, f_und) job of a sweep.
+    """Nonzero growth rates of every (m, params, f_act, f_und) job of a sweep.
 
-    Each job's seed grid is screened in turn exactly as ``mode_spectrum``
-    screens it, so its Newton starts are the same; then one
-    ``_lockstep_newton`` runs every start of every job together, each
-    round evaluating all live points in one ``_kernels.phi_mode_slope_points``
-    call.  Each start's kernel chain is its own, so a spectrum does not
-    depend on the jobs it shares the sweep with; its roots agree with
-    ``mode_spectrum``'s to rounding, and its residuals are those of the
-    array kernel.  ``region=None`` takes each job's default rectangle.
+    Each job's seed grid is screened (``_seed_starts``) on the branch-free
+    dispersion kernel with ``conjugate=True`` (its coefficients are real;
+    a symmetric rectangle is screened in its upper half only).  Newton
+    runs from every start to ROOT_TOL of the kernel's own scale (its
+    largest additive term): one start at a time on ``phi_mode_slope`` if
+    the sweep has fewer than ``LOCKSTEP_MIN_STARTS`` starts, else all in
+    ``_lockstep_newton``, one ``phi_mode_slope_points`` call per round.
+    ``_accept_roots`` keeps each job's end points with |kernel| <=
+    RESIDUAL_TOL * scale inside its rectangle, roots off the real axis in
+    exact conjugate pairs; ``residuals[i]`` is |value| / max(scale,
+    1e-300) at ``roots[i]``, as its Newton run computed it.  Under one
+    driver a spectrum does not depend on the other jobs of its sweep (each
+    start's kernel chain is its own); across the two its roots agree to
+    rounding.  ``region=None`` takes each job's default rectangle.
 
     Raises
     ------
@@ -161,14 +147,15 @@ def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
         spans.append((len(starts), len(starts) + job_starts.size))
         starts += job_starts.tolist()
         kernel_args += [(m, params.R0, *consts)] * job_starts.size
-    ms, r0s, coef_cs, b_ms, d_ms = np.array(kernel_args).reshape(-1, 5).T
-    ms = ms.astype(int)
-
-    def evaluate(live, zs):
-        return _kernels.phi_mode_slope_points(
-            ms[live], zs, r0s[live], coef_cs[live], b_ms[live], d_ms[live])
-
-    ends = _lockstep_newton(evaluate, starts, ROOT_TOL)
+    if len(starts) < LOCKSTEP_MIN_STARTS:
+        ends = [_complex_newton(_slope_kernel(*args), z0, ROOT_TOL)
+                for z0, args in zip(starts, kernel_args)]
+    else:
+        ms, *cols = np.array(kernel_args).reshape(-1, 5).T
+        ms = ms.astype(int)
+        ends = _lockstep_newton(
+            lambda live, zs: _kernels.phi_mode_slope_points(
+                ms[live], zs, *(col[live] for col in cols)), starts, ROOT_TOL)
     return [_spectrum(m, _accept_roots(ends[a:b], job_region, conjugate=True))
             for (m, job_region), (a, b) in zip(regions, spans)]
 
@@ -217,7 +204,8 @@ def zero_eigenspace_dimension(m: int, params: ModelParams, f_act: ForceLaw,
 def _principal_root(params, f_act, f_und, warm=None):
     """Principal root of mode 1, warm-started when a previous root is known."""
     if warm is not None:
-        _, kernel = _kernel_closures(1, params, f_act, f_und)
+        kernel = _slope_kernel(1, params.R0,
+                               *_mode_constants(1, params, f_act, f_und))
         z, rel = _complex_newton(kernel, warm, ROOT_TOL)
         if rel <= WARM_TOL:
             return z

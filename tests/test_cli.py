@@ -162,6 +162,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err == "config error: config root must be an object\n"
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"model": "\xff\xfe"}')
+        assert main(["resting-state", "-c", str(path), "-o",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_set_override(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -548,6 +563,26 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert captured.err == f"out of memory: {message}\n"
     assert "Traceback" not in captured.err + captured.out
     assert not (tmp_path / "out" / "branch.csv").exists()
+
+
+def test_parser_reused_without_leaking_overrides(tmp_path, monkeypatch):
+    # main builds its parser once per process; an override given to one
+    # call does not reach the next, whose report matches a run made
+    # before any override.
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    path = write_config(tmp_path, base_config(tmp_path / "unused"))
+    assert main(["resting-state", "-c", path, "-o",
+                 str(tmp_path / "before")]) == 0
+    assert main(["resting-state", "-c", path, "-o", str(tmp_path / "set"),
+                 "--set", "analysis.mode_max=2",
+                 "--set", "model.chi_c=2.5"]) == 0
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["resting-state", "-c", path, "-o",
+                 str(tmp_path / "after")]) == 0
+    report = lambda name: (tmp_path / name / "resting_state.json").read_bytes()
+    assert report("before") == report("after") != report("set")
 
 
 @pytest.mark.parametrize("command", [["resting-state"],

@@ -22,7 +22,7 @@ from cellwave import (
     zero_eigenspace_dimension,
 )
 from cellwave import _kernels, solvers, stability
-from cellwave.acceptance import _sample_params
+from cellwave.acceptance import J1_ZEROS, _sample_params
 from cellwave.cli import main
 from cellwave.config import load_config
 from cellwave.solvers import (
@@ -34,7 +34,7 @@ from cellwave.solvers import (
 from cellwave.stability import (
     DEFAULT_SEEDS,
     _mode_constants,
-    _kernel_closures,
+    _spectrum,
     _zero_constraint_matrix,
     default_root_region,
 )
@@ -56,6 +56,20 @@ def _random_params(rng, f_act, chi_factor=None):
         star = chi_c_star(p, f_act, linear_undercooling())
         p = p.with_chi_c(chi_factor * star)
     return p
+
+
+def _mode_kernels(m, params, f_act, f_und):
+    """Mode-m kernel as values over the seed grid, and as
+    (value, scale, slope) at one point."""
+    consts = _mode_constants(m, params, f_act, f_und)
+
+    def fun_grid(zs):
+        return _kernels.phi_mode_grid(m, zs, params.R0, *consts)[0]
+
+    def kernel(z):
+        return _kernels.phi_mode_slope(m, complex(z), params.R0, *consts)
+
+    return fun_grid, kernel
 
 
 def _subcritical_draws(seed):
@@ -484,6 +498,39 @@ class TestModeSpectrum:
         assert min(abs(z - root) for z in spec.roots) <= 1e-12 * abs(root)
 
 
+class TestOnePath:
+    """``mode_spectrum`` is ``mode_spectra`` of one job, and that is the
+    full root search on the scalar kernel, bit for bit."""
+
+    @staticmethod
+    def _full_search(m, p, f_act, f_und, region):
+        fun_grid, kernel = _mode_kernels(m, p, f_act, f_und)
+        return _spectrum(m, find_complex_roots(kernel, fun_grid, region,
+                                               DEFAULT_SEEDS, conjugate=True))
+
+    def test_default_sweep_matches_the_full_search(self):
+        cfg = load_config(DEFAULT_CONFIG)
+        jobs = _default_sweep_jobs(cfg)
+        assert len(jobs) == 117
+        for m, p, f_act, f_und in jobs:
+            assert (repr(mode_spectrum(m, p, f_act, f_und))
+                    == repr(self._full_search(m, p, f_act, f_und,
+                                              default_root_region(p))))
+
+    def test_criterion2_rectangle_matches_the_full_search(self):
+        cfg = load_config(DEFAULT_CONFIG)
+        r0, x = cfg.params.R0, float(J1_ZEROS[3])
+        region = (1.05 * (-(x * x) / (r0 * r0)), 0.5 / r0 ** 2, -2.0, 2.0)
+        located = 0
+        for m in range(9):
+            spec = mode_spectrum(m, cfg.params, cfg.f_act, cfg.f_und,
+                                 region=region)
+            assert repr(spec) == repr(self._full_search(
+                m, cfg.params, cfg.f_act, cfg.f_und, region))
+            located += len(spec.roots)
+        assert located >= 4
+
+
 class TestHalfPlaneScreen:
     """On a symmetric rectangle the screen reads Im z >= 0 only."""
 
@@ -508,7 +555,7 @@ class TestHalfPlaneScreen:
                                          (2, 0), (3, 1), (5, 2)])
     def test_full_screen_roots_found(self, params, f_act, f_und, m, draw):
         p = params if draw is None else list(self._criterion4_draws())[draw]
-        fun_grid, kernel = _kernel_closures(m, p, f_act, f_und)
+        fun_grid, kernel = _mode_kernels(m, p, f_act, f_und)
         region = default_root_region(p)
         full = find_complex_roots(kernel, fun_grid, region, DEFAULT_SEEDS)
         half = find_complex_roots(kernel, fun_grid, region, DEFAULT_SEEDS,
@@ -524,7 +571,7 @@ class TestHalfPlaneScreen:
     def test_asymmetric_region_screens_whole_grid(self, params, f_act,
                                                   f_und, j1_roots):
         region = (-1.05 * j1_roots[3] ** 2, 0.5, -1.0, 2.0)
-        fun_grid, kernel = _kernel_closures(0, params, f_act, f_und)
+        fun_grid, kernel = _mode_kernels(0, params, f_act, f_und)
         seen = []
         fun_grid_log = lambda zs: seen.append(zs.size) or fun_grid(zs)
         find_complex_roots(kernel, fun_grid_log, region, DEFAULT_SEEDS,
@@ -562,33 +609,39 @@ class TestLockstepSweep:
     @staticmethod
     def _both_drives(jobs, monkeypatch):
         """Per job: its starts and end points under the one-point drive
-        (``mode_spectrum``) and under the lockstep (``mode_spectra``), and
-        the two spectra lists."""
-        single = []
+        and under the lockstep, each forced through
+        ``LOCKSTEP_MIN_STARTS``, and the two spectra lists."""
+        counts, single, locked = [], [], []
+
+        def seed_starts(*args, **kwargs):
+            starts = solvers._seed_starts(*args, **kwargs)
+            counts.append(starts.size)
+            return starts
 
         def one_point(evaluate, z0, tol):
             end = _complex_newton(evaluate, z0, tol)
             single.append((complex(z0), end))
             return end
 
-        locked = []
-
         def lockstep(evaluate, starts, tol):
             ends = solvers._lockstep_newton(evaluate, starts, tol)
             locked.append((list(starts), ends))
             return ends
 
-        monkeypatch.setattr(solvers, "_complex_newton", one_point)
-        counts, one = [], []
-        for job in jobs:
-            one.append(mode_spectrum(*job))
-            counts.append(len(single) - sum(counts))
+        monkeypatch.setattr(stability, "_seed_starts", seed_starts)
+        monkeypatch.setattr(stability, "_complex_newton", one_point)
         monkeypatch.setattr(stability, "_lockstep_newton", lockstep)
+        monkeypatch.setattr(stability, "LOCKSTEP_MIN_STARTS", 10 ** 9)
+        one = mode_spectra(jobs)
+        assert not locked
+        monkeypatch.setattr(stability, "LOCKSTEP_MIN_STARTS", 0)
         sweep = mode_spectra(jobs)
         assert len(locked) == 1
+        counts = counts[:len(jobs)]
+        assert len(single) == sum(counts)
         starts, ends = locked[0]
         # The screen is the same: the lockstep starts are bitwise the ones
-        # find_complex_roots ran Newton from, job by job.
+        # the one-point drive ran Newton from.
         assert (np.array(starts).tobytes()
                 == np.array([z0 for z0, _ in single]).tobytes())
         pairs = list(zip(starts, ends))
@@ -632,31 +685,62 @@ class TestLockstepSweep:
 
     def test_spectrum_independent_of_its_sweep(self, tmp_path):
         # Each start runs its own kernel chain, so the m <= 2 spectra of a
-        # mode_max = 2 sweep are those of the mode_max = 8 sweep.
+        # mode_max = 2 sweep are those of the mode_max = 8 sweep; a sweep
+        # of four spectra, below the lockstep crossover, runs the scalar
+        # kernel and agrees with them to rounding.
         rows = {}
-        for mode_max in (2, 8):
-            out = tmp_path / f"m{mode_max}"
-            assert main(["dispersion", "-c", str(DEFAULT_CONFIG), "-o",
-                         str(out), "--set",
-                         f"analysis.mode_max={mode_max}"]) == 0
+        for name, sets in (("m2", ["analysis.mode_max=2"]),
+                           ("m8", ["analysis.mode_max=8"]),
+                           ("small", ["analysis.mode_max=1",
+                                      "analysis.chi_c_grid=[0.5, 1.0]"])):
+            out = tmp_path / name
+            argv = ["dispersion", "-c", str(DEFAULT_CONFIG), "-o", str(out)]
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 0
             lines = (out / "dispersion.csv").read_text().splitlines()[1:]
-            rows[mode_max] = [line.split(",") for line in lines
-                              if int(line.split(",")[0]) <= 2]
-        assert len(rows[2]) == len(rows[8]) > 0
-        for a, b in zip(rows[2], rows[8]):
-            assert a[:2] == b[:2] and a[4] == b[4]
-            za = complex(float(a[2]), float(a[3]))
-            zb = complex(float(b[2]), float(b[3]))
-            assert abs(za - zb) <= 1e-13 * abs(za)
+            rows[name] = [line.split(",") for line in lines]
+        asked = {"m2": lambda m, chi_c: m <= 2,
+                 "small": lambda m, chi_c: m <= 1 and chi_c in (0.5, 1.0)}
+        for name, wanted in asked.items():
+            ref = [b for b in rows["m8"] if wanted(int(b[0]), float(b[1]))]
+            assert len(rows[name]) == len(ref) > 0
+            for a, b in zip(rows[name], ref):
+                assert a[:2] == b[:2] and a[4] == b[4]
+                za = complex(float(a[2]), float(a[3]))
+                zb = complex(float(b[2]), float(b[3]))
+                assert abs(za - zb) <= 1e-13 * abs(za)
 
-    @pytest.mark.parametrize("modes", [(141,), (148,), (141, 148), (1, 148)])
+    @pytest.mark.parametrize("modes,min_starts", [
+        pytest.param(modes, min_starts, id=f"{prefix}modes{i}")
+        for prefix, min_starts in (("", 0), ("one-point-", 10 ** 9))
+        for i, modes in enumerate([(141,), (148,), (141, 148), (1, 148)])])
     def test_mode_beyond_double_range_raises(self, params, f_act, f_und,
-                                             modes):
+                                             modes, min_starts, monkeypatch):
+        monkeypatch.setattr(stability, "LOCKSTEP_MIN_STARTS", min_starts)
         with pytest.raises(AccuracyError, match="double range"):
             mode_spectra([(m, params, f_act, f_und) for m in modes])
 
     def test_empty_sweep(self):
         assert mode_spectra([]) == []
+
+    def test_driver_follows_the_start_count(self, monkeypatch):
+        # classify's 18 starts run on the scalar kernel, and the default
+        # dispersion sweep's 234 on the array kernel.
+        calls = {"phi_mode_slope": 0, "phi_mode_slope_points": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fun=getattr(_kernels, name)):
+                calls[_name] += 1
+                return _fun(*args)
+            monkeypatch.setattr(_kernels, name, counted)
+        cfg = load_config(DEFAULT_CONFIG)
+        classify(cfg.params, cfg.f_act, cfg.f_und)
+        assert calls["phi_mode_slope_points"] == 0
+        assert calls["phi_mode_slope"] > 0
+        calls["phi_mode_slope"] = 0
+        mode_spectra(_default_sweep_jobs(cfg))
+        assert calls["phi_mode_slope"] == 0
+        assert calls["phi_mode_slope_points"] > 0
 
 
 class TestZeroModes:
