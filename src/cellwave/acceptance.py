@@ -340,13 +340,14 @@ def criterion_linearization(config) -> CriterionResult:
     d_rho = np.array(rng.box_muller(n + 1)) / (1.0 + np.arange(n + 1)) ** 2
     d_v, d_p = 0.7, 0.3
     chi = 1.3
+    amps = np.array([[1e-2], [1e-3], [1e-4]])
+    full = _residual_vector(amps * d_rho, amps * d_v, amps * d_p, chi,
+                            params, config.f_act, config.f_und)
     rems = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        full = _residual_vector(eps * d_rho, eps * d_v, eps * d_p, chi,
-                                params, config.f_act, config.f_und)
+    for eps, row in zip(amps[:, 0], full):
         lin = linearized_residual(eps * d_rho, eps * d_v, eps * d_p, chi,
                                   params, config.f_act, config.f_und)
-        rems.append(float(np.max(np.abs(full - lin))))
+        rems.append(float(np.max(np.abs(row - lin))))
     orders = [math.log10(rems[i] / rems[i + 1]) for i in range(2)]
     return CriterionResult(8, "quadratic Taylor remainder of the residual",
                            min(orders) >= 1.9,

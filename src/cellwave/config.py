@@ -2,9 +2,10 @@
 
 A run is described by a single JSON file with four sections: ``model``,
 ``force_laws``, ``analysis`` and ``output``.  Unknown keys anywhere are
-rejected with their full path, tolerances must be positive and grids
-monotone.  Individual keys can be overridden from the command line with
-``--set section.key=value``.
+rejected with their full path, tolerances must be positive, grids
+monotone, and ``analysis.ds`` no smaller than the spacing of doubles at
+``analysis.V_max``.  Individual keys can be overridden from the command
+line with ``--set section.key=value``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ def validate_config(data: dict) -> RunConfig:
         if val <= 0:
             raise ConfigError(f"analysis.{key} must be positive, got {val!r}")
         analysis[key] = val
+    if analysis["V_max"] + analysis["ds"] == analysis["V_max"]:
+        # No step of ds moves a speed near V_max: the branch's
+        # round(V_max/ds) fixed-speed targets could never be laid out.
+        raise ConfigError(
+            f"analysis.ds={analysis['ds']!r} is below the spacing of doubles "
+            f"at analysis.V_max={analysis['V_max']!r}")
     for key, minimum in (("mode_min", 0), ("mode_max", analysis["mode_min"]),
                          ("N", 4), ("seed", 0)):
         _require_int(f"analysis.{key}", analysis[key], minimum)

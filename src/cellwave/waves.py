@@ -53,6 +53,15 @@ TAIL_TOL = 1e-8
 #: (three: a quadratic).
 PREDICTOR_POINTS = 3
 
+#: Columns of ``bifurcation_jacobian`` per stacked residual call, each
+#: with its +h and -h point (8 columns, 16 states).  Measured on 2 cores
+#: at N = 64: 4, 8, 16 and 32 columns take about 2.7, 1.8, 1.5 and 1.3 ms,
+#: against 11 ms one state at a time; their transient arrays (tracemalloc
+#: peak 0.18, 0.32, 0.60 and 1.16 MB) leave the peak RSS of repeated
+#: ``verify`` passes where it was up to 8 columns and raise it by about
+#: 0.3 and 0.7 MB at 16 and 32.
+JACOBIAN_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class _Grid:
@@ -112,14 +121,15 @@ def collocation_nodes(n: int) -> np.ndarray:
 def project_cosine(values: np.ndarray) -> np.ndarray:
     """Cosine-series coefficients 0..n of samples at the 2n collocation nodes.
 
-    Projects along the first axis, so each column of a 2-D array of samples
-    is projected separately.
+    Projects along the last axis, so each row of a stack of samples is
+    projected separately, bit for bit as it would be alone.
     """
-    nc = values.shape[0]
-    spec = np.fft.rfft(values, axis=0)
+    nc = values.shape[-1]
+    spec = np.fft.rfft(values)
     coeffs = 2.0 * spec.real / nc
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5          # Nyquist mode carries half weight
+    modes = coeffs.T           # mode first, for any number of axes
+    modes[0] *= 0.5
+    modes[-1] *= 0.5           # Nyquist mode carries half weight
     return coeffs
 
 
@@ -168,11 +178,13 @@ def _boundary(rho_cos: np.ndarray, R0: float) -> _Boundary:
     The one evaluator of the cosine series and its derivatives on the
     collocation nodes: every reader of boundary geometry calls it.  rho,
     rho' and rho'' come from one inverse real FFT of the series times the
-    cached multipliers of ``_grid``.
+    cached multipliers of ``_grid``.  A stack of series (k x (N+1)) gives
+    k x 2N fields, one row per series.
     """
-    n = rho_cos.size - 1
+    n = rho_cos.shape[-1] - 1
     grid = _grid(n)
-    rho, rp, rpp = np.fft.irfft(grid.series * rho_cos, n=2 * n)
+    rho, rp, rpp = np.fft.irfft(grid.series * rho_cos[..., None, :],
+                                n=2 * n).swapaxes(0, -2)
     r = R0 + rho
     q = r * r + rp * rp
     return _Boundary(
@@ -240,10 +252,11 @@ def _radial_weight(s, radii):
     small = np.abs(x) < 0.05
     safe = np.where(small, 1.0, x)
     closed = (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe)
-    series = np.full_like(x, _RADIAL_SERIES[0])
-    for coef in _RADIAL_SERIES[1:]:
-        series *= x
+    series = _RADIAL_SERIES[0] * x
+    for coef in _RADIAL_SERIES[1:-1]:
         series += coef
+        series *= x
+    series += _RADIAL_SERIES[-1]
     return np.square(radii) * np.where(small, series, closed)
 
 
@@ -302,17 +315,23 @@ def rest_state(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                                                        f_und))
 
 
-def _area_centering(rho_cos: np.ndarray, R0: float) -> tuple[float, float]:
-    """Exact fixed-area and centering functionals of the cosine series.
+def _area_centering(rho_cos: np.ndarray, R0: float):
+    """Exact fixed-area and centering functionals of the cosine series, one
+    pair per row of a stack.
 
     int (r^2 - R0^2) dtheta = 4 pi R0 rho_0 + 2 pi rho_0^2 + pi sum_{k>=1} rho_k^2
     int rho cos(theta) dtheta = pi rho_1
+
+    rho_0^2 is C ``pow``, which ``float_power`` calls on each element and
+    the scalar ``**`` of a single series calls too; numpy's array ``**``
+    squares by multiplication instead, which differs in the last bit for
+    about one value in a thousand.
     """
-    area = (4.0 * np.pi * R0 * rho_cos[0]
-            + 2.0 * np.pi * rho_cos[0] ** 2
-            + np.pi * float(np.sum(rho_cos[1:] ** 2)))
-    centering = np.pi * rho_cos[1]
-    return area, centering
+    modes = rho_cos.T          # mode first, for any number of axes
+    area = (4.0 * np.pi * R0 * modes[0]
+            + 2.0 * np.pi * np.float_power(modes[0], 2)
+            + np.pi * (rho_cos[..., 1:] ** 2).sum(axis=-1))
+    return area, np.pi * modes[1]
 
 
 @dataclass(frozen=True)
@@ -321,27 +340,31 @@ class _WaveFields:
     its Jacobian both read: the geometry ``b``, the exponent rates
     s = -a V cos(theta), exp(s r), the mean radial weight, the boundary
     concentration c1 exp(s r) with its mass normalisation c1, and ``act``
-    = f_act at that concentration."""
+    = f_act at that concentration.  Of a stack, each field has one row,
+    and ``mean_weight`` one entry, per state."""
 
     b: _Boundary
     s: np.ndarray
     growth: np.ndarray
-    mean_weight: float
+    mean_weight: float | np.ndarray
     c_bnd: np.ndarray
     act: np.ndarray
 
 
 def _wave_fields(rho_cos, V, params: ModelParams,
                  f_act: ForceLaw) -> _WaveFields | None:
-    """The ``_WaveFields`` of (rho_cos, V); None for a degenerate shape,
-    one whose radius falls to 1e-9 R0 or below at a collocation node."""
+    """The ``_WaveFields`` of (rho_cos, V), one state or a stack of them
+    (see ``_residual_vector``); None for a degenerate shape, one whose
+    radius falls to 1e-9 R0 or below at a collocation node, and for a
+    stack that holds one."""
     b = _boundary(rho_cos, params.R0)
-    if np.min(b.r) <= 1e-9 * params.R0:
+    if (b.r.min(axis=-1) <= 1e-9 * params.R0).any():
         return None
     s = -params.a * V * b.cos
     growth = np.exp(s * b.r)
-    mean_weight = float(np.mean(_radial_weight(s, b.r)))
-    c_bnd = params.M / (2.0 * np.pi * mean_weight) * growth
+    weight = _radial_weight(s, b.r)
+    mean_weight = weight.sum(axis=-1) / weight.shape[-1]
+    c_bnd = (params.M / (2.0 * np.pi * mean_weight))[..., None] * growth
     return _WaveFields(b, s, growth, mean_weight, c_bnd,
                        np.asarray(f_act.eval(c_bnd)))
 
@@ -350,16 +373,29 @@ def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und,
                      fields=None):
     """Discretised boundary residual: cosine modes 0..N, then area, centering.
 
+    One state, or a stack of k states: ``rho_cos`` k x (N+1), one series
+    per row, and ``V``, ``p1`` and ``chi_c`` each a scalar or a k x 1
+    column; it returns k x (N+3), one residual per row.  A stack runs the
+    code of one state, every step acting row by row along the last axis,
+    so each row equals its state's residual bit for bit.
+
     ``fields`` are the ``_wave_fields`` of (rho_cos, V) when the caller
-    already has them; they are computed here otherwise.
+    already has them; they are computed here otherwise.  A degenerate
+    shape's residual is 1e6 in every entry; a stack that holds one is
+    evaluated row by row, so that only its own row is.
     """
-    n = rho_cos.size - 1
+    n = rho_cos.shape[-1] - 1
     if fields is None:
         fields = _wave_fields(rho_cos, V, params, f_act)
     if fields is None:
-        # Degenerate trial shape inside a Newton line search: hand back a
-        # large residual so the step is rejected instead of raising.
-        return np.full(n + 3, 1e6)
+        if rho_cos.ndim == 1:
+            # Degenerate trial shape inside a Newton line search: hand back
+            # a large residual so the step is rejected instead of raising.
+            return np.full(n + 3, 1e6)
+        rows = (np.broadcast_to(x, (len(rho_cos), 1))[:, 0]
+                for x in (V, p1, chi_c))
+        return np.array([_residual_vector(*row, params, f_act, f_und)
+                         for row in zip(rho_cos, *rows)])
 
     b = fields.b
     c0 = params.c0
@@ -369,9 +405,11 @@ def _residual_vector(rho_cos, V, p1, chi_c, params, f_act, f_und,
              + V * b.r * b.cos
              - p1
              - params.gamma / params.R0)
-    modes = project_cosine(block)
-    area, centering = _area_centering(rho_cos, params.R0)
-    return np.concatenate([modes, [area, centering]])
+    out = np.empty(rho_cos.shape[:-1] + (n + 3,))
+    rows = out.T               # entry first, for one state or a stack
+    rows[: n + 1] = project_cosine(block).T
+    rows[n + 1], rows[n + 2] = _area_centering(rho_cos, params.R0)
+    return out
 
 
 def _block_coefficients(fields: _WaveFields, V, chi_c, params: ModelParams,
@@ -449,7 +487,7 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
                    strides=(row, col, step * col))
         for step in (-1, 1))
     projected = project_cosine(np.array(
-        [act, fields.act - float(f_act.eval(params.c0))]).T)
+        [act, fields.act - float(f_act.eval(params.c0))]))
 
     jac = np.zeros((n + 3, n + 3))
     block = jac[: n + 1, : n + 1]
@@ -457,9 +495,9 @@ def _residual_jacobian(rho_cos, V, p1, chi_c, params, f_act, f_und,
     block += np.einsum("fij,fj->ij", hankel, grid.weights[1])
     block[0] *= 0.5
     block[n] *= 0.5
-    block += np.outer(projected[:, 0], spec[3].real)
+    block += np.outer(projected[0], spec[3].real)
     jac[0, n + 1] = -1.0
-    jac[: n + 1, n + 2] = projected[:, 1]
+    jac[: n + 1, n + 2] = projected[1]
     jac[n + 1, 0] = 4.0 * np.pi * (params.R0 + rho_cos[0])
     jac[n + 1, 1: n + 1] = 2.0 * np.pi * rho_cos[1:]
     jac[n + 2, 1] = np.pi
@@ -522,7 +560,7 @@ def _unpack(u: np.ndarray, V: float, params: ModelParams,
     """
     rho_cos = np.asarray(u[:-2], dtype=float)
     shape = Shape(rho_cos, params.R0)
-    c1 = params.M / (2.0 * np.pi * fields.mean_weight)
+    c1 = params.M / (2.0 * np.pi * float(fields.mean_weight))
     return TravelingWaveState(shape=shape, V=V, p1=float(u[-2]),
                               chi_c=float(u[-1]), c1=c1)
 
@@ -795,10 +833,11 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
     reaches V_max (a step that overshoots lands on V_max with a
     fixed-speed solve).  Its Jacobian is the analytic (rho, p1, chi_c)
     block, built from the fields the residual computed at the same
-    iterate, plus a central difference in V; the accepted point is built
-    from the fields of the corrector's last residual evaluation, as a
-    fixed-speed state is.  The only retry is the corrector's, which halves
-    its step down to ds/64.
+    iterate, plus a central difference in V from one stacked residual
+    call of its two points; the accepted point is built from the fields
+    of the corrector's last residual evaluation, as a fixed-speed state
+    is.  The only retry is the corrector's, which halves its step down to
+    ds/64.
 
     Every accepted state, of either kind, must pass the resolution
     certificate (spectral tail at most ``TAIL_TOL``); the first one that
@@ -814,8 +853,9 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         If an arclength point fails the invariant checks of
         ``_checked_state``, or its landing solve at V_max fails.
     """
-    if V_max <= 0 or ds <= 0:
-        raise ValueError("V_max and ds must be positive")
+    if not (V_max > 0 and ds > 0 and V_max + ds > V_max):
+        raise ValueError("V_max and ds must be positive, and ds at least "
+                         "the spacing of doubles at V_max")
 
     fields = _fields_memo(params, f_act)
 
@@ -828,10 +868,11 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
         rho_cos, V = u_ext[:-3], u_ext[-1]
         block = _residual_jacobian(rho_cos, V, u_ext[-3], u_ext[-2], params,
                                    f_act, f_und, fields(rho_cos, V))
-        step = np.zeros_like(u_ext)
-        step[-1] = 1e-6 * (1.0 + abs(V))
-        v_col = (fun(u_ext + step) - fun(u_ext - step)) / (2.0 * step[-1])
-        return np.column_stack([block, v_col])
+        dv = 1e-6 * (1.0 + abs(V))
+        ends = _residual_vector(np.array([rho_cos, rho_cos]),
+                                np.array([[V + dv], [V - dv]]), u_ext[-3],
+                                u_ext[-2], params, f_act, f_und)
+        return np.column_stack([block, (ends[0] - ends[1]) / (2.0 * dv)])
 
     states = [rest_state(params, f_act, f_und, n)]
     n_steps = max(1, int(round(V_max / ds)))
@@ -888,23 +929,26 @@ def continue_branch(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
 def bifurcation_jacobian(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
                          n: int = DEFAULT_N) -> np.ndarray:
     """Central-difference Jacobian of the residual in (rho, V, p1) at the
-    bifurcation point (chi_c_star, disk, 0, 0)."""
+    bifurcation point (chi_c_star, disk, 0, 0).
+
+    Column i is (F(h e_i) - F(-h e_i)) / 2h with h = 1e-6.  The points
+    are stacked ``JACOBIAN_BLOCK`` columns at a time, both signs, into one
+    ``_residual_vector`` call, which gives each row bit for bit what the
+    point alone gives.
+    """
     star = chi_c_star(params, f_act, f_und)
-
-    def fun(x):
-        return _residual_vector(x[: n + 1], x[n + 1], x[n + 2], star,
-                                params, f_act, f_und)
-
-    x0 = np.zeros(n + 3)
-    cols = []
     h = 1e-6
-    for i in range(n + 3):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.column_stack(cols)
+    cols = np.empty((n + 3, n + 3))
+    for start in range(0, n + 3, JACOBIAN_BLOCK):
+        k = min(JACOBIAN_BLOCK, n + 3 - start)
+        i = np.arange(k)
+        x = np.zeros((2 * k, n + 3))      # rows +h e_j, then -h e_j
+        x[i, start + i] = h
+        x[k + i, start + i] = -h
+        res = _residual_vector(x[:, : n + 1], x[:, n + 1: n + 2],
+                               x[:, n + 2:], star, params, f_act, f_und)
+        cols[:, start: start + k] = ((res[:k] - res[k:]) / (2.0 * h)).T
+    return cols
 
 
 def kernel_alignment(params: ModelParams, f_act: ForceLaw, f_und: ForceLaw,
@@ -943,16 +987,16 @@ def transversality_product(params: ModelParams, f_act: ForceLaw,
     keeping nested-difference rounding noise far below target.
     """
     star = chi_c_star(params, f_act, f_und)
-    zeros = np.zeros(n + 1)
     dv, dchi = 1e-4, 1e-2
-
-    def v_column_cos1(chi):
-        rp = _residual_vector(zeros, dv, 0.0, chi, params, f_act, f_und)
-        rm = _residual_vector(zeros, -dv, 0.0, chi, params, f_act, f_und)
-        col = (rp - rm) / (2.0 * dv)
-        return math.pi * col[1]       # integral of first block against cos
-
-    return (v_column_cos1(star + dchi) - v_column_cos1(star - dchi)) / (2.0 * dchi)
+    # One stacked call: V = +dv, -dv at chi_c = star + dchi, then at
+    # star - dchi.
+    res = _residual_vector(
+        np.zeros((4, n + 1)), np.array([[dv], [-dv], [dv], [-dv]]), 0.0,
+        np.array([[star + dchi], [star + dchi], [star - dchi], [star - dchi]]),
+        params, f_act, f_und)
+    col = (res[0::2] - res[1::2]) / (2.0 * dv)
+    cos1 = math.pi * col[:, 1]        # integral of first block against cos
+    return (cos1[0] - cos1[1]) / (2.0 * dchi)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,28 @@ def test_criterion_08_linearization(config):
     _check(acceptance.criterion_linearization(config))
 
 
+@pytest.mark.parametrize("seed", [20230915, 4242])
+def test_criterion_08_remainders_equal_one_call_per_amplitude(seed):
+    # The three amplitudes share one stacked residual call; each remainder
+    # is bit for bit the one a single-state call per amplitude gives.
+    from cellwave.waves import _residual_vector, linearized_residual
+
+    cfg = json.loads(json.dumps(CONFIG_DICT))
+    cfg["analysis"]["seed"] = seed
+    config = validate_config(cfg)
+    params, n = config.params, config.analysis["N"]
+    rng = acceptance._PCG64(seed + 3)
+    d_rho = np.array(rng.box_muller(n + 1)) / (1.0 + np.arange(n + 1)) ** 2
+    rems = []
+    for eps in (1e-2, 1e-3, 1e-4):
+        args = (eps * d_rho, eps * 0.7, eps * 0.3, 1.3, params,
+                config.f_act, config.f_und)
+        rems.append(float(np.max(np.abs(_residual_vector(*args)
+                                        - linearized_residual(*args)))))
+    got = acceptance.criterion_linearization(config).details["remainders"]
+    assert got == rems
+
+
 def test_criterion_09_special_floor(config):
     _check(acceptance.criterion_special_floor(config))
 

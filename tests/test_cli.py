@@ -91,6 +91,25 @@ class TestConfig:
         assert main([command, "-c", path, "--set", override]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["branch"], ["verify"],
+                                         ["shape", "--velocity", "0.1"]])
+    @pytest.mark.parametrize("override", ["analysis.V_max=1e300",
+                                          "analysis.ds=1e-300"])
+    def test_step_below_double_spacing_exits_2_with_one_line(
+            self, tmp_path, capsys, command, override):
+        # A ds that no speed near V_max moves by asks for round(V_max/ds)
+        # fixed-speed targets, more than an array can hold; every command
+        # that traces the branch refuses the config on one stderr line.
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main([command[0], "-c", path, "--set", override,
+                     *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: analysis.ds=")
+        assert "spacing of doubles at analysis.V_max" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out").exists()
+
     def test_output_directory_not_creatable(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         blocker = tmp_path / "file"

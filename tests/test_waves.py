@@ -211,6 +211,60 @@ class TestResidual:
         orders = [math.log10(rems[i] / rems[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
+    @staticmethod
+    def _perturbed_stack(params, f_act, f_und, n, k, seed):
+        """k perturbed copies of the V = 0.2 branch state at order n, with
+        per-row V, p1 and chi_c columns."""
+        state = solve_at_velocity(0.2, rest_state(params, f_act, f_und, n),
+                                  params, f_act, f_und)
+        rng = np.random.default_rng(seed)
+        rho = (state.shape.rho_cos + 1e-3 * rng.standard_normal((k, n + 1))
+               / (1.0 + np.arange(n + 1)) ** 2)
+        V, p1, chi = (x + 1e-2 * rng.standard_normal((k, 1))
+                      for x in (state.V, state.p1, state.chi_c))
+        return state, rho, V, p1, chi
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_stacked_rows_equal_single_states(self, params, f_act, f_und, n):
+        # Each row of a stacked call is the residual of its state alone,
+        # bit for bit, with per-row or shared V, p1 and chi_c.
+        state, rho, V, p1, chi = self._perturbed_stack(params, f_act, f_und,
+                                                       n, 6, n)
+        stack = _residual_vector(rho, V, p1, chi, params, f_act, f_und)
+        shared = _residual_vector(rho, state.V, state.p1, state.chi_c,
+                                  params, f_act, f_und)
+        assert stack.shape == shared.shape == (6, n + 3)
+        for i in range(6):
+            alone = _residual_vector(rho[i], float(V[i, 0]), float(p1[i, 0]),
+                                     float(chi[i, 0]), params, f_act, f_und)
+            assert np.array_equal(stack[i], alone)
+            alone = _residual_vector(rho[i], state.V, state.p1, state.chi_c,
+                                     params, f_act, f_und)
+            assert np.array_equal(shared[i], alone)
+        assert not np.array_equal(stack, shared)
+
+    def test_degenerate_row_gets_the_sentinel_alone(self, params, f_act,
+                                                    f_und):
+        # A row whose radius is negative everywhere gets the sentinel
+        # residual a degenerate state gets alone; its neighbours keep the
+        # residuals of the stack without it, bit for bit.
+        _, rho, V, p1, chi = self._perturbed_stack(params, f_act, f_und,
+                                                   N_TEST, 5, 7)
+        clean = _residual_vector(rho, V, p1, chi, params, f_act, f_und)
+        rho[2, 0] = -2.0 * params.R0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _residual_vector(rho, V, p1, chi, params, f_act, f_und)
+        alone = _residual_vector(rho[2], float(V[2, 0]), float(p1[2, 0]),
+                                 float(chi[2, 0]), params, f_act, f_und)
+        assert np.array_equal(alone, np.full(N_TEST + 3, 1e6))
+        assert np.array_equal(got[2], alone)
+        assert np.array_equal(np.delete(got, 2, axis=0),
+                              np.delete(clean, 2, axis=0))
+        with pytest.raises(SolverError, match="degenerate"):
+            _residual_jacobian(rho[2], float(V[2, 0]), float(p1[2, 0]),
+                               float(chi[2, 0]), params, f_act, f_und)
+
 
 def _polar_series(rho, r0, n):
     """r, r' and r'' of r0 + sum_k rho_k cos(k theta) at the 2n nodes
@@ -241,9 +295,11 @@ def _fold_params():
 @pytest.fixture(scope="module")
 def fold_n256(f_act, f_und):
     """The gamma = 0.1 branch at N = 256 up to where it stops, short of its
-    fold: (the stall, the speeds whose fixed-speed solve failed)."""
-    failed = []
+    fold: (the stall, the speeds whose fixed-speed solve failed, and each
+    arclength Jacobian's point and V column)."""
+    failed, v_columns = [], []
     real_solve = waves.solve_at_velocity
+    real_arclength = waves.arclength_continue
 
     def recording_solve(V, *args, **kwargs):
         try:
@@ -252,13 +308,21 @@ def fold_n256(f_act, f_und):
             failed.append(V)
             raise
 
+    def recording_arclength(fun, jac, *args, **kwargs):
+        def recorded(u):
+            out = jac(u)
+            v_columns.append((u.copy(), out[:, -1].copy()))
+            return out
+        return real_arclength(fun, recorded, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(waves, "solve_at_velocity", recording_solve)
+        mp.setattr(waves, "arclength_continue", recording_arclength)
         with pytest.raises(ContinuationStalledError,
                            match="unresolved shape") as info:
             continue_branch(_fold_params(), f_act, f_und, V_max=1.3, ds=0.01,
                             n=256)
-    return info.value, failed
+    return info.value, failed, v_columns
 
 
 def _sample_and_project_block(rho_cos, V, chi_c, params, f_act, f_und):
@@ -275,8 +339,8 @@ def _sample_and_project_block(rho_cos, V, chi_c, params, f_act, f_und):
         fields, V, chi_c, params, f_act, f_und)
     g = cos_t @ mass / (2 * n)
     samples = ((coef_a - coef_c * (k * k)[:, None]) * cos_t
-               - coef_b * k[:, None] * sin_t).T + np.outer(act, g)
-    return waves.project_cosine(samples)
+               - coef_b * k[:, None] * sin_t) + np.outer(g, act)
+    return waves.project_cosine(samples).T      # row j samples column j
 
 
 class TestJacobian:
@@ -589,18 +653,21 @@ class TestBranch:
             self, params, f_act, f_und, monkeypatch):
         # In each arclength Newton iteration the Jacobian takes the fields
         # the residual computed at the iterate and computes only those of
-        # its two V-difference points; the branch is bitwise the one built
-        # with no memo.
+        # its two V-difference points, in one stacked call; the branch is
+        # bitwise the one built with no memo.  ``computed`` counts states,
+        # one per row of a stack.
         _stall_between(monkeypatch, 0.02, 0.06)
         real_fields = waves._wave_fields
         real_arclength = waves.arclength_continue
         computed = 0
         per_jacobian, per_residual = [], []
+        stacked = []
 
-        def counting_fields(*args):
+        def counting_fields(rho_cos, *args):
             nonlocal computed
-            computed += 1
-            return real_fields(*args)
+            computed += len(rho_cos) if rho_cos.ndim == 2 else 1
+            stacked.append(rho_cos.ndim == 2)
+            return real_fields(rho_cos, *args)
 
         def counted(fn, counts):
             def wrapper(u):
@@ -621,6 +688,7 @@ class TestBranch:
         assert branch.used_arclength
         assert per_jacobian and set(per_jacobian) == {2}
         assert set(per_residual) == {1}
+        assert stacked.count(True) == len(per_jacobian)
 
         def unmemoised(params, f_act):
             return lambda rho_cos, V: real_fields(rho_cos, V, params, f_act)
@@ -899,12 +967,31 @@ class TestPredictor:
                    for s in partial.states)
         assert built < 411
 
+    def test_arclength_v_column_equals_two_calls(self, f_act, f_und,
+                                                fold_n256):
+        # On the gamma = 0.1, N = 256 branch, every arclength Jacobian's
+        # V column, one stacked call of its two points, equals the central
+        # difference of two single-state residual calls bit for bit.
+        params = _fold_params()
+        v_columns = fold_n256[2]
+        assert v_columns
+
+        def fun(u):
+            return _residual_vector(u[:-3], u[-1], u[-3], u[-2], params,
+                                    f_act, f_und)
+
+        for u, column in v_columns:
+            step = np.zeros_like(u)
+            step[-1] = 1e-6 * (1.0 + abs(u[-1]))
+            two_calls = (fun(u + step) - fun(u - step)) / (2.0 * step[-1])
+            assert np.array_equal(column, two_calls)
+
     def test_fold_hands_over_to_arclength(self, fold_n256):
         # At gamma = 0.1 and N = 256 the shapes stay resolved up to the
         # fold: the fixed-speed step to V = 1.18 fails once, with no
         # retry, and the arclength tail goes on from V = 1.17 until a
         # shape just short of the fold (V ~ 1.1763) fails the certificate.
-        stall, failed = fold_n256
+        stall, failed, _ = fold_n256
         stop = float(str(stall).split("V=")[1].split(":")[0])
         assert 1.175 <= stop <= 1.177
         partial = stall.points
@@ -914,7 +1001,57 @@ class TestPredictor:
                    for s in partial.states)
 
 
+def _bifurcation_jacobian_by_columns(params, f_act, f_und, n):
+    """``bifurcation_jacobian`` as two single-state residual calls per
+    column: the reference of its stacked blocks."""
+    star = chi_c_star(params, f_act, f_und)
+
+    def fun(x):
+        return _residual_vector(x[: n + 1], x[n + 1], x[n + 2], star,
+                                params, f_act, f_und)
+
+    x0 = np.zeros(n + 3)
+    cols = []
+    h = 1e-6
+    for i in range(n + 3):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _transversality_by_calls(params, f_act, f_und, n):
+    """``transversality_product`` as four single-state residual calls."""
+    star = chi_c_star(params, f_act, f_und)
+    zeros = np.zeros(n + 1)
+    dv, dchi = 1e-4, 1e-2
+
+    def v_column_cos1(chi):
+        rp = _residual_vector(zeros, dv, 0.0, chi, params, f_act, f_und)
+        rm = _residual_vector(zeros, -dv, 0.0, chi, params, f_act, f_und)
+        col = (rp - rm) / (2.0 * dv)
+        return math.pi * col[1]
+
+    return (v_column_cos1(star + dchi)
+            - v_column_cos1(star - dchi)) / (2.0 * dchi)
+
+
 class TestBifurcationStructure:
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_jacobian_equals_the_column_loop(self, params, f_act, f_und,
+                                             f_und_tanh, n):
+        # The stacked blocks (a partial last block at every n here) give
+        # the per-column loop's Jacobian bit for bit, C-ordered as it was.
+        for law in (f_und, f_und_tanh):
+            got = waves.bifurcation_jacobian(params, f_act, law, n)
+            assert got.flags.c_contiguous
+            assert np.array_equal(
+                got, _bifurcation_jacobian_by_columns(params, f_act, law, n))
+            assert (transversality_product(params, f_act, law, n)
+                    == _transversality_by_calls(params, f_act, law, n))
+
     def test_kernel_is_pure_speed_direction(self, params, f_act, f_und):
         ka = kernel_alignment(params, f_act, f_und, N_TEST)
         assert ka["angle_to_v_direction"] <= 1e-8
