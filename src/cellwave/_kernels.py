@@ -1,14 +1,13 @@
 """Low-level numeric kernels in plain Python and numpy.
 
 The hot inner loops of the package live here: modified-Bessel evaluation for
-complex arguments and the per-mode dispersion kernel.  ``bessel_I``, the
-reference, calls ``iv_series`` (an ascending series) or ``iv_chain``
-(Miller's downward recurrence on I_k).  The kernel reads the entire
-function psi_k(u) = I_k(w)/w^k, u = w^2, from one algorithm of its own:
-Miller's recurrence run on psi itself, which forms no power of w and so
-needs no series near u = 0.  It is written twice, once as a scalar loop
-(``_psi_scalar``, behind ``psi_tilde`` and the root Newton of one
-spectrum, which takes every order it reads and its analytic slope from
+complex arguments and the per-mode dispersion kernel.  Every modified-Bessel
+value in the package comes from one algorithm, Miller's recurrence run on
+the entire function psi_k(u) = I_k(w)/w^k, u = w^2, which forms no power of
+w and so needs no series near u = 0 (``special.bessel_I`` multiplies by
+w^k afterwards).  It is written twice, once as a scalar loop
+(``_psi_scalar``, behind ``psi_tilde``, ``bessel_I`` and the root Newton of
+one spectrum, which takes every order it reads and its analytic slope from
 one pass) and once over arrays (``_psi_chain``), where each point runs
 from its own start order, so a point's values never depend on the points
 it shares a call with.  The seed screen, ``phi_mode_grid``, reads one
@@ -29,9 +28,6 @@ import numpy as np
 
 from .errors import AccuracyError
 
-#: Radius below which the ascending power series is used for I_m(z).
-SERIES_RADIUS = 4.0
-
 #: The kernels are never compiled; recorded by tools that report the path.
 NUMBA_ENABLED = False
 
@@ -46,74 +42,21 @@ _DOUBLE_MIN = sys.float_info.min      # smallest normal double
 # Modified Bessel functions I_m for complex argument.
 # ---------------------------------------------------------------------------
 
-def iv_series(m, z):
-    """Ascending series for I_m(z); accurate for |z| <= SERIES_RADIUS."""
-    half = 0.5 * z
-    term = 1.0 + 0.0j
-    for j in range(1, m + 1):
-        term *= half / j
-    total = term
-    u = half * half
-    k = 0
-    while k < 300:
-        k += 1
-        term *= u / (k * (k + m))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
 def _miller_start(mmax, az):
-    """Start order of the Miller recurrence for orders 0..mmax at |z| = az.
+    """Start order of the psi recurrence for orders 0..mmax at |w| = az.
 
-    max(mmax, |z|) + 30 + |z|/2.  Run down from order N, the recurrence
-    carries the wanted minimal solution I_k plus a multiple of K_k that
-    shrinks as k falls, so a kept order k is off by about |I_N / I_k|^2
-    relative, and the normalising sum misses the tail beyond N, about
-    |I_N / e^z| (Gautschi, SIAM Rev. 9, 1967).  Past the turning point
-    k ~ |z| the orders fall off faster than geometrically, so for
-    |arg z| <= pi/2 both are far below double precision 30 + |z|/2 orders
-    above max(mmax, |z|); the error left is the rounding of the steps.
-    The recurrence on psi_k(u) = I_k(w)/w^k is this one scaled order by
-    order, so it takes the same start at az = |w|.
+    max(mmax, |w|) + 30 + |w|/2; ``_psi_scalar`` and ``_psi_chain`` start
+    there.  The recurrence on psi_k(u) = I_k(w)/w^k is the one on I_k
+    scaled order by order.  Run down from order N, it carries the wanted
+    minimal solution I_k plus a multiple of K_k that shrinks as k falls,
+    so a kept order k is off by about |I_N / I_k|^2 relative, and the
+    normalising sum misses the tail beyond N, about |I_N / e^w| (Gautschi,
+    SIAM Rev. 9, 1967).  Past the turning point k ~ |w| the orders fall off
+    faster than geometrically, so for |arg w| <= pi/2 both are far below
+    double precision 30 + |w|/2 orders above max(mmax, |w|); the error
+    left is the rounding of the steps.
     """
     return max(mmax, int(az)) + 30 + int(az) // 2
-
-
-def iv_chain(mmax, z):
-    """[I_0(z), ..., I_mmax(z)] by Miller's downward recurrence; Re z >= 0.
-
-    The recurrence I_{k-1} = I_{k+1} + (2k/z) I_k is run down from the
-    start order ``_miller_start(mmax, |z|)`` and normalised with
-    e^z = I_0 + 2 * sum_{k>=1} I_k, which is cancellation-free for Re z >= 0.
-    Whenever the unnormalised I_k passes 1e250 in magnitude, everything
-    accumulated so far is scaled by 1e-250.  The steps above mmax only add
-    to the sum; the last mmax + 1 steps keep their values.
-    """
-    start = _miller_start(mmax, abs(z))
-    two_over_z = 2.0 / z
-    ip = 0.0 + 0.0j          # unnormalised I_{k+1}
-    ic = 1e-250 + 0.0j       # unnormalised I_k, k = start
-    upper = ic               # sum of the unnormalised I_k, k > mmax
-    for k in range(start, mmax + 1, -1):
-        ip, ic = ic, ip + k * two_over_z * ic
-        upper += ic
-        if abs(ic) > 1e250:
-            ip *= 1e-250
-            ic *= 1e-250
-            upper *= 1e-250
-    out = []                 # unnormalised I_mmax, ..., I_0
-    for k in range(mmax + 1, 0, -1):
-        ip, ic = ic, ip + k * two_over_z * ic
-        out.append(ic)
-        if abs(ic) > 1e250:
-            ip *= 1e-250
-            ic *= 1e-250
-            upper *= 1e-250
-            out = [v * 1e-250 for v in out]
-    factor = cmath.exp(z) / (2.0 * (upper + sum(out[:-1])) + ic)
-    return [v * factor for v in reversed(out)]
 
 
 def psi_tilde(k, u):

@@ -33,7 +33,7 @@ from .errors import (
 from .model import chi_c_star, resting_state, tw_concentration
 from .stability import classify, mode_spectra
 from .waves import (
-    _checked_boundary,
+    _boundary,
     bifurcation_report,
     collocation_nodes,
     continue_branch,
@@ -251,7 +251,7 @@ def cmd_shape(config: RunConfig, outdir: Path, velocity: float) -> int:
                                            exc.points) from None
         print(f"branch stalled: {exc}", file=sys.stderr)
         code = EXIT_PARTIAL
-    b = _checked_boundary(state.shape)
+    b = _boundary(state.shape.rho_cos, state.shape.R0)
     c_bnd = tw_concentration(config.params, state.V, state.c1,
                              (b.r * b.cos,))
     rows = list(zip(collocation_nodes(state.shape.N), b.r, b.n1, b.kappa,

@@ -256,11 +256,12 @@ def find_complex_roots(evaluate, fun_grid, region, seeds, *,
         (nx, ny) seed-grid resolution.
     conjugate : bool
         Declares f(conj z) = conj f(z), so the roots off the real axis come
-        in conjugate pairs.  A root found below the axis is replaced by its
-        conjugate before the dedup, and every root with Im > DEDUP_TOL is
-        then joined by its exact conjugate with the same residual; on an
-        asymmetric rectangle the member of a pair outside the margin is
-        then dropped.  If the rectangle is also symmetric
+        in conjugate pairs.  A root with |Im| <= DEDUP_TOL is its own
+        conjugate and is written real, with Im = +0.0; a root found below
+        the axis is replaced by its conjugate before the dedup, and every
+        root with Im > DEDUP_TOL is then joined by its exact conjugate with
+        the same residual; on an asymmetric rectangle the member of a pair
+        outside the margin is then dropped.  If the rectangle is also symmetric
         (im_min == -im_max) only its upper half is screened: f is
         evaluated on the rows of the seed grid with Im >= 0 (the same
         points as the full grid; for odd ny the middle row is the real
@@ -314,7 +315,11 @@ def _accept_roots(ends, region, *, conjugate: bool = False
     for root, res in ends:
         if not res <= RESIDUAL_TOL:
             continue
-        if conjugate and root.imag < 0.0:
+        if conjugate and abs(root.imag) <= DEDUP_TOL:
+            # its own conjugate under the dedup: a real root, written
+            # with +0.0 so that a principal square root keeps its side
+            root = complex(root.real, 0.0)
+        elif conjugate and root.imag < 0.0:
             root = root.conjugate()
         if not (inside(root) or conjugate and inside(root.conjugate())):
             continue

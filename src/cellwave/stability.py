@@ -123,8 +123,10 @@ def mode_spectra(jobs, region=None, seeds=DEFAULT_SEEDS) -> list[ModeSpectrum]:
     ``_lockstep_newton``, one ``phi_mode_slope_points`` call per round.
     ``_accept_roots`` keeps each job's end points with |kernel| <=
     RESIDUAL_TOL * scale inside its rectangle, roots off the real axis in
-    exact conjugate pairs; ``residuals[i]`` is |value| / max(scale,
-    1e-300) at ``roots[i]``, as its Newton run computed it.  Under one
+    exact conjugate pairs and real roots with Im = +0.0; ``residuals[i]``
+    is |value| / max(scale, 1e-300) at the Newton end point of
+    ``roots[i]``, as its run computed it (for a real root, that point with
+    its rounding-level imaginary part).  Under one
     driver a spectrum does not depend on the other jobs of its sweep (each
     start's kernel chain is its own); across the two its roots agree to
     rounding.  ``region=None`` takes each job's default rectangle.

@@ -224,15 +224,6 @@ def disk_shape(R0: float, n: int = DEFAULT_N) -> Shape:
     return Shape(np.zeros(n + 1), R0)
 
 
-def _checked_boundary(shape: Shape) -> _Boundary:
-    """Boundary fields at the collocation nodes; a non-positive radius is
-    an error."""
-    b = _boundary(shape.rho_cos, shape.R0)
-    if np.min(b.r) <= 0.0:
-        raise GeometryError("degenerate radius")
-    return b
-
-
 #: Taylor coefficients 1/(k! (k+2)), k = 8 down to 0, of
 #: int_0^1 exp(x t) t dt; for |x| < 0.05 the first omitted term is below
 #: 1e-18 relative.

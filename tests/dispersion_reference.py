@@ -1,9 +1,10 @@
 """Independent references for the dispersion tests.
 
 ``dispersion_H`` is the literal transcription of the mode-m dispersion
-function H_m (principal square root), built on ``bessel_I``, whose series
-and Miller chain on I_k the kernel does not use (it recurs on
-psi_k = I_k(w)/w^k), so H_m is independent of the kernel.
+function H_m (principal square root), built on
+``acceptance._bessel_I_reference``, the exact fixed-point series of
+criterion 9 (pinned to mpmath by its own test), so H_m is independent of
+the kernel's psi recurrence and of ``bessel_I``, which reads it.
 ``dispersion_kernel`` is H_m with its structural zero at the origin
 factored out, evaluated by the scalar kernel ``_kernels.phi_mode``; the root
 search of ``cellwave.stability`` uses the array and slope forms of the same
@@ -14,9 +15,9 @@ H_m(z) = z**structural_exponent(m) * kernel.
 import cmath
 
 from cellwave import _kernels
+from cellwave.acceptance import _bessel_I_reference as ref_I
 from cellwave.forces import ForceLaw
 from cellwave.model import ModelParams
-from cellwave.special import bessel_I
 from cellwave.stability import _mode_constants
 
 
@@ -38,9 +39,9 @@ def dispersion_H(m: int, z: complex, params: ModelParams, f_act: ForceLaw,
     z = complex(z)
     sq = cmath.sqrt(z)
     w = -params.R0 * sq
-    i_lo = bessel_I(1, w) if m == 0 else bessel_I(m - 1, w)
-    term1 = z * m * coef_c * bessel_I(m, w)
-    term2 = 0.5 * sq * (z * b_m + d_m) * (i_lo + bessel_I(m + 1, w))
+    i_lo = ref_I(1, w) if m == 0 else ref_I(m - 1, w)
+    term1 = z * m * coef_c * ref_I(m, w)
+    term2 = 0.5 * sq * (z * b_m + d_m) * (i_lo + ref_I(m + 1, w))
     return term1 + term2
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellwave import acceptance
+from cellwave import _kernels, acceptance
 from cellwave.cli import main
 from cellwave.config import load_config, validate_config
 from cellwave.errors import AccuracyError
@@ -231,6 +231,19 @@ def test_criterion_09_fails_on_a_perturbed_bessel_I(config, monkeypatch):
     bessel_I = acceptance.bessel_I
     monkeypatch.setattr(acceptance, "bessel_I",
                         lambda m, z: bessel_I(m, z) * (1.0 + 1e-11))
+    result = acceptance.criterion_special_floor(config)
+    assert not result.passed
+    assert result.details["oracle_worst"] > 1e-12
+
+
+def test_criterion_09_fails_on_a_perturbed_psi_recurrence(config,
+                                                         monkeypatch):
+    # bessel_I reads the kernel's scalar psi recurrence, the one that
+    # classify, the threshold search and the spectra run: a relative error
+    # of 1e-11 there fails the criterion as well.
+    psi_scalar = _kernels._psi_scalar
+    monkeypatch.setattr(_kernels, "_psi_scalar", lambda ks, u: [
+        v * (1.0 + 1e-11) for v in psi_scalar(ks, u)])
     result = acceptance.criterion_special_floor(config)
     assert not result.passed
     assert result.details["oracle_worst"] > 1e-12

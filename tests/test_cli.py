@@ -15,6 +15,8 @@ from cellwave import (
     _kernels,
     chi_c_star,
     cli,
+    solvers,
+    stability,
 )
 from cellwave.cli import main
 from cellwave.config import load_config
@@ -277,6 +279,33 @@ class TestDispersion:
             assert any(abs(v + x * x) <= 1e-8 for v in mode0)
         assert len(principal0) == 1
         assert abs(float(principal0[0][2]) + j1[0] ** 2) <= 1e-8
+
+    def test_real_roots_read_zero_imaginary_part(self, tmp_path,
+                                                 monkeypatch):
+        # The kernel's coefficients are real, so a root within DEDUP_TOL of
+        # the real axis is its own conjugate: its row reads im_lambda 0.0,
+        # and re_lambda is bit for bit the real part its Newton run ended
+        # on (rounding-level imaginary parts such as 1e-16 used to leak).
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        ends = []
+        accept = stability._accept_roots
+
+        def recording(job_ends, region, **kw):
+            ends.extend(job_ends)
+            return accept(job_ends, region, **kw)
+
+        monkeypatch.setattr(stability, "_accept_roots", recording)
+        assert main(["dispersion", "-c", str(config),
+                     "-o", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "dispersion.csv").read_text().splitlines()[1:]]
+        near_axis = {z.real for z, _ in ends
+                     if abs(z.imag) <= solvers.DEDUP_TOL}
+        real = [r for r in rows if abs(float(r[3])) <= solvers.DEDUP_TOL]
+        assert len(real) >= 13 * 2
+        for row in real:
+            assert row[3] == "0.0"
+            assert float(row[2]) in near_axis
 
     def test_cached_scaffolding_leaves_csv_unchanged(self, tmp_path):
         # The seed grid and the psi tables are cached across spectra; a run

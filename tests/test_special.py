@@ -1,8 +1,9 @@
-"""Modified Bessel evaluation, its Miller chain, and the psi chain of the
-dispersion kernel."""
+"""Modified Bessel evaluation, I_m(z) = z^m psi_m(z^2), and the psi
+recurrence of the dispersion kernel behind it: its start order, its
+rescaling, and its scalar and array forms."""
 
-import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -85,15 +86,37 @@ class TestBesselI:
         with pytest.raises(ValueError):
             bessel_I(-1, 1.0)
 
-    def test_high_orders_match_mpmath(self):
-        # bessel_I runs its own chain on I_k; written as z^m psi_m(z^2) on
-        # the kernel's psi chain it would lose every digit at (150, 100)
-        # and overflow at (160, 100).
+    def test_high_orders(self):
+        # At |z| = 100 the order 150 still matches mpmath; at order 154 on
+        # the imaginary axis psi_m(z^2) is subnormal, and from order 155 on
+        # the real axis z^m overflows: both raise AccuracyError.
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            for m, z in [(150, 100.0), (154, 100j), (160, 100.0)]:
-                ref = complex(mp.besseli(m, mp.mpc(z)))
-                assert abs(bessel_I(m, z) - ref) <= 1e-14 * abs(ref)
+            ref = complex(mp.besseli(150, 100))
+        assert abs(bessel_I(150, 100.0) - ref) <= 1e-14 * abs(ref)
+        for m, z in [(154, 100j), (160, 100.0)]:
+            with pytest.raises(AccuracyError, match="double range"):
+                bessel_I(m, z)
+
+    def test_results_are_normal_or_typed_errors(self):
+        # Each value is a normal double, or exactly zero at z = 0; where
+        # psi_m(z^2), z^m or their product underflows or overflows the
+        # result is AccuracyError, never OverflowError, ZeroDivisionError
+        # or a subnormal value.
+        zs = [0.0, 1e-300, 1e-3 + 1e-3j, 0.5, 20j, -60.0 + 70.0j, 100.0,
+              100j, -100.0]
+        orders = (0, 1, 8, 60, 120, 154, 155, 170, 400)
+        raised = 0
+        for m in orders:
+            for z in zs:
+                try:
+                    val = bessel_I(m, z)
+                except AccuracyError:
+                    raised += 1
+                    continue
+                assert (abs(val) >= sys.float_info.min
+                        or val == 0.0 and z == 0.0 and m >= 1), (m, z, val)
+        assert 0 < raised < len(orders) * len(zs)
 
     def test_order_must_be_an_integer(self):
         for order in (1.5, 1.0, np.float64(2.0), "1"):
@@ -104,39 +127,16 @@ class TestBesselI:
 
 
 class TestMillerChain:
-    def test_matches_mpmath(self):
-        # Orders 0..8 against a 40-digit oracle for 4 <= |z| <= 100 and
-        # Re z >= 0.  Up to |arg z| = 1.3 each value is compared with
-        # itself; closer to the imaginary axis I_k(iy) = i^k J_k(y) has the
-        # zeros of J_k, so there each order is compared with the largest.
-        mp = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(14)
-        r = rng.uniform(4.0, 100.0, 36)
-        th = np.concatenate([rng.uniform(-1.3, 1.3, 24),
-                             np.sign(rng.uniform(-1.0, 1.0, 12))
-                             * rng.uniform(1.3, 0.5 * math.pi, 12)])
-        zs = [complex(z) for z in r * np.exp(1j * th)] + [4.0, 100.0, 100j]
-        with mp.workdps(40):
-            for z in zs:
-                got = _kernels.iv_chain(8, z)
-                ref = [complex(mp.besseli(k, mp.mpc(z.real, z.imag)))
-                       for k in range(9)]
-                assert len(got) == 9
-                err = np.abs(np.array(got) - np.array(ref))
-                if abs(cmath.phase(z)) <= 1.3:
-                    assert np.all(err <= 1e-14 * np.abs(ref))
-                else:
-                    assert np.all(err <= 1e-14 * np.max(np.abs(ref)))
-
     def test_start_order_no_worse_than_old_start(self, monkeypatch):
-        # The chain starts at max(mmax, |z|) + 30 + |z|/2; it used to start
-        # at mmax + 40 + 2|z|, kept here as the reference.  On a fixed
-        # sample with 4 <= |z| <= 120, |arg z| <= pi/2 and mmax <= 160,
-        # the error relative to the largest kept order may be at most
-        # twice the old start's, or 1e-15.  The orders with the largest
-        # truncation error (the top two), the turning point k ~ |z| and
-        # the low orders are checked against a 30-digit oracle; the
-        # largest kept order is read off the chain itself.
+        # psi's recurrence starts at max(top, |w|) + 30 + |w|/2; it used to
+        # start at top + 40 + 2|w|, kept here as the reference.  On a fixed
+        # sample with 4 <= |w| <= 120, |arg w| <= pi/2 and top <= 160, the
+        # error in the scale of I_k = w^k psi_k, relative to the largest
+        # kept I_k, may be at most twice the old start's, or 1e-15.  The
+        # orders with the largest truncation error (the top two), the
+        # turning point k ~ |w| and the low orders are checked against a
+        # 30-digit oracle at the rounded u = w^2, wherever psi_k is a
+        # normal double; the largest kept I_k is read off the chain itself.
         mp = pytest.importorskip("mpmath")
         new_start = _kernels._miller_start
         assert new_start(160, 120.0) == 160 + 30 + 60
@@ -144,41 +144,51 @@ class TestMillerChain:
         assert new_start(8, 4.5) == 8 + 30 + 2
         rng = np.random.default_rng(81)
         n = 120
-        zs = rng.uniform(4.0, 120.0, n) * np.exp(
+        ws = rng.uniform(4.0, 120.0, n) * np.exp(
             1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
-        zs = np.concatenate([zs, [4.0, 120.0, 120j, -120j]])
-        mmaxes = np.concatenate([rng.integers(0, 161, n), [160, 0, 160, 0]])
+        ws = np.concatenate([ws, [4.0, 120.0, 120j, -120j]])
+        tops = np.concatenate([rng.integers(0, 161, n), [160, 0, 160, 0]])
         with mp.workdps(30):
-            for z, mmax in zip(map(complex, zs), map(int, mmaxes)):
-                got = np.array(_kernels.iv_chain(mmax, z))
+            for w, top in zip(map(complex, ws), map(int, tops)):
+                u = w * w
+                got = np.array(_kernels._psi_scalar(range(top + 1), u))
                 monkeypatch.setattr(_kernels, "_miller_start",
                                     lambda m, az: m + 40 + int(2.0 * az))
-                old = np.array(_kernels.iv_chain(mmax, z))
+                old = np.array(_kernels._psi_scalar(range(top + 1), u))
                 monkeypatch.setattr(_kernels, "_miller_start", new_start)
-                ks = sorted({0, min(1, mmax), mmax // 2, max(mmax - 1, 0),
-                             mmax, min(int(abs(z)), mmax)})
-                ref = np.array([complex(mp.besseli(k, mp.mpc(z.real, z.imag)))
+                ks = [k for k in sorted({0, min(1, top), top // 2,
+                                         max(top - 1, 0), top,
+                                         min(int(abs(w)), top)})
+                      if abs(got[k]) >= sys.float_info.min]
+                exact_w = mp.sqrt(mp.mpc(u.real, u.imag))
+                ref = np.array([complex(mp.besseli(k, exact_w) / exact_w ** k)
                                 for k in ks])
-                big = np.max(np.abs(old))
-                err = np.max(np.abs(got[ks] - ref)) / big
-                err_old = np.max(np.abs(old[ks] - ref)) / big
-                assert err <= max(2.0 * err_old, 1e-15)
+                # |w|^k / max_j |w^j old_j|, in logarithms: w^k overflows
+                log_w = math.log(abs(w))
+                with np.errstate(divide="ignore"):
+                    log_big = np.max(np.log(np.abs(old))
+                                     + log_w * np.arange(top + 1))
+                scale = np.exp(log_w * np.array(ks) - log_big)
+                err = np.max(np.abs(got[ks] - ref) * scale)
+                err_old = np.max(np.abs(old[ks] - ref) * scale)
+                assert err <= max(2.0 * err_old, 1e-15), (w, top)
 
     def test_rescale_path(self):
-        # Started at 1e-250, the unnormalised values grow by more than 1e500
-        # on the way down, so the 1e250 rescale fires: for I_k(1) from order
-        # 342 mostly among the kept orders, for I_k(1e-14) from order 42
-        # mostly above them.
+        # Started at 1e-250, the unnormalised psi grow by more than 1e500
+        # on the way down, so the 1e250 rescale fires: for psi_k(1) from
+        # order 330 at orders 143 and 29, among the kept orders, and for
+        # psi_k(4e4) (|w| = 200) from order 330 at orders 148 and 48, above
+        # them.  psi_k(1) = I_k(1); psi_150(1) would be subnormal.
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            got = _kernels.iv_chain(300, 1.0)
+            got = _kernels._psi_scalar(range(301), 1.0)
             assert len(got) == 301
-            for k in list(range(9)) + [50, 100, 150]:
+            for k in list(range(9)) + [50, 100, 140]:
                 ref = float(mp.besseli(k, 1))
                 assert abs(got[k] - ref) <= 1e-14 * ref
-            got = _kernels.iv_chain(2, 1e-14)
+            got = _kernels._psi_scalar(range(3), 4e4)
             for k in range(3):
-                ref = float(mp.besseli(k, mp.mpf(1e-14)))
+                ref = float(mp.besseli(k, 200) / mp.mpf(200) ** k)
                 assert abs(got[k] - ref) <= 1e-14 * ref
 
 

@@ -11,7 +11,6 @@ from cellwave import (
     AccuracyError,
     ModelParams,
     SolverError,
-    bessel_I,
     chi_c_star,
     classify,
     hill_active,
@@ -23,6 +22,7 @@ from cellwave import (
 )
 from cellwave import _kernels, solvers, stability
 from cellwave.acceptance import J1_ZEROS, _sample_params
+from cellwave.acceptance import _bessel_I_reference as ref_I
 from cellwave.cli import main
 from cellwave.config import load_config
 from cellwave.solvers import (
@@ -92,7 +92,7 @@ class TestDispersionFunction:
         for _ in range(20):
             z = complex(rng.uniform(-30, 10), rng.uniform(-8, 8))
             got = dispersion_H(0, z, params, f_act, f_und)
-            ref = z ** 1.5 * bessel_I(1, -params.R0 * cmath.sqrt(z))
+            ref = z ** 1.5 * ref_I(1, -params.R0 * cmath.sqrt(z))
             assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
     def test_mode1_independent_transcription(self, params, f_act, f_und):
@@ -104,8 +104,8 @@ class TestDispersionFunction:
         for _ in range(20):
             z = complex(rng.uniform(-30, 10), rng.uniform(-8, 8))
             w = -params.R0 * cmath.sqrt(z)
-            ref = (0.5 * z ** 1.5 * b1 * (bessel_I(0, w) + bessel_I(2, w))
-                   + z * coef * bessel_I(1, w))
+            ref = (0.5 * z ** 1.5 * b1 * (ref_I(0, w) + ref_I(2, w))
+                   + z * coef * ref_I(1, w))
             got = dispersion_H(1, z, params, f_act, f_und)
             assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
@@ -123,9 +123,9 @@ class TestDispersionFunction:
                 coef = params.a * params.chi_c * c0 * fp / params.R0
                 bm = 1.0 + m * params.chi_u * fu / params.R0
                 dm = params.gamma * m * (m * m - 1) / params.R0 ** 3
-                lo = bessel_I(1, w) if m == 0 else bessel_I(m - 1, w)
-                flipped = (z * m * coef * bessel_I(m, w)
-                           + 0.5 * sq * (z * bm + dm) * (lo + bessel_I(m + 1, w)))
+                lo = ref_I(1, w) if m == 0 else ref_I(m - 1, w)
+                flipped = (z * m * coef * ref_I(m, w)
+                           + 0.5 * sq * (z * bm + dm) * (lo + ref_I(m + 1, w)))
                 ref = dispersion_H(m, z, params, f_act, f_und)
                 assert abs(ref - (-1.0) ** m * flipped) <= 1e-12 * (1 + abs(ref))
 
@@ -438,22 +438,37 @@ class TestModeSpectrum:
                     assert any(abs(z.conjugate() - w) <= 1e-6
                                for w in spec.roots)
 
-    def test_residuals_recorded(self, params, f_act, f_und):
+    def test_residuals_recorded(self, params, f_act, f_und, monkeypatch):
         spec = mode_spectrum(1, params, f_act, f_und)
         assert len(spec.residuals) == len(spec.roots)
         assert all(r <= 1e-9 for r in spec.residuals)
         # Each recorded residual is exactly |value| / scale of the kernel at
-        # its root, conjugate partners included, over the default config's
-        # modes and chi_c grid.
+        # the Newton end point it came from, over the default config's
+        # modes and chi_c grid: at its root off the real axis, conjugate
+        # partners included, and for a real root at the end point with the
+        # same real part whose rounding-level imaginary part was dropped.
+        ends = []
+        accept = stability._accept_roots
+
+        def recording(job_ends, region, **kw):
+            ends.extend(job_ends)
+            return accept(job_ends, region, **kw)
+
+        monkeypatch.setattr(stability, "_accept_roots", recording)
         cfg = load_config(DEFAULT_CONFIG)
         rows = 0
         for m in range(9):
             for chi in cfg.analysis["chi_c_grid"]:
                 p = cfg.params.with_chi_c(chi)
+                ends.clear()
                 spec = mode_spectrum(m, p, cfg.f_act, cfg.f_und)
                 for z, res in zip(spec.roots, spec.residuals):
-                    v, s = dispersion_kernel(m, z, p, cfg.f_act, cfg.f_und)
-                    assert res == abs(v) / max(s, 1e-300)
+                    at = [z] if z.imag != 0.0 else [
+                        e for e, _ in ends if e.real == z.real
+                        and abs(e.imag) <= solvers.DEDUP_TOL]
+                    assert any(res == abs(v) / max(s, 1e-300) for v, s in (
+                        dispersion_kernel(m, e, p, cfg.f_act, cfg.f_und)
+                        for e in at))
                     rows += 1
         assert rows == 162
 

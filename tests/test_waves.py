@@ -29,7 +29,6 @@ from cellwave import (
 from cellwave import solvers, waves
 from cellwave.waves import (
     _boundary,
-    _checked_boundary,
     _radius_on_grid,
     _residual_jacobian,
     _residual_vector,
@@ -51,7 +50,7 @@ class TestGeometry:
     def test_disk_normal(self):
         sh = disk_shape(1.0, N_TEST)
         nodes = waves.collocation_nodes(N_TEST)
-        n1 = _checked_boundary(sh).n1
+        n1 = _boundary(sh.rho_cos, sh.R0).n1
         assert np.allclose(n1, np.cos(nodes), atol=1e-14)
         assert nodes[N_TEST // 2] == math.pi / 2
         assert abs(n1[N_TEST // 2]) <= 1e-14
@@ -60,12 +59,12 @@ class TestGeometry:
         rho = np.zeros(N_TEST + 1)
         rho[2] = 0.1
         sh = Shape(rho, 1.0)
-        assert abs(_checked_boundary(sh).n1[0] - 1.0) <= 1e-14
+        assert abs(_boundary(sh.rho_cos, sh.R0).n1[0] - 1.0) <= 1e-14
 
     def test_disk_curvature(self):
         for r0 in (0.5, 1.0, 2.3):
             sh = disk_shape(r0, N_TEST)
-            assert np.allclose(_checked_boundary(sh).kappa, 1.0 / r0,
+            assert np.allclose(_boundary(sh.rho_cos, sh.R0).kappa, 1.0 / r0,
                                atol=1e-13)
 
     def test_linearised_curvature(self):
@@ -77,7 +76,8 @@ class TestGeometry:
         sh = Shape(rho, 1.0)
         th = waves.collocation_nodes(N_TEST)
         lin = 1.0 + eps * 3.0 * np.cos(2 * th)
-        assert np.max(np.abs(_checked_boundary(sh).kappa - lin)) <= 1e-10
+        kappa = _boundary(sh.rho_cos, sh.R0).kappa
+        assert np.max(np.abs(kappa - lin)) <= 1e-10
 
     def test_gauss_bonnet(self):
         # The total curvature of the closed curve is 2 pi, by the trapezoid
@@ -85,15 +85,15 @@ class TestGeometry:
         rho = np.zeros(64 + 1)
         rho[0], rho[2], rho[3] = 0.02, 0.22, 0.05
         sh = Shape(rho, 1.0)
-        b = _checked_boundary(sh)
+        b = _boundary(sh.rho_cos, sh.R0)
         arc = np.sqrt(b.r * b.r + b.rp * b.rp)
         total = float(np.mean(b.kappa * arc)) * 2.0 * np.pi
         assert b.kappa.size == 128
         assert abs(total - 2.0 * np.pi) <= 1e-8
 
     def test_boundary_fields_match_shape(self):
-        # The one geometry helper, an inverse real FFT, unchecked and
-        # through the shape, against a term-by-term sum of the cosine and
+        # The one geometry helper, an inverse real FFT, on the coefficients
+        # of a shape (which checked the radius on a finer grid), against a term-by-term sum of the cosine and
         # sine series and the polar formulas; its radius is that of the
         # zero-padded transform on the same 2N grid.
         for n in (4, N_TEST, 64, 256):
@@ -101,17 +101,13 @@ class TestGeometry:
             rho = _smooth_shape(rng, n, 0.1)
             sh = Shape(rho, 1.3)
             theta = waves.collocation_nodes(n)
-            fields = _boundary(rho, 1.3)
-            checked = _checked_boundary(sh)
+            fields = _boundary(sh.rho_cos, sh.R0)
             r, rp, rpp = _polar_series(rho, 1.3, n)
             kappa = (r * r + 2 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
             n1 = (r * np.cos(theta) + rp * np.sin(theta)) / np.hypot(r, rp)
             for got, ref in ((fields.r, r), (fields.rp, rp),
                              (fields.rpp, rpp), (fields.kappa, kappa),
-                             (fields.n1, n1),
-                             (checked.r, r),
-                             (checked.kappa, kappa),
-                             (checked.n1, n1)):
+                             (fields.n1, n1)):
                 assert np.max(np.abs(got - ref)) <= 1e-13
             radius = _radius_on_grid(rho, 1.3, 2 * n)
             assert np.max(np.abs(fields.r - radius)) <= 1e-15
